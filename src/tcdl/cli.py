@@ -23,7 +23,7 @@ from .errors import (
     NoConsistentPriceSystemError, SolverIndeterminateError, TcdlError,
 )
 from .harness import (
-    _fmt, model_hash, run_experiment, selftest, write_report_files,
+    model_hash, run_experiment, selftest, write_csv, write_report_files,
 )
 from .market import load_market
 
@@ -123,13 +123,11 @@ def _cmd_primal(args) -> int:
     })
     out = _output_dir(args)
     os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "primal_leaves.csv")
-    with open(path, "w") as fh:
-        fh.write("leaf,prob,S_T,e_T,ghat,wealth\n")
-        for i, leaf in enumerate(tree.leaves):
-            row = [tree.node_ids[leaf], tree.prob[i], model.ask_price[leaf],
-                   model.endowment[i], float(sol.ghat[i]), float(sol.wealth[i])]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(os.path.join(out, "primal_leaves.csv"),
+              ["leaf", "prob", "S_T", "e_T", "ghat", "wealth"],
+              [[tree.node_ids[leaf], tree.prob[i], model.ask_price[leaf],
+                model.endowment[i], float(sol.ghat[i]), float(sol.wealth[i])]
+               for i, leaf in enumerate(tree.leaves)])
     return EXIT_OK
 
 

@@ -342,7 +342,7 @@ def dual_derivative(model: MarketModel, spec: ut.UtilitySpec, solution: DualSolu
 
 def dual_grid(model: MarketModel, spec: ut.UtilitySpec, y_grid,
               polytope: CpsPolytope | None = None) -> list[DualSolution]:
-    """Solve the dual along a sorted positive grid, warm-starting along the way."""
+    """Solve the dual at each y of a positive grid, each from the polytope's interior point."""
     poly = polytope or cps_polytope(model)
     _require_nonempty(poly)
     out: list[DualSolution] = []

@@ -107,7 +107,7 @@ class RecoveryResult:
     dual: du.DualSolution
     primal: pr.PrimalSolution
     attainable: bool
-    attainability_slack: float   # max_Q E[z0 ghat] over the polytope (should be <= 0 up to tol)
+    attainability_slack: float   # superreplication price of ghat (<= 0 up to tol)
 
 
 def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
@@ -143,24 +143,16 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
         if lo < hi and resid(lo) > 0.0 > resid(hi):
             yhat = float(brentq(resid, lo, hi, xtol=1e-15, rtol=1e-14))
     ghat = ut.i_eval(spec, yhat * z0_T) - x - e
+    # One max-min LP certifies ghat and builds its strategy: the margin
+    # max_u min_leaf (C u - ghat) is minus the superreplication price of ghat,
+    # and the argmax u generates a payoff dominating ghat up to that margin.
     # The certificate tolerance matches the yhat root residual budget; the
     # recovered payoff sits exactly on the attainability boundary and lands
     # within root-finding error of it.
-    attainable = pr.is_attainable(model, ghat, 0.0, tol=1e-6)
-    price = du.superreplication_price(model, ghat, poly)
-    # Materialize a generating strategy (minimal turnover dominating ghat).
-    C, D = pr._trade_matrices(model)
-    nv = C.shape[1]
-    from .solver import LinearProgram, OPTIMAL, solve_lp
-    lp = solve_lp(LinearProgram(
-        c=np.ones(nv), A_ub=-C, b_ub=-ghat + 1e-9,
-        A_eq=D, b_eq=np.zeros(D.shape[0]), lb=0.0,
-    ))
-    if lp.status == OPTIMAL:
-        n = tree.n_nodes
-        strategy = pr.strategy_from_trades(model, x, lp.z[:n], lp.z[n:])
-    else:
-        strategy = pr.strategy_from_trades(model, x, np.zeros(tree.n_nodes), np.zeros(tree.n_nodes))
+    margin, u = pr.max_min_wealth(model, 0.0, ghat)
+    attainable = margin >= -1e-6
+    n = tree.n_nodes
+    strategy = pr.strategy_from_trades(model, x, u[:n], u[n:])
     wealth = x + ghat + e
     psol = pr.PrimalSolution(
         x=float(x), strategy=strategy, ghat=ghat, wealth=wealth,
@@ -168,7 +160,7 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
         marginal=yhat,
     )
     return RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
-                          attainable=attainable, attainability_slack=price)
+                          attainable=attainable, attainability_slack=-margin)
 
 
 @dataclass
@@ -378,7 +370,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -396,19 +388,19 @@ def write_report_files(report: DualityReport, out_dir: str) -> dict:
     with open(paths["report"], "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_csv(paths["u_curve"],
-               ["x", "status", "u", "yhat", "gap", "marginal"],
-               [[r["x"], r.get("status", ""), r.get("u", ""),
-                 r.get("yhat", ""), r.get("gap", ""), r.get("marginal", "")]
-                for r in report.x_records])
-    _write_csv(paths["v_curve"],
-               ["y", "v", "v_prime", "singular_mass"],
-               [[r["y"], r["v"], r["v_prime"], r["singular_mass"]]
-                for r in report.y_records])
-    _write_csv(paths["checks"],
-               ["name", "location", "value", "tolerance", "passed"],
-               [[c["name"], c["location"], c["value"], c["tolerance"], c["passed"]]
-                for c in report.checks])
+    write_csv(paths["u_curve"],
+              ["x", "status", "u", "yhat", "gap", "marginal"],
+              [[r["x"], r.get("status", ""), r.get("u", ""),
+                r.get("yhat", ""), r.get("gap", ""), r.get("marginal", "")]
+               for r in report.x_records])
+    write_csv(paths["v_curve"],
+              ["y", "v", "v_prime", "singular_mass"],
+              [[r["y"], r["v"], r["v_prime"], r["singular_mass"]]
+               for r in report.y_records])
+    write_csv(paths["checks"],
+              ["name", "location", "value", "tolerance", "passed"],
+              [[c["name"], c["location"], c["value"], c["tolerance"], c["passed"]]
+               for c in report.checks])
     return paths
 
 

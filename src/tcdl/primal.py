@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as ut
-from .errors import BelowX0Error, DomainError, MarketError
+from .errors import BelowX0Error, MarketError
 from .market import MarketModel
 from .solver import (
     OPTIMAL, UNBOUNDED,
@@ -163,20 +163,27 @@ def check_self_financing(model: MarketModel, strategy: TradingStrategy) -> list[
 def is_attainable(model: MarketModel, g, x: float, tol: float = 1e-8) -> bool:
     """Whether g is dominated by the terminal cash of some strategy from x.
 
-    Decided through the quantitative margin max_u min_leaf (x + C u - g),
-    which by LP duality equals x minus the superreplication price of g; the
-    sign test with a small boundary tolerance is then numerically stable even
-    when g sits exactly on the attainability boundary.
+    Decided through the sign of the max-min margin of ``max_min_wealth``,
+    with a small boundary tolerance that keeps the test numerically stable
+    even when g sits exactly on the attainability boundary.
     """
-    margin = attainability_margin(model, g, x)
-    return margin >= -tol
+    return max_min_wealth(model, x, g)[0] >= -tol
 
 
-def attainability_margin(model: MarketModel, g, x: float) -> float:
-    """max over strategies from x of min_leaf (terminal cash - g); >= 0 iff attainable."""
-    g = np.asarray(g, dtype=float)
+def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndarray]:
+    """LP value max_u min_leaf (x + C u - g) over strategies from x, and an argmax u.
+
+    By LP duality the value is x minus the superreplication price of g, so it
+    is >= 0 iff g is attainable from x, and the argmax generates a payoff
+    dominating g up to the value.  The default claim g = -e_T makes the value
+    the worst-case terminal wealth: positive iff x is strictly above x0, which
+    is the phase-1 problem for the utility maximization and the below-x0
+    infeasibility certificate.
+    """
+    g = -model.endowment_vector() if g is None else np.asarray(g, dtype=float)
     C, D = _trade_matrices(model)
     nu = C.shape[1]
+    # Variables [u; t]: maximize t subject to t - (C u)_l <= x - g_l.
     A_ub = np.hstack([-C, np.ones((C.shape[0], 1))])
     A_eq = np.hstack([D, np.zeros((D.shape[0], 1))])
     lb = np.zeros(nu + 1)
@@ -187,40 +194,13 @@ def attainability_margin(model: MarketModel, g, x: float) -> float:
         lb=lb, sense="max",
     ))
     if res.status == UNBOUNDED:
-        raise MarketError("attainability LP unbounded: the market admits arbitrage")
-    require_optimal(res, "attainability LP")
-    return float(res.value)
-
-
-def max_min_wealth(model: MarketModel, x: float) -> tuple[float, np.ndarray]:
-    """LP value sup over attainable g of min_leaf (x + g + e), and an argmax.
-
-    Positive iff x is strictly above x0; doubles as the phase-1 problem for
-    the utility maximization and as the below-x0 infeasibility certificate.
-    """
-    tree = model.tree
-    e = model.endowment_vector()
-    C, D = _trade_matrices(model)
-    nu = C.shape[1]
-    # Variables [u; t]: maximize t subject to t - (C u)_l <= x + e_l.
-    A_ub = np.hstack([-C, np.ones((C.shape[0], 1))])
-    b_ub = x + e
-    A_eq = np.hstack([D, np.zeros((D.shape[0], 1))])
-    lb = np.zeros(nu + 1)
-    lb[-1] = -np.inf
-    res = solve_lp(LinearProgram(
-        c=np.concatenate([np.zeros(nu), [1.0]]),
-        A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=np.zeros(D.shape[0]),
-        lb=lb, sense="max",
-    ))
-    if res.status == UNBOUNDED:
         raise MarketError("max-min wealth LP unbounded: the market admits arbitrage")
     require_optimal(res, "max-min wealth LP")
     return float(res.value), res.z[:nu].copy()
 
 
 def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
-                 tie_break: bool = False, tol: float = 1e-9) -> PrimalSolution:
+                 tie_break: bool = False) -> PrimalSolution:
     """Maximize expected utility of terminal liquidation wealth from capital x."""
     tree = model.tree
     n = tree.n_nodes
@@ -271,7 +251,7 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         cp = ConvexProgram(objective, gradient, hessian, n=nu,
                            G=-np.eye(nu), h=np.zeros(nu),
                            A=D, b=np.zeros(D.shape[0]), start=z_start)
-        cur = solve_convex(cp, tol=tol)
+        cur = solve_convex(cp, tol=1e-9)
         if res is None or cur.status == OPTIMAL or (
                 res.status != OPTIMAL
                 and cur.kkt_residual is not None
@@ -296,7 +276,8 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     kkt = float(res.kkt_residual)
 
     if tie_break:
-        # Minimal turnover among strategies dominating the optimal payoff.
+        # Minimal turnover among strategies dominating the optimal payoff;
+        # u_opt itself is feasible, so anything but optimal is a solver fault.
         ghat = C @ u_opt
         lp = solve_lp(LinearProgram(
             c=np.ones(nu),
@@ -304,8 +285,7 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
             A_eq=D, b_eq=np.zeros(D.shape[0]),
             lb=0.0,
         ))
-        if lp.status == OPTIMAL:
-            u_opt = lp.z
+        u_opt = require_optimal(lp, f"minimal-turnover LP at x={x}").z
 
     ghat = C @ u_opt
     w = wealth(u_opt)
@@ -320,13 +300,9 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     )
 
 
-def primal_marginal(model: MarketModel, spec: ut.UtilitySpec, x: float,
-                    h: float | None = None) -> float:
+def primal_marginal(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:
     """Central finite difference of the primal value function at x."""
-    if h is None:
-        h = 1e-4 * max(1.0, abs(x))
-    if h <= 0:
-        raise DomainError("primal_marginal requires h > 0")
+    h = 1e-4 * max(1.0, abs(x))
     hi = solve_primal(model, spec, x + h)
     lo = solve_primal(model, spec, x - h)
     return (hi.value - lo.value) / (2.0 * h)

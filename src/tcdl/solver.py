@@ -31,6 +31,11 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 INDETERMINATE = "numerically-indeterminate"
 
+# Interior-point iteration cap and centering factor: each step aims at the
+# per-inequality complementarity eta / (_MU * m).
+_MAX_ITER = 1000
+_MU = 10.0
+
 
 @dataclass
 class LinearProgram:
@@ -181,8 +186,7 @@ def _drop_dependent_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return A[keep], b[keep]
 
 
-def solve_convex(cp: ConvexProgram, tol: float = 1e-8,
-                 max_iter: int = 1000, mu: float = 10.0) -> ConvexResult:
+def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     """Primal-dual interior-point solve; see module docstring for the problem form."""
     n = cp.n
     G = np.zeros((0, n)) if cp.G is None else np.asarray(cp.G, dtype=float)
@@ -217,10 +221,10 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8,
         r_pri = A @ z - b if p else np.zeros(0)
         return r_dual, r_cent, r_pri, s
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         s = h - G @ z if m else np.zeros(0)
         eta = float(s @ lam) if m else 0.0
-        inv_t = eta / (mu * m) if m else 0.0
+        inv_t = eta / (_MU * m) if m else 0.0
         r_dual, r_cent, r_pri, s = residuals(z, lam, nu, inv_t)
 
         res_inf = max(
@@ -313,7 +317,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8,
     return ConvexResult(status=INDETERMINATE, z=z,
                         value=float(cp.objective(z)),
                         kkt_residual=kkt, ineq_duals=lam.copy(),
-                        eq_duals=nu.copy(), iterations=max_iter)
+                        eq_duals=nu.copy(), iterations=_MAX_ITER)
 
 
 def require_optimal(result, what: str):

@@ -47,6 +47,21 @@ def test_recovery_matches_primal():
     assert psol.value == pytest.approx(rec.dual.value + x * rec.yhat, abs=1e-6)
 
 
+def test_recovered_strategy_generates_ghat():
+    # ghat sits on the attainability boundary here; the strategy stored with
+    # the recovery must still dominate it leaf by leaf and end flat in stock.
+    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
+    rec = hn.recover_primal_from_dual(model, LOG, x)
+    strat = rec.primal.strategy
+    leaves = list(model.tree.leaves)
+    cash = np.array([strat.phi0[leaf] for leaf in leaves]) - x
+    assert np.all(cash >= rec.primal.ghat - 1e-6)
+    assert max(abs(strat.phi1[leaf]) for leaf in leaves) <= 1e-9
+
+
 def test_recovery_slackness_identities():
     model = binomial_market(4.0, 8.0, 2.0, lam=0.2, endowment=(0.25, -0.5))
     rec = hn.recover_primal_from_dual(model, LOG, 1.5)

@@ -76,8 +76,8 @@ def test_call_attainability_threshold():
     price = 11.0 / 9.0
     assert pr.is_attainable(model, g, price + 1e-3)
     assert not pr.is_attainable(model, g, price - 1e-3)
-    assert pr.attainability_margin(model, g, price) == pytest.approx(0.0, abs=1e-9)
-    assert pr.attainability_margin(model, g, price + 0.5) == pytest.approx(0.5, abs=1e-9)
+    assert pr.max_min_wealth(model, price, g)[0] == pytest.approx(0.0, abs=1e-9)
+    assert pr.max_min_wealth(model, price + 0.5, g)[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_margin_equals_x_minus_superreplication_price():
@@ -86,7 +86,7 @@ def test_margin_equals_x_minus_superreplication_price():
     for _ in range(5):
         g = rng.normal(size=2)
         x = float(rng.normal())
-        margin = pr.attainability_margin(model, g, x)
+        margin, _ = pr.max_min_wealth(model, x, g)
         assert margin == pytest.approx(
             x - du.superreplication_price(model, g), abs=1e-8)
 
