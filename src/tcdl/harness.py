@@ -1,10 +1,11 @@
 """End-to-end duality harness.
 
-Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0,
-recovers the primal optimizer from the dual density, checks complementary
-slackness, and assembles a full report (value grids, gaps, residuals) for a
-market instance.  Also provides the seeded random-instance generator and the
-selftest driver used by the CLI.
+Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 by a
+root search in the optimal wealth t = I(y), where the equation is nearly
+affine, recovers the primal optimizer from the dual density, checks
+complementary slackness, and assembles a full report (value grids, gaps,
+residuals) for a market instance.  Also provides the seeded random-instance
+generator and the selftest driver used by the CLI.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ def model_hash(model: MarketModel) -> str:
 def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
               polytope: du.CpsPolytope | None = None,
               x0: float | None = None) -> float:
-    """Root of v'(y) + x = 0 by bracketed root search on the increasing v'."""
+    """Root of v'(y) + x = 0 by bracketed brentq in the wealth t = I(y), y = U'(t).
+
+    For the shipped utilities I(y z) = I(y) I(z), so v'(U'(t)) + x is affine in
+    t up to the drift of the optimal density and the interpolation steps
+    converge in a few dual solves, where in y it bends like -1/y and bisects.
+    """
     yhat, _ = _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)
     return yhat
 
@@ -62,33 +68,37 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
     if x <= x0:
         raise BelowX0Error(f"below-x0: x={x} <= x0={x0}, the infimum of v(y)+xy is -infinity")
 
+    # Search in the optimal wealth t = I(y) rather than in y: the solves are
+    # keyed by t and made at y = U'(t), which need not round-trip to the
+    # bracket's y bitwise, so the returned yhat is the y of a cached solve.
     cache: dict[float, du.DualSolution] = {}
 
-    def g(y: float) -> float:
-        sol = cache.get(y)
+    def g(t: float) -> float:
+        sol = cache.get(t)
         if sol is None:
-            sol = du.solve_dual(model, spec, y, polytope=poly)
-            cache[y] = sol
+            sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly)
+            cache[t] = sol
         return sol.derivative + x
 
     lo, hi = 1e-2, 1e2
-    while g(lo) >= 0.0:
+    while g(ut.i_eval(spec, lo)) >= 0.0:
         lo /= 10.0
         if lo < 1e-8:
             raise SolverIndeterminateError("yhat bracket not found below 1e-8")
-    while g(hi) <= 0.0:
+    while g(ut.i_eval(spec, hi)) <= 0.0:
         hi *= 10.0
         if hi > 1e8:
             raise SolverIndeterminateError("yhat bracket not found above 1e8")
-    yhat = float(brentq(g, lo, hi, xtol=1e-14, rtol=1e-12))
-    resid = g(yhat)
+    that = float(brentq(g, ut.i_eval(spec, hi), ut.i_eval(spec, lo), xtol=1e-14, rtol=1e-12))
+    resid = g(that)
     if abs(resid) > DEFAULT_TOLERANCES["yhat_root"] * (1.0 + abs(x)):
         raise SolverIndeterminateError(f"yhat root residual {resid:.3e} too large")
 
     # Refine the dual solve at the root.  Near-degenerate polytopes leave flat
     # directions in the dual objective; the default solver tolerance pins the
     # leaf densities only loosely along them.
-    coarse = cache[yhat]
+    coarse = cache[that]
+    yhat = coarse.y
     warm = (np.asarray(coarse.optimizer.z0) if poly.reduced
             else np.concatenate([coarse.optimizer.z0, coarse.optimizer.z1]))
     for tol in (1e-12, 3e-12, 1e-11, 1e-10):

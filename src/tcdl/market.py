@@ -301,6 +301,9 @@ def build_market(spec: Mapping) -> MarketModel:
     except KeyError:
         raise MarketError("market spec missing 'lambda'") from None
     endow_raw = {str(k): float(v) for k, v in spec.get("endowment", {}).items()}
+    unknown = sorted(set(endow_raw) - set(tree.node_ids))
+    if unknown:
+        raise MarketError(f"endowment keys name no node: {unknown}")
     endow = tuple(endow_raw.get(tree.node_ids[leaf], 0.0) for leaf in tree.leaves)
     model = MarketModel(
         tree=tree,
@@ -315,13 +318,15 @@ def build_market(spec: Mapping) -> MarketModel:
 
 
 def validate_market(model: MarketModel) -> ValidationReport:
-    """Check positivity of prices and the admissible cost range.
+    """Check that prices are finite and positive and the cost range admissible.
 
     Returns the full list of violations instead of stopping at the first.
     """
     violations: list[str] = []
     for k, s in enumerate(model.ask_price):
-        if not s > 0:
+        if not np.isfinite(s):
+            violations.append(f"non-finite price {s} at node {model.tree.node_ids[k]!r}")
+        elif not s > 0:
             violations.append(f"nonpositive price {s} at node {model.tree.node_ids[k]!r}")
     if not (0.0 <= model.lam < 1.0):
         violations.append(f"lambda {model.lam} outside [0, 1)")

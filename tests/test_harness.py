@@ -28,6 +28,41 @@ def test_yhat_constant_price_with_endowment():
     assert hn.find_yhat(model, LOG, 1.0) == pytest.approx(1.0 / 1.5, rel=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [0.5, -1.0])
+def test_yhat_frictionless_power(alpha):
+    # the CPS density Z is unique, so v'(y) = -y^(1/(a-1)) E[Z^(a/(a-1))] + E[Z e]
+    # vanishes at yhat = ((x + E[Z e]) / E[Z^(a/(a-1))])^(a-1); for a = -1 the
+    # round trip U'(I(y)) is not exact in floating point
+    spec = ut.make_utility("power", alpha)
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.0, endowment=(0.25, -0.5))
+    p = model.tree.leaf_prob()
+    z = np.array([4.0 / 3.0, 2.0 / 3.0])   # leaves sort as (down, up)
+    e = model.endowment_vector()
+    for x in (0.5, 1.0, 2.0):
+        expected = ((x + p @ (z * e)) / (p @ z ** (alpha / (alpha - 1.0)))) ** (alpha - 1.0)
+        assert hn.find_yhat(model, spec, x) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("family,alpha", [("log", None), ("power", 0.5)])
+def test_yhat_search_dual_solve_count(monkeypatch, family, alpha):
+    # bracket, root search and refinement together stay within ten dual solves
+    spec = ut.make_utility(family, alpha)
+    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
+    calls = []
+    solve = du.solve_dual
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(du, "solve_dual", counting)
+    hn.find_yhat(model, spec, x)
+    assert len(calls) <= 10
+
+
 def test_yhat_below_x0_raises():
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     x0 = du.compute_x0(model)

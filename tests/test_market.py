@@ -115,6 +115,14 @@ def test_negative_price_rejected():
         build_market(spec)
 
 
+def test_nonfinite_price_rejected():
+    # 1e400 is what a JSON file's overflowing price literal parses to
+    spec = binomial_spec()
+    spec["prices"]["up"] = 1e400
+    with pytest.raises(MarketError, match="non-finite price inf at node 'up'"):
+        build_market(spec)
+
+
 def test_lambda_out_of_range_rejected():
     spec = binomial_spec()
     for bad in (-0.1, 1.0, 1.5):
@@ -130,6 +138,14 @@ def test_endowment_keyed_by_leaf_ids_only():
     model = build_market(spec)
     assert model.rho == pytest.approx(0.5)
     assert np.allclose(model.endowment_vector(), [-0.5, 0.25])
+
+
+def test_endowment_key_naming_no_node_rejected():
+    # a misspelt leaf id must not turn its payment into zero
+    spec = binomial_spec()
+    spec["endowment"] = {"upp": 5.0, "down": 0.0, "ghost": 1.0}
+    with pytest.raises(MarketError, match=r"\['ghost', 'upp'\]"):
+        build_market(spec)
 
 
 def test_market_json_round_trip(tmp_path):
