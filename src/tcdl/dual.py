@@ -109,6 +109,19 @@ class CpsPolytope:
         return CpsElement(tuple(float(v) for v in z0), tuple(float(v) for v in z1))
 
 
+def _drop_dependent_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Remove linearly dependent equality rows (QR with column pivoting on A')."""
+    if A.shape[0] <= 1:
+        return A, b
+    from scipy.linalg import qr
+    _, r, piv = qr(A.T, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = max(A.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
+    rank = int((diag > tol).sum())
+    keep = sorted(piv[:rank])
+    return A[keep], b[keep]
+
+
 def cps_polytope(model: MarketModel) -> CpsPolytope:
     """Build the polytope and probe it: emptiness flag plus a strict interior point."""
     tree = model.tree
@@ -150,6 +163,12 @@ def cps_polytope(model: MarketModel) -> CpsPolytope:
         eq_rhs.append(0.0)
     A = np.vstack(eq_rows)
     b = np.array(eq_rhs)
+    if reduced:
+        # A single child, or siblings sharing a price, can make a node's two
+        # martingale rows dependent.  With z1 free (lam > 0) the rows have
+        # full rank by induction from the leaves: a leaf's column appears
+        # only in its parent's martingale row.
+        A, b = _drop_dependent_rows(A, b)
 
     ineq_rows: list[np.ndarray] = []
     ineq_rhs: list[float] = []

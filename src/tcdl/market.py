@@ -27,6 +27,20 @@ PROB_SUM_TOL = 1e-12
 CHAIN_TOL = 1e-10
 
 
+def _number(value, what: str, kind=float):
+    """``kind(value)``, or MarketError naming the field when it is no number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise MarketError(f"{what} is not a number: {value!r}") from None
+
+
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise MarketError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioTree:
     """Validated event tree.
@@ -84,21 +98,27 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     (leaf id -> p) or ``spec["cond_prob"]`` (node id -> {child id: p}); when both
     are present they must agree.
     """
-    raw_nodes = spec.get("nodes")
+    raw_nodes = _mapping(spec, "market spec").get("nodes")
     if not raw_nodes:
         raise MarketError("tree spec has no nodes")
+    if not isinstance(raw_nodes, list):
+        raise MarketError(f"'nodes' must be a list of node records, got {type(raw_nodes).__name__}")
 
     ids: list[str] = []
     parent_of: dict[str, str | None] = {}
     time_of: dict[str, int] = {}
     for rec in raw_nodes:
+        _mapping(rec, "node record")
+        absent = [key for key in ("id", "time") if key not in rec]
+        if absent:
+            raise MarketError(f"node record {rec!r} has no {absent}")
         nid = str(rec["id"])
         if nid in parent_of:
             raise MarketError(f"duplicate node id {nid!r}")
         ids.append(nid)
         par = rec.get("parent")
         parent_of[nid] = None if par is None else str(par)
-        t = int(rec["time"])
+        t = _number(rec["time"], f"time of node {nid!r}", int)
         if t < 0:
             raise MarketError(f"node {nid!r} has negative time index")
         time_of[nid] = t
@@ -160,7 +180,8 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     cond_out: list[list[float]] = [[] for _ in range(n)]
 
     if leaf_probs is not None:
-        probs = {str(k): float(v) for k, v in leaf_probs.items()}
+        probs = {str(k): _number(v, f"probability of {k!r}")
+                 for k, v in _mapping(leaf_probs, "probabilities").items()}
         missing = [order[k] for k in leaves if order[k] not in probs]
         if missing:
             raise MarketError(f"missing leaf probabilities for {missing}")
@@ -180,7 +201,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             if children[k]:
                 cond_out[k] = [node_prob[c] / node_prob[k] for c in children[k]]
     else:
-        cond_in = {str(a): {str(b): float(p) for b, p in row.items()} for a, row in cond.items()}
+        cond_in = _parse_cond_prob(cond)
         node_prob[0] = 1.0
         for k in range(n):
             if not children[k]:
@@ -203,7 +224,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
                 node_prob[c] = node_prob[k] * p
 
     if leaf_probs is not None and cond is not None:
-        cond_in = {str(a): {str(b): float(p) for b, p in row.items()} for a, row in cond.items()}
+        cond_in = _parse_cond_prob(cond)
         for k in range(n):
             for c, p in zip(children[k], cond_out[k]):
                 given = cond_in.get(order[k], {}).get(order[c])
@@ -224,6 +245,14 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     )
     _check_chain_consistency(tree)
     return tree
+
+
+def _parse_cond_prob(cond) -> dict[str, dict[str, float]]:
+    return {
+        str(a): {str(b): _number(p, f"conditional probability {a!r}->{b!r}")
+                 for b, p in _mapping(row, f"cond_prob of {a!r}").items()}
+        for a, row in _mapping(cond, "cond_prob").items()
+    }
 
 
 def _check_chain_consistency(tree: ScenarioTree) -> None:
@@ -292,18 +321,25 @@ class ValidationReport:
 def build_market(spec: Mapping) -> MarketModel:
     """Assemble a market from the JSON schema (nodes/prices/lambda/endowment/probabilities)."""
     tree = build_tree(spec)
-    prices = {str(k): float(v) for k, v in spec.get("prices", {}).items()}
+    prices = {str(k): _number(v, f"price at node {k!r}")
+              for k, v in _mapping(spec.get("prices", {}), "prices").items()}
+    endow_raw = {str(k): _number(v, f"endowment at node {k!r}")
+                 for k, v in _mapping(spec.get("endowment", {}), "endowment").items()}
+    unknown = []
+    for field, keys in (("prices", prices),
+                        ("probabilities", spec.get("probabilities") or {}),
+                        ("endowment", endow_raw)):
+        names = sorted(set(map(str, keys)) - set(tree.node_ids))
+        if names:
+            unknown.append(f"{field} keys name no node: {names}")
+    if unknown:
+        raise MarketError("; ".join(unknown))
     missing = [nid for nid in tree.node_ids if nid not in prices]
     if missing:
         raise MarketError(f"missing prices for nodes {missing}")
-    try:
-        lam = float(spec["lambda"])
-    except KeyError:
-        raise MarketError("market spec missing 'lambda'") from None
-    endow_raw = {str(k): float(v) for k, v in spec.get("endowment", {}).items()}
-    unknown = sorted(set(endow_raw) - set(tree.node_ids))
-    if unknown:
-        raise MarketError(f"endowment keys name no node: {unknown}")
+    if "lambda" not in spec:
+        raise MarketError("market spec missing 'lambda'")
+    lam = _number(spec["lambda"], "lambda")
     endow = tuple(endow_raw.get(tree.node_ids[leaf], 0.0) for leaf in tree.leaves)
     model = MarketModel(
         tree=tree,

@@ -26,7 +26,7 @@ from .market import MarketModel
 from .solver import (
     OPTIMAL, UNBOUNDED,
     ConvexProgram, ConvexResult, LinearProgram,
-    require_optimal, solve_convex, solve_lp,
+    gram_assembler, require_optimal, solve_convex, solve_lp,
 )
 
 SF_TOL = 1e-10
@@ -206,6 +206,8 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     n = tree.n_nodes
     p = tree.leaf_prob()
     e = model.endowment_vector()
+    # D has the full row rank solve_convex requires: each leaf's own columns
+    # appear only in its row.
     C, D = _trade_matrices(model)
     nu = 2 * n
 
@@ -228,10 +230,11 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         w = wealth(u)
         return -C.T @ (p * ut.u_prime(spec, w))
 
+    cost_gram = gram_assembler(C)
+
     def hessian(u: np.ndarray) -> np.ndarray:
         w = wealth(u)
-        d = -p * ut.u_double_prime(spec, w)
-        return C.T @ (d[:, None] * C)
+        return cost_gram(-p * ut.u_double_prime(spec, w))
 
     # Shift the phase-1 vertex into the strict interior of u >= 0; equal
     # buy/sell increments keep D u = 0 and cost only the spread.

@@ -11,9 +11,12 @@ than a wrong answer.
 
 with f smooth and convex on an open domain (f returns +inf outside, the line
 search backtracks into the domain).  Problems here are desk scale (a few
-hundred variables), so everything is dense and each step solves one reduced
-KKT system.  The method polishes to KKT residuals around 1e-9, which the
-duality checks downstream rely on.
+hundred variables).  Each step solves one reduced KKT system by a dense LU;
+its barrier term G'·diag(lam/s)·G is assembled from the nonzero pattern of
+G (``gram_assembler``), because the polytopes here have at most two
+nonzeros per inequality row.  ``A`` must have full row rank; callers drop
+dependent rows once when they build the constraints.  The method polishes
+to KKT residuals around 1e-9, which the duality checks downstream rely on.
 """
 
 from __future__ import annotations
@@ -148,7 +151,10 @@ class ConvexProgram:
     """Smooth convex objective with linear constraints and a strict start.
 
     ``objective`` must return +inf outside its open domain; ``start`` must be
-    strictly feasible for the inequalities and inside the domain.
+    strictly feasible for the inequalities and inside the domain.  ``A`` must
+    have full row rank (the solver does not drop dependent rows), and the
+    barrier term of each Newton step is assembled from the nonzero pattern
+    of ``G``.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -173,17 +179,33 @@ class ConvexResult:
     iterations: int = 0
 
 
-def _drop_dependent_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove linearly dependent equality rows (QR with column pivoting on A')."""
-    if A.shape[0] <= 1:
-        return A, b
-    from scipy.linalg import qr
-    _, r, piv = qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(A.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    rank = int((diag > tol).sum())
-    keep = sorted(piv[:rank])
-    return A[keep], b[keep]
+def gram_assembler(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Return ``w -> X' diag(w) X`` computed from the nonzero pattern of X.
+
+    The pattern is read once: every pair of nonzeros sharing a row
+    contributes ``w[row] * X[row, j] * X[row, k]`` to entry (j, k), and each
+    call sums all pairs in a single ``np.bincount`` scatter.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[1]
+    rows, cols = np.nonzero(X)
+    vals = X[rows, cols]
+    # np.nonzero is row-major, so each row's nonzeros are contiguous.
+    counts = np.bincount(rows, minlength=X.shape[0])
+    starts = np.cumsum(counts) - counts
+    reps = counts[rows]
+    first = np.repeat(np.arange(rows.size), reps)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    second = starts[rows[first]] + offset
+    pair_row = rows[first]
+    pair_coef = vals[first] * vals[second]
+    pair_index = cols[first] * n + cols[second]
+
+    def gram(w: np.ndarray) -> np.ndarray:
+        return np.bincount(pair_index, weights=pair_coef * w[pair_row],
+                           minlength=n * n).reshape(n, n)
+
+    return gram
 
 
 def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
@@ -193,9 +215,8 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     h = np.zeros(0) if cp.h is None else np.asarray(cp.h, dtype=float)
     A = np.zeros((0, n)) if cp.A is None else np.asarray(cp.A, dtype=float)
     b = np.zeros(0) if cp.b is None else np.asarray(cp.b, dtype=float)
-    if A.shape[0]:
-        A, b = _drop_dependent_rows(A, b)
     m, p = G.shape[0], A.shape[0]
+    barrier_gram = gram_assembler(G)
 
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
@@ -241,7 +262,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
 
         H = cp.hessian(z)
         if m:
-            H = H + G.T @ ((lam / s)[:, None] * G)
+            H = H + barrier_gram(lam / s)
         rhs_z = -r_dual
         if m:
             rhs_z = rhs_z + G.T @ (r_cent / s)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tcdl.cli import main
-from tcdl.market import binomial_market, save_market
+from tcdl.market import binomial_market, market_to_dict, save_market
 
 
 @pytest.fixture()
@@ -128,6 +128,38 @@ def test_invalid_market_exits_2(tmp_path, out, capsys):
     assert "error:" in err
     with open(f"{out}/checks.csv") as fh:
         assert "input-error" in fh.read()
+
+
+def _spec_without_time():
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    del spec["nodes"][1]["time"]
+    return spec
+
+
+def _spec_with_price(price):
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    spec["prices"]["up"] = price
+    return spec
+
+
+def _spec_with_nodes(nodes):
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    spec["nodes"] = nodes
+    return spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_spec_without_time(), "has no ['time']"),
+    (_spec_with_price("abc"), "price at node 'up' is not a number: 'abc'"),
+    (_spec_with_nodes("root"), "'nodes' must be a list"),
+    ([1, 2], "market spec must be a JSON object, got list"),
+], ids=["node-without-time", "price-abc", "nodes-string", "top-level-list"])
+def test_malformed_market_exits_2(tmp_path, out, capsys, spec, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, ["x0", "--market", str(path), "--output", out])
+    assert code == 2
+    assert message in err
 
 
 def test_missing_file_exits_2(out, capsys):

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tcdl.errors import DomainError, NoConsistentPriceSystemError
 from tcdl.market import binomial_market
 from tcdl import dual as du
+from tcdl import harness as hn
+from tcdl import primal as pr
 from tcdl import utility as ut
 
 from oracles import (
@@ -62,6 +65,48 @@ def test_frictionless_polytope_is_reduced_point():
     assert poly.n_vars == 3
     # unique martingale measure q = 1/3: densities (down, up) = (4/3, 2/3)
     assert np.allclose(poly.interior, [1.0, 4.0 / 3.0, 2.0 / 3.0], atol=1e-8)
+
+
+def test_polytope_equality_rows_have_full_rank_with_costs():
+    # criterion 02's fifty instances, all with lam > 0; solve_convex relies
+    # on full row rank and only the frictionless polytope drops rows
+    combos = [(0.01, 2, 3), (0.1, 2, 3), (0.3, 3, 2), (0.3, 3, 3)]
+    for k in range(50):
+        lam, depth, branching = combos[k % len(combos)]
+        model = hn.random_instance(2000 + k, depth=depth, branching=branching,
+                                   lam=lam, rho=0.3, max_attempts=600)
+        A = du.cps_polytope(model).A
+        assert np.linalg.matrix_rank(A) == A.shape[0], f"instance {2000 + k}"
+
+
+def test_flat_frictionless_polytope_drops_dependent_row():
+    # equal prices make the shadow-price martingale row repeat the z0 one
+    model = binomial_market(4.0, 4.0, 4.0, lam=0.0)
+    poly = du.cps_polytope(model)
+    assert poly.A.shape == (2, 3)
+    assert np.linalg.matrix_rank(poly.A) == 2
+    sol = du.solve_dual(model, LOG, y=1.0, polytope=poly)
+    assert np.allclose(sol.optimizer.z0, 1.0, atol=1e-8)
+
+
+def test_rows_are_dropped_only_for_the_frictionless_polytope(monkeypatch):
+    calls = {"drop": 0, "qr": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(du, "_drop_dependent_rows",
+                        counting("drop", du._drop_dependent_rows))
+    monkeypatch.setattr(scipy.linalg, "qr", counting("qr", scipy.linalg.qr))
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    du.solve_dual(model, LOG, y=1.0)
+    pr.solve_primal(model, LOG, du.compute_x0(model) + 1.0)
+    assert calls == {"drop": 0, "qr": 0}
+    du.cps_polytope(binomial_market(4.0, 8.0, 2.0, lam=0.0))
+    assert calls == {"drop": 1, "qr": 1}
 
 
 def test_arbitrage_market_has_no_cps():

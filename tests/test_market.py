@@ -148,6 +148,16 @@ def test_endowment_key_naming_no_node_rejected():
         build_market(spec)
 
 
+def test_price_and_probability_keys_naming_no_node_rejected():
+    spec = binomial_spec()
+    spec["prices"]["qq"] = 1.0
+    spec["probabilities"]["zzz"] = 0.3
+    with pytest.raises(MarketError) as info:
+        build_market(spec)
+    assert "prices keys name no node: ['qq']" in str(info.value)
+    assert "probabilities keys name no node: ['zzz']" in str(info.value)
+
+
 def test_market_json_round_trip(tmp_path):
     spec = binomial_spec()
     spec["endowment"] = {"up": 0.25, "down": -0.5}

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tcdl.solver import (
     INFEASIBLE,
@@ -9,6 +12,7 @@ from tcdl.solver import (
     UNBOUNDED,
     ConvexProgram,
     LinearProgram,
+    gram_assembler,
     require_optimal,
     solve_convex,
     solve_lp,
@@ -167,3 +171,36 @@ def test_require_optimal_raises_with_context():
                                  b_ub=np.array([-1.0, -1.0]), lb=None))
     with pytest.raises(SolverIndeterminateError, match="probe LP"):
         require_optimal(bad, "probe LP")
+
+
+# Mostly zeros, so patterns have empty rows and rows with one or two
+# entries; nonzeros stay clear of subnormal products.
+_entries = st.one_of(st.just(0.0), st.just(0.0),
+                     st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
+_weights = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+
+
+def _assert_gram_matches_dense(X, w):
+    got = gram_assembler(X)(w)
+    ref = X.T @ (w[:, None] * X)
+    # relative to the Gram of |X|, which bounds any cancellation in a sum
+    scale = np.abs(X).T @ (w[:, None] * np.abs(X))
+    assert got.shape == (X.shape[1], X.shape[1])
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 6), st.data())
+def test_gram_assembler_matches_dense_product(m, n, data):
+    X = data.draw(hnp.arrays(float, (m, n), elements=_entries))
+    w = data.draw(hnp.arrays(float, m, elements=_weights))
+    _assert_gram_matches_dense(X, w)
+
+
+def test_gram_assembler_edge_patterns():
+    _assert_gram_matches_dense(np.zeros((0, 3)), np.zeros(0))
+    _assert_gram_matches_dense(np.array([[2.0], [0.0], [-3.0]]),
+                               np.array([1.0, 5.0, 0.5]))
+    # the primal's bound rows G = -I and an all-zero pattern
+    _assert_gram_matches_dense(-np.eye(4), np.arange(1.0, 5.0))
+    assert not gram_assembler(np.zeros((3, 2)))(np.ones(3)).any()
