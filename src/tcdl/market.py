@@ -27,12 +27,23 @@ PROB_SUM_TOL = 1e-12
 CHAIN_TOL = 1e-10
 
 
-def _number(value, what: str, kind=float):
-    """``kind(value)``, or MarketError naming the field when it is no number."""
+def _number(value, what: str) -> float:
+    """``float(value)``, or MarketError naming the field when it is no number."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise MarketError(f"{what} is not a number: {value!r}") from None
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, or MarketError when it is no integer (``1.7``, ``true``)."""
+    if not isinstance(value, bool):
+        if isinstance(value, int):
+            return value
+        number = _number(value, what)
+        if number.is_integer():
+            return int(number)
+    raise MarketError(f"{what} is not an integer: {value!r}")
 
 
 def _mapping(value, what: str) -> Mapping:
@@ -118,7 +129,7 @@ def build_tree(spec: Mapping) -> ScenarioTree:
         ids.append(nid)
         par = rec.get("parent")
         parent_of[nid] = None if par is None else str(par)
-        t = _number(rec["time"], f"time of node {nid!r}", int)
+        t = _integer(rec["time"], f"time of node {nid!r}")
         if t < 0:
             raise MarketError(f"node {nid!r} has negative time index")
         time_of[nid] = t
@@ -176,6 +187,17 @@ def build_tree(spec: Mapping) -> ScenarioTree:
     if leaf_probs is None and cond is None:
         raise MarketError("tree spec needs 'probabilities' or 'cond_prob'")
 
+    cond_in = {} if cond is None else _parse_cond_prob(cond)
+    stray = []
+    for a, row in cond_in.items():
+        if a not in index:
+            stray.append(a)
+            continue
+        kids = {order[c] for c in children[index[a]]}
+        stray.extend(f"{a}->{b}" for b in row if b not in kids)
+    if stray:
+        raise MarketError(f"cond_prob keys name no node or no child of their row's node: {stray}")
+
     node_prob = np.zeros(n)
     cond_out: list[list[float]] = [[] for _ in range(n)]
 
@@ -201,7 +223,6 @@ def build_tree(spec: Mapping) -> ScenarioTree:
             if children[k]:
                 cond_out[k] = [node_prob[c] / node_prob[k] for c in children[k]]
     else:
-        cond_in = _parse_cond_prob(cond)
         node_prob[0] = 1.0
         for k in range(n):
             if not children[k]:
@@ -224,7 +245,6 @@ def build_tree(spec: Mapping) -> ScenarioTree:
                 node_prob[c] = node_prob[k] * p
 
     if leaf_probs is not None and cond is not None:
-        cond_in = _parse_cond_prob(cond)
         for k in range(n):
             for c, p in zip(children[k], cond_out[k]):
                 given = cond_in.get(order[k], {}).get(order[c])

@@ -10,8 +10,8 @@ with the wealth-positivity constraint enforced implicitly by the utility
 domain.
 
 Admissibility is automatic on a finite tree (finitely many nodes, finite
-liquidation values), so the optimization never imposes the surrogate bound
-M = x + rho + 1; the bound is only checked when validating a given strategy.
+liquidation values), so neither the optimization nor the strategy check
+imposes a bound on liquidation values.
 """
 
 from __future__ import annotations
@@ -133,13 +133,12 @@ def check_self_financing(model: MarketModel, strategy: TradingStrategy) -> list[
     """Violations of the per-node trading constraints, all within SF_TOL.
 
     Covers the buy/sell split, the position recursion, the self-financing
-    inequality, leaf liquidation, and the surrogate admissibility bound
-    M = x + rho + 1.
+    inequality and leaf liquidation.  Admissibility needs no check: on a
+    finite tree every liquidation value is finite.
     """
     tree = model.tree
     s = model.ask()
     out: list[str] = []
-    M = strategy.x + model.rho + 1.0
     for k in range(tree.n_nodes):
         nid = tree.node_ids[k]
         b, sl = strategy.buy[k], strategy.sell[k]
@@ -153,8 +152,6 @@ def check_self_financing(model: MarketModel, strategy: TradingStrategy) -> list[
         cash = -s[k] * b + (1.0 - model.lam) * s[k] * sl
         if strategy.phi0[k] - base0 > cash + SF_TOL:
             out.append(f"self-financing violated at node {nid!r}")
-        if liquidation_value(model, strategy, k) < -M - SF_TOL:
-            out.append(f"admissibility bound -{M} violated at node {nid!r}")
         if tree.is_leaf(k) and abs(strategy.phi1[k]) > SF_TOL:
             out.append(f"stock not liquidated at leaf {nid!r}")
     return out
@@ -236,13 +233,20 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         w = wealth(u)
         return cost_gram(-p * ut.u_double_prime(spec, w))
 
-    # Shift the phase-1 vertex into the strict interior of u >= 0; equal
-    # buy/sell increments keep D u = 0 and cost only the spread.
+    # Shift the phase-1 vertex into the strict interior of u >= 0 by delta
+    # in every coordinate.  Equal buy/sell increments keep D u = 0 (D 1 = 0)
+    # and cost only the spread: (C 1)_l = -lam * (ask prices along the path
+    # to l) >= -max_path_cost, so every start wealth is at least
+    # t_star - delta * max_path_cost > t_star / 2.  Spending half of that
+    # worst-case margin puts each bound delta away from zero rather than on
+    # it; a small fixed cap left most bounds with barrier duals 1/delta and
+    # held the fraction-to-boundary step to a few percent for dozens of
+    # iterations.
     s = model.ask()
     max_path_cost = max(
         model.lam * sum(s[m] for m in tree.path(leaf)) for leaf in tree.leaves
     )
-    delta = min(1e-3, t_star / (2.0 * (max_path_cost + 1.0)))
+    delta = t_star / (2.0 * (max_path_cost + 1.0))
     start = u_feas + delta
 
     # Near-degenerate instances (offsetting trades blowing up while a leaf

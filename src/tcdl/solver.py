@@ -242,11 +242,13 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         r_pri = A @ z - b if p else np.zeros(0)
         return r_dual, r_cent, r_pri, s
 
+    # r_dual, r_pri and s at the current iterate; each accepted line-search
+    # point hands its own over to the next iteration.
+    r_dual, _, r_pri, s = residuals(z, lam, nu, 0.0)
     for it in range(1, _MAX_ITER + 1):
-        s = h - G @ z if m else np.zeros(0)
         eta = float(s @ lam) if m else 0.0
         inv_t = eta / (_MU * m) if m else 0.0
-        r_dual, r_cent, r_pri, s = residuals(z, lam, nu, inv_t)
+        r_cent = lam * s - inv_t if m else np.zeros(0)
 
         res_inf = max(
             float(np.abs(r_dual).max(initial=0.0)),
@@ -328,10 +330,9 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
                                 kkt_residual=kkt, ineq_duals=lam.copy(),
                                 eq_duals=nu.copy(), iterations=it)
         z, lam, nu = z_n, lam_n, nu_n
+        r_dual, r_pri, s = rd, rp, s_n
 
-    s = h - G @ z if m else np.zeros(0)
     eta = float(s @ lam) if m else 0.0
-    r_dual, _, r_pri, _ = residuals(z, lam, nu, 0.0)
     kkt = max(eta,
               float(np.abs(r_dual).max(initial=0.0)),
               float(np.abs(r_pri).max(initial=0.0)))

@@ -148,12 +148,34 @@ def _spec_with_nodes(nodes):
     return spec
 
 
+def _spec_with_stray_cond_prob():
+    # "ghost" is no child of the root and "nowhere" no node at all; the real
+    # children still sum to one, so only the key check can catch them
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    del spec["probabilities"]
+    spec["cond_prob"] = {"root": {"up": 0.5, "down": 0.5, "ghost": 0.2},
+                         "nowhere": {"up": 1.0}}
+    return spec
+
+
+def _spec_with_leaf_time(time):
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    next(rec for rec in spec["nodes"] if rec["id"] == "up")["time"] = time
+    return spec
+
+
 @pytest.mark.parametrize("spec, message", [
     (_spec_without_time(), "has no ['time']"),
     (_spec_with_price("abc"), "price at node 'up' is not a number: 'abc'"),
     (_spec_with_nodes("root"), "'nodes' must be a list"),
     ([1, 2], "market spec must be a JSON object, got list"),
-], ids=["node-without-time", "price-abc", "nodes-string", "top-level-list"])
+    (_spec_with_stray_cond_prob(),
+     "cond_prob keys name no node or no child of their row's node:"
+     " ['root->ghost', 'nowhere']"),
+    (_spec_with_leaf_time(1.7), "time of node 'up' is not an integer: 1.7"),
+    (_spec_with_leaf_time(True), "time of node 'up' is not an integer: True"),
+], ids=["node-without-time", "price-abc", "nodes-string", "top-level-list",
+        "stray-cond-prob", "time-1.7", "time-true"])
 def test_malformed_market_exits_2(tmp_path, out, capsys, spec, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))

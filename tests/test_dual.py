@@ -1,5 +1,7 @@
 """Consistent price systems, superreplication pricing, and the dual solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -234,3 +236,32 @@ def test_dual_beats_primal_weak_duality():
     for y in (0.2, 0.5, 1.0, 2.0):
         sol = du.solve_dual(model, LOG, y)
         assert u_val <= sol.value + x * y + 1e-8
+
+
+def test_ipm_evaluates_gradient_once_per_iterate(monkeypatch):
+    # each accepted line-search point hands its residuals to the next
+    # iteration, so the gradient is never evaluated twice at one iterate
+    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    counts = []
+    solve = du.solve_convex
+
+    def counting(cp, **kwargs):
+        calls = {"objective": 0, "gradient": 0}
+
+        def counted(name, fn):
+            def wrapper(z):
+                calls[name] += 1
+                return fn(z)
+            return wrapper
+
+        res = solve(dataclasses.replace(
+            cp, objective=counted("objective", cp.objective),
+            gradient=counted("gradient", cp.gradient)), **kwargs)
+        counts.append(calls)
+        return res
+
+    monkeypatch.setattr(du, "solve_convex", counting)
+    du.solve_dual(model, LOG, 1.0)
+    assert counts
+    assert all(c["gradient"] <= c["objective"] for c in counts)

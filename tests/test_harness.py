@@ -97,6 +97,19 @@ def test_recovered_strategy_generates_ghat():
     assert max(abs(strat.phi1[leaf]) for leaf in leaves) <= 1e-9
 
 
+def test_pipeline_strategies_pass_self_financing_check():
+    # the strategies the pipeline produces satisfy every trading constraint
+    # the check covers; no liquidation bound is part of the problem
+    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
+    rec = hn.recover_primal_from_dual(model, LOG, x)
+    sol = pr.solve_primal(model, LOG, x)
+    assert pr.check_self_financing(model, rec.primal.strategy) == []
+    assert pr.check_self_financing(model, sol.strategy) == []
+
+
 def test_recovery_slackness_identities():
     model = binomial_market(4.0, 8.0, 2.0, lam=0.2, endowment=(0.25, -0.5))
     rec = hn.recover_primal_from_dual(model, LOG, 1.5)

@@ -7,6 +7,7 @@ from tcdl.errors import BelowX0Error, MarketError
 from tcdl.market import binomial_market, single_node_market
 from tcdl import primal as pr
 from tcdl import dual as du
+from tcdl import harness as hn
 from tcdl import utility as ut
 
 LOG = ut.make_utility("log")
@@ -170,3 +171,21 @@ def test_primal_marginal_matches_log_closed_form():
     # value function is ln x + const, so the derivative is 1/x
     model = frictionless()
     assert pr.primal_marginal(model, LOG, 2.0) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_primal_ipm_starts_inside_the_bounds(monkeypatch):
+    # the interior-point start sits half the worst-case wealth margin inside
+    # every bound u >= 0, so the 3 x 3 tree solves in few iterations
+    model = hn.random_instance(1, depth=3, branching=3, lam=0.3, rho=0.2)
+    x = du.compute_x0(model) + 1.0
+    iterations = []
+    solve = pr.solve_convex
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(pr, "solve_convex", counting)
+    pr.solve_primal(model, LOG, x)
+    assert sum(iterations) <= 40
