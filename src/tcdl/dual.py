@@ -14,7 +14,6 @@ reported diagnostic that always comes out zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import utility as ut
 from .errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError
 from .market import MarketModel
 from .solver import (
-    INFEASIBLE, OPTIMAL,
+    INFEASIBLE,
     ConvexProgram, LinearProgram,
     require_optimal, solve_convex, solve_lp,
 )
@@ -265,7 +264,12 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
                polytope: CpsPolytope | None = None,
                start: np.ndarray | None = None,
                tol: float = 1e-9) -> DualSolution:
-    """Minimize E[V(y Z0_T)] + y E[Z0_T e_T] over the dual polytope."""
+    """Minimize E[V(y Z0_T)] + y E[Z0_T e_T] over the dual polytope.
+
+    One interior-point solve from ``start`` or, by default, the polytope's
+    interior point; a stall raises ``SolverIndeterminateError``.  The tighter
+    re-solve at yhat lives in ``harness.recover_primal_from_dual``.
+    """
     if y <= 0:
         raise DomainError("solve_dual requires y > 0")
     poly = polytope or cps_polytope(model)
@@ -279,54 +283,37 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     leaves = np.array(tree.leaves)
     nv = poly.n_vars
 
-    def solve_at(y_cur: float, z_start: np.ndarray):
-        def raw_gradient(z: np.ndarray) -> np.ndarray:
-            d = z[leaves]
-            g = np.zeros(nv)
-            g[leaves] = p * y_cur * (-ut.i_eval(spec, y_cur * d)) + y_cur * p * e
-            return g
+    z_start = poly.interior if start is None else start
 
-        # Normalize by the gradient scale at the start so the solver tolerance
-        # acts relatively; extreme y values otherwise push the objective far
-        # from unit scale and stall the iteration at machine precision.
-        scale = max(1.0, float(np.abs(raw_gradient(z_start)).max()))
+    def raw_gradient(z: np.ndarray) -> np.ndarray:
+        d = z[leaves]
+        g = np.zeros(nv)
+        g[leaves] = p * y * (-ut.i_eval(spec, y * d)) + y * p * e
+        return g
 
-        def objective(z: np.ndarray) -> float:
-            d = z[leaves]
-            if d.min() <= 0:
-                return np.inf
-            return float(p @ ut.v_eval(spec, y_cur * d) + y_cur * (p * d) @ e) / scale
+    # Normalize by the gradient scale at the start so the solver tolerance
+    # acts relatively; extreme y values otherwise push the objective far
+    # from unit scale and stall the iteration at machine precision.
+    scale = max(1.0, float(np.abs(raw_gradient(z_start)).max()))
 
-        def gradient(z: np.ndarray) -> np.ndarray:
-            return raw_gradient(z) / scale
+    def objective(z: np.ndarray) -> float:
+        d = z[leaves]
+        if d.min() <= 0:
+            return np.inf
+        return float(p @ ut.v_eval(spec, y * d) + y * (p * d) @ e) / scale
 
-        def hessian(z: np.ndarray) -> np.ndarray:
-            d = z[leaves]
-            H = np.zeros((nv, nv))
-            H[leaves, leaves] = p * y_cur * y_cur * ut.v_double_prime(spec, y_cur * d)
-            return H / scale
+    def gradient(z: np.ndarray) -> np.ndarray:
+        return raw_gradient(z) / scale
 
-        cp = ConvexProgram(objective, gradient, hessian, n=nv,
-                           G=poly.G, h=poly.h, A=poly.A, b=poly.b, start=z_start)
-        return solve_convex(cp, tol=tol)
+    def hessian(z: np.ndarray) -> np.ndarray:
+        d = z[leaves]
+        H = np.zeros((nv, nv))
+        H[leaves, leaves] = p * y * y * ut.v_double_prime(spec, y * d)
+        return H / scale
 
-    z0_start = poly.interior if start is None else start
-    res = solve_at(y, z0_start)
-    if res.status != OPTIMAL and start is None:
-        # Extreme y values can stall the interior-point solve from the generic
-        # start; walk there geometrically from y = 1, warm-starting each step
-        # from the previous optimizer nudged strictly inside the polytope.
-        y_ref = 1.0
-        steps = max(1, int(math.ceil(abs(math.log(y / y_ref)) / math.log(2.0))))
-        z_warm = poly.interior
-        for k in range(1, steps + 1):
-            y_k = y_ref * (y / y_ref) ** (k / steps)
-            res_k = solve_at(y_k, z_warm)
-            if res_k.status != OPTIMAL:
-                break
-            z_warm = 0.9 * res_k.z + 0.1 * poly.interior
-        else:
-            res = res_k
+    cp = ConvexProgram(objective, gradient, hessian, n=nv,
+                       G=poly.G, h=poly.h, A=poly.A, b=poly.b, start=z_start)
+    res = solve_convex(cp, tol=tol)
     require_optimal(res, f"dual solve at y={y}")
     elem = poly.element(res.z)
     d = poly.leaf_density(res.z)

@@ -39,6 +39,11 @@ DEFAULT_TOLERANCES = {
     "x0_slope": 1e-2,
     "yhat_root": 1e-7,
 }
+# Certificate tolerance of the recovered payoff: ghat sits exactly on the
+# attainability boundary and lands within root-finding error of it, so the
+# budget matches the yhat root residual.  It decides the recovery's
+# attainable flag and is the tolerance its report row lists.
+ATTAINABILITY_TOL = 1e-6
 
 
 def model_hash(model: MarketModel) -> str:
@@ -54,14 +59,15 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     For the shipped utilities I(y z) = I(y) I(z), so v'(U'(t)) + x is affine in
     t up to the drift of the optimal density and the interpolation steps
     converge in a few dual solves, where in y it bends like -1/y and bisects.
+    Returns the y of the search's dual solve at the root;
+    ``recover_primal_from_dual`` refines that solve, which leaves y as it is.
     """
-    yhat, _ = _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)
-    return yhat
+    return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0).y
 
 
 def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
                         polytope: du.CpsPolytope | None = None,
-                        x0: float | None = None) -> tuple[float, du.DualSolution]:
+                        x0: float | None = None) -> du.DualSolution:
     poly = polytope or du.cps_polytope(model)
     if x0 is None:
         x0 = du.compute_x0(model, poly)
@@ -94,21 +100,7 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
     if abs(resid) > DEFAULT_TOLERANCES["yhat_root"] * (1.0 + abs(x)):
         raise SolverIndeterminateError(f"yhat root residual {resid:.3e} too large")
 
-    # Refine the dual solve at the root.  Near-degenerate polytopes leave flat
-    # directions in the dual objective; the default solver tolerance pins the
-    # leaf densities only loosely along them.
-    coarse = cache[that]
-    yhat = coarse.y
-    warm = (np.asarray(coarse.optimizer.z0) if poly.reduced
-            else np.concatenate([coarse.optimizer.z0, coarse.optimizer.z1]))
-    for tol in (1e-12, 3e-12, 1e-11, 1e-10):
-        try:
-            refined = du.solve_dual(model, spec, yhat, polytope=poly,
-                                    start=0.9 * warm + 0.1 * poly.interior, tol=tol)
-            return yhat, refined
-        except SolverIndeterminateError:
-            continue
-    return yhat, coarse
+    return cache[that]
 
 
 @dataclass
@@ -123,9 +115,21 @@ class RecoveryResult:
 def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
                              polytope: du.CpsPolytope | None = None,
                              x0: float | None = None) -> RecoveryResult:
-    """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual."""
+    """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual.
+
+    The dual solve at the root of the yhat search is refined once, warm
+    started at tolerance 1e-10; if that solve fails the recovery raises
+    ``SolverIndeterminateError``.
+    """
     poly = polytope or du.cps_polytope(model)
-    yhat, dsol = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
+    coarse = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
+    yhat = coarse.y
+    # Near-degenerate polytopes leave flat directions in the dual objective;
+    # the search tolerance pins the leaf densities only loosely along them.
+    warm = (np.asarray(coarse.optimizer.z0) if poly.reduced
+            else np.concatenate([coarse.optimizer.z0, coarse.optimizer.z1]))
+    dsol = du.solve_dual(model, spec, yhat, polytope=poly,
+                         start=0.9 * warm + 0.1 * poly.interior, tol=1e-10)
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
@@ -156,11 +160,8 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     # One max-min LP certifies ghat and builds its strategy: the margin
     # max_u min_leaf (C u - ghat) is minus the superreplication price of ghat,
     # and the argmax u generates a payoff dominating ghat up to that margin.
-    # The certificate tolerance matches the yhat root residual budget; the
-    # recovered payoff sits exactly on the attainability boundary and lands
-    # within root-finding error of it.
     margin, u = pr.max_min_wealth(model, 0.0, ghat)
-    attainable = margin >= -1e-6
+    attainable = margin >= -ATTAINABILITY_TOL
     n = tree.n_nodes
     strategy = pr.strategy_from_trades(model, x, u[:n], u[n:])
     wealth = x + ghat + e
@@ -297,7 +298,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                          u_val <= min_env + tol["weak_duality"],
                          u_val - min_env, tol["weak_duality"], location=f"x={x:g}")
         report.add_check("recovery_attainable", rec.attainable,
-                         rec.attainability_slack, 1e-8, location=f"x={x:g}")
+                         rec.attainability_slack, ATTAINABILITY_TOL, location=f"x={x:g}")
         report.add_check("recovery_optimal",
                          rec.primal.value >= u_val - tol["recovery"],
                          rec.primal.value - u_val, tol["recovery"], location=f"x={x:g}")

@@ -28,11 +28,16 @@ CHAIN_TOL = 1e-10
 
 
 def _number(value, what: str) -> float:
-    """``float(value)``, or MarketError naming the field when it is no number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise MarketError(f"{what} is not a number: {value!r}") from None
+    """``float(value)``, or MarketError naming the field when it is no number.
+
+    JSON booleans are no numbers, although Python reads ``true`` as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise MarketError(f"{what} is not a number: {value!r}")
 
 
 def _integer(value, what: str) -> int:

@@ -16,16 +16,16 @@ imposes a bound on liquidation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import utility as ut
 from .errors import BelowX0Error, MarketError
-from .market import MarketModel
+from .market import MarketModel, _mapping, _number
 from .solver import (
     OPTIMAL, UNBOUNDED,
-    ConvexProgram, ConvexResult, LinearProgram,
+    ConvexProgram, LinearProgram,
     gram_assembler, require_optimal, solve_convex, solve_lp,
 )
 
@@ -59,11 +59,16 @@ class PayoffVector:
     @staticmethod
     def from_leaf_dict(model: MarketModel, mapping) -> "PayoffVector":
         tree = model.tree
-        vals = {str(k): float(v) for k, v in mapping.items()}
-        missing = [tree.node_ids[leaf] for leaf in tree.leaves if tree.node_ids[leaf] not in vals]
+        vals = {str(k): _number(v, f"payoff at leaf {k!r}")
+                for k, v in _mapping(mapping, "payoff file").items()}
+        leaf_ids = [tree.node_ids[leaf] for leaf in tree.leaves]
+        unknown = sorted(set(vals) - set(leaf_ids))
+        if unknown:
+            raise MarketError(f"payoff keys name no leaf: {unknown}")
+        missing = [nid for nid in leaf_ids if nid not in vals]
         if missing:
             raise MarketError(f"payoff file missing leaves {missing}")
-        return PayoffVector(tuple(vals[tree.node_ids[leaf]] for leaf in tree.leaves))
+        return PayoffVector(tuple(vals[nid] for nid in leaf_ids))
 
 
 @dataclass
@@ -247,37 +252,17 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         model.lam * sum(s[m] for m in tree.path(leaf)) for leaf in tree.leaves
     )
     delta = t_star / (2.0 * (max_path_cost + 1.0))
-    start = u_feas + delta
 
-    # Near-degenerate instances (offsetting trades blowing up while a leaf
-    # wealth approaches zero) can stall the iteration; restarting from the
-    # stalled iterate re-centers the barrier duals and resumes progress.
-    z_start = start
-    res = None
-    for _ in range(8):
-        cp = ConvexProgram(objective, gradient, hessian, n=nu,
-                           G=-np.eye(nu), h=np.zeros(nu),
-                           A=D, b=np.zeros(D.shape[0]), start=z_start)
-        cur = solve_convex(cp, tol=1e-9)
-        if res is None or cur.status == OPTIMAL or (
-                res.status != OPTIMAL
-                and cur.kkt_residual is not None
-                and res.kkt_residual is not None
-                and cur.kkt_residual < res.kkt_residual):
-            res = cur
-        if res.status == OPTIMAL or (
-                res.kkt_residual is not None
-                and res.kkt_residual <= 1e-6 * (1.0 + abs(res.value))):
-            break
-        z_start = (1.0 - 1e-3) * cur.z + 1e-3 * start
+    cp = ConvexProgram(objective, gradient, hessian, n=nu,
+                       G=-np.eye(nu), h=np.zeros(nu),
+                       A=D, b=np.zeros(D.shape[0]), start=u_feas + delta)
+    res = solve_convex(cp, tol=1e-9)
     # Accept a stalled iterate when the certified suboptimality is still far
-    # inside the tolerances anything downstream relies on.
-    if (res.status != OPTIMAL and res.kkt_residual is not None
-            and res.kkt_residual <= 1e-6 * (1.0 + abs(res.value))):
-        res = ConvexResult(status=OPTIMAL, z=res.z, value=res.value,
-                           kkt_residual=res.kkt_residual,
-                           ineq_duals=res.ineq_duals, eq_duals=res.eq_duals,
-                           iterations=res.iterations)
+    # inside the tolerances anything downstream relies on: near-degenerate
+    # instances (offsetting trades blowing up while a leaf wealth approaches
+    # zero) leave the KKT residual on a rounding floor above tol.
+    if res.status != OPTIMAL and res.kkt_residual <= 1e-6 * (1.0 + abs(res.value)):
+        res = replace(res, status=OPTIMAL)
     require_optimal(res, f"primal solve at x={x}")
     u_opt = res.z
     kkt = float(res.kkt_residual)

@@ -15,8 +15,21 @@ hundred variables).  Each step solves one reduced KKT system by a dense LU;
 its barrier term G'·diag(lam/s)·G is assembled from the nonzero pattern of
 G (``gram_assembler``), because the polytopes here have at most two
 nonzeros per inequality row.  ``A`` must have full row rank; callers drop
-dependent rows once when they build the constraints.  The method polishes
-to KKT residuals around 1e-9, which the duality checks downstream rely on.
+dependent rows once when they build the constraints.
+
+The primal step is an Armijo backtracking on the barrier merit
+phi(z) = f(z) - tau * sum(log s(z)), tau = eta / (10 m) the current
+centering target, from 0.99 of the longest step that keeps s > 0; the
+Newton direction is a descent direction for phi wherever A z = b holds,
+which every start satisfies.  The multipliers take their own
+fraction-to-boundary step on lam > 0, independent of the primal one
+(Wächter & Biegler, Math. Program. 106, 2006).  A solve is optimal once the
+complementarity eta and the dual and primal residuals are all <= tol; the
+method polishes to KKT residuals around 1e-9, which the duality checks
+downstream rely on.  Once eta <= tol, a solve whose residuals make no new
+low for 20 iterations sits on a rounding floor and stops as
+"numerically-indeterminate" with its residual, as does one in which no
+step decreases the merit.
 """
 
 from __future__ import annotations
@@ -38,6 +51,9 @@ INDETERMINATE = "numerically-indeterminate"
 # per-inequality complementarity eta / (_MU * m).
 _MAX_ITER = 1000
 _MU = 10.0
+# Once eta <= tol, a solve whose KKT residual has made no new low for this
+# many iterations sits on a rounding floor and stops.
+_STALL_ITERS = 20
 
 
 @dataclass
@@ -151,10 +167,12 @@ class ConvexProgram:
     """Smooth convex objective with linear constraints and a strict start.
 
     ``objective`` must return +inf outside its open domain; ``start`` must be
-    strictly feasible for the inequalities and inside the domain.  ``A`` must
+    strictly feasible for the inequalities, inside the domain and on
+    ``A z = b`` (the barrier-merit line search relies on it).  ``A`` must
     have full row rank (the solver does not drop dependent rows), and the
     barrier term of each Newton step is assembled from the nonzero pattern
-    of ``G``.
+    of ``G``.  The solver reports a stall as "numerically-indeterminate"
+    with its KKT residual; it never restarts.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -221,125 +239,94 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
     z = np.asarray(cp.start, dtype=float).copy()
-    s = h - G @ z if m else np.zeros(0)
+    s = h - G @ z
     if m and s.min() <= 0:
         raise DomainError("start point is not strictly feasible for the inequalities")
-    if not np.isfinite(cp.objective(z)):
+    f = float(cp.objective(z))
+    if not np.isfinite(f):
         raise DomainError("start point is outside the objective domain")
 
-    lam = 1.0 / np.maximum(s, 1e-12) if m else np.zeros(0)
+    lam = 1.0 / np.maximum(s, 1e-12)
     nu = np.zeros(p)
-    no_progress = 0
-
-    def residuals(z, lam, nu, inv_t):
-        s = h - G @ z if m else np.zeros(0)
-        r_dual = cp.gradient(z)
-        if m:
-            r_dual = r_dual + G.T @ lam
-        if p:
-            r_dual = r_dual + A.T @ nu
-        r_cent = lam * s - inv_t if m else np.zeros(0)
-        r_pri = A @ z - b if p else np.zeros(0)
-        return r_dual, r_cent, r_pri, s
-
-    # r_dual, r_pri and s at the current iterate; each accepted line-search
+    # f and its gradient at the current iterate; each accepted line-search
     # point hands its own over to the next iteration.
-    r_dual, _, r_pri, s = residuals(z, lam, nu, 0.0)
+    grad = cp.gradient(z)
+    best_res, best_it = np.inf, 0
+
+    def result(status, kkt, it):
+        return ConvexResult(status=status, z=z, value=f, kkt_residual=kkt,
+                            ineq_duals=lam.copy(), eq_duals=nu.copy(),
+                            iterations=it)
+
     for it in range(1, _MAX_ITER + 1):
-        eta = float(s @ lam) if m else 0.0
-        inv_t = eta / (_MU * m) if m else 0.0
-        r_cent = lam * s - inv_t if m else np.zeros(0)
-
-        res_inf = max(
-            float(np.abs(r_dual).max(initial=0.0)),
-            float(np.abs(r_pri).max(initial=0.0)),
-        )
+        r_dual = grad + G.T @ lam + A.T @ nu
+        r_pri = A @ z - b
+        eta = float(s @ lam)
+        tau = eta / (_MU * m) if m else 0.0
+        res_inf = max(float(np.abs(r_dual).max(initial=0.0)),
+                      float(np.abs(r_pri).max(initial=0.0)))
         if eta <= tol and res_inf <= tol:
-            kkt = max(res_inf, float(np.abs(lam * s).max(initial=0.0)) if m else 0.0)
-            return ConvexResult(
-                status=OPTIMAL, z=z, value=float(cp.objective(z)),
-                kkt_residual=kkt, ineq_duals=lam.copy(), eq_duals=nu.copy(),
-                iterations=it,
-            )
+            return result(OPTIMAL, max(res_inf, float(np.abs(lam * s).max(initial=0.0))), it)
+        if res_inf < best_res:
+            best_res, best_it = res_inf, it
+        elif eta <= tol and it - best_it >= _STALL_ITERS:
+            # Complementarity is within tol, but the residuals sit on a
+            # rounding floor above it.
+            return result(INDETERMINATE, max(res_inf, eta), it)
 
-        H = cp.hessian(z)
-        if m:
-            H = H + barrier_gram(lam / s)
-        rhs_z = -r_dual
-        if m:
-            rhs_z = rhs_z + G.T @ (r_cent / s)
-        if p:
-            K = np.zeros((n + p, n + p))
-            K[:n, :n] = H
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-            rhs = np.concatenate([rhs_z, -r_pri])
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-            dz, dnu = sol[:n], sol[n:]
-        else:
-            try:
-                dz = np.linalg.solve(H, rhs_z)
-            except np.linalg.LinAlgError:
-                dz = np.linalg.lstsq(H, rhs_z, rcond=None)[0]
-            dnu = np.zeros(0)
-        if m:
-            # d(lam*s): s dlam + lam ds = -r_cent with ds = -G dz.
-            dlam = (-r_cent + lam * (G @ dz)) / s
-        else:
-            dlam = np.zeros(0)
+        # Newton step on the barrier merit phi = f - tau * sum(log s): the
+        # right-hand side -grad(phi) - A'nu makes dz a descent direction for
+        # phi wherever A z = b holds.
+        grad_phi = grad + G.T @ (tau / s)
+        K = np.zeros((n + p, n + p))
+        K[:n, :n] = cp.hessian(z) + barrier_gram(lam / s)
+        K[:n, n:] = A.T
+        K[n:, :n] = A
+        rhs = np.concatenate([-(grad_phi + A.T @ nu), -r_pri])
+        try:
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+        dz, dnu = sol[:n], sol[n:]
+        Gdz = G @ dz
+        # d(lam*s): s dlam + lam ds = tau - lam*s with ds = -G dz.
+        dlam = (tau - lam * s + lam * Gdz) / s
 
-        # Longest step keeping lam > 0 and s > 0.
+        # Primal step: Armijo backtracking on phi from 0.99 of the longest
+        # step keeping s > 0.
         alpha = 1.0
-        if m:
-            neg = dlam < 0
-            if neg.any():
-                alpha = min(alpha, float((-lam[neg] / dlam[neg]).min()))
-            Gdz = G @ dz
-            pos = Gdz > 0
-            if pos.any():
-                alpha = min(alpha, float((s[pos] / Gdz[pos]).min()))
-            alpha *= 0.99
-        norm0 = np.sqrt(float(r_dual @ r_dual + r_cent @ r_cent + r_pri @ r_pri))
-        accepted = False
+        pos = Gdz > 0
+        if pos.any():
+            alpha = min(alpha, 0.99 * float((s[pos] / Gdz[pos]).min()))
+        phi = f - tau * float(np.log(s).sum())
+        slope = float(grad_phi @ dz)
         for _ in range(60):
             z_n = z + alpha * dz
-            lam_n = lam + alpha * dlam
-            nu_n = nu + alpha * dnu
-            if np.isfinite(cp.objective(z_n)):
-                rd, rc, rp, s_n = residuals(z_n, lam_n, nu_n, inv_t)
-                if (not m or s_n.min() > 0):
-                    norm1 = np.sqrt(float(rd @ rd + rc @ rc + rp @ rp))
-                    if norm1 <= (1.0 - 0.01 * alpha) * norm0 + 1e-16:
-                        accepted = True
-                        break
+            s_n = h - G @ z_n
+            if not m or s_n.min() > 0:
+                f_n = float(cp.objective(z_n))
+                if f_n - tau * float(np.log(s_n).sum()) <= phi + 1e-4 * alpha * slope:
+                    break
             alpha *= 0.5
-        if accepted and norm1 > (1.0 - 1e-10) * norm0:
-            # Accepted in name only; at machine precision nothing moved.
-            no_progress += 1
-            accepted = no_progress < 20
-        elif accepted:
-            no_progress = 0
-        if not accepted:
-            # Stalled: report honestly with the certified gap.
-            kkt = max(res_inf, eta)
-            return ConvexResult(status=INDETERMINATE, z=z,
-                                value=float(cp.objective(z)),
-                                kkt_residual=kkt, ineq_duals=lam.copy(),
-                                eq_duals=nu.copy(), iterations=it)
-        z, lam, nu = z_n, lam_n, nu_n
-        r_dual, r_pri, s = rd, rp, s_n
+        else:
+            # No step decreases the merit: report the stall with its residual.
+            return result(INDETERMINATE, max(res_inf, eta), it)
 
-    eta = float(s @ lam) if m else 0.0
-    kkt = max(eta,
+        # Multiplier step: its own fraction-to-boundary rule on lam > 0.
+        beta = 1.0
+        neg = dlam < 0
+        if neg.any():
+            beta = min(beta, 0.99 * float((-lam[neg] / dlam[neg]).min()))
+        lam = lam + beta * dlam
+        nu = nu + beta * dnu
+        z, s, f = z_n, s_n, f_n
+        grad = cp.gradient(z)
+
+    r_dual = grad + G.T @ lam + A.T @ nu
+    kkt = max(float(s @ lam),
               float(np.abs(r_dual).max(initial=0.0)),
-              float(np.abs(r_pri).max(initial=0.0)))
-    return ConvexResult(status=INDETERMINATE, z=z,
-                        value=float(cp.objective(z)),
-                        kkt_residual=kkt, ineq_duals=lam.copy(),
-                        eq_duals=nu.copy(), iterations=_MAX_ITER)
+              float(np.abs(A @ z - b).max(initial=0.0)))
+    return result(INDETERMINATE, kkt, _MAX_ITER)
 
 
 def require_optimal(result, what: str):

@@ -43,6 +43,20 @@ def test_price_command(tmp_path, capsys):
     assert len(payload["model_hash"]) == 64
 
 
+@pytest.mark.parametrize("payoff, message", [
+    ({"up": "abc", "down": 0.0}, "payoff at leaf 'up' is not a number: 'abc'"),
+    ([3.0, 0.0], "payoff file must be a JSON object, got list"),
+    ({"up": 3.0, "down": 0.0, "zzz": 1.0}, "payoff keys name no leaf: ['zzz']"),
+], ids=["value-abc", "top-level-list", "unknown-leaf"])
+def test_malformed_payoff_exits_2(tmp_path, market_path, out, capsys, payoff, message):
+    path = tmp_path / "payoff.json"
+    path.write_text(json.dumps(payoff))
+    code, _, err = run_cli(capsys, ["price", "--market", market_path,
+                                    "--payoff", str(path), "--output", out])
+    assert code == 2
+    assert message in err
+
+
 def test_primal_command(market_path, out, capsys):
     code, out_text, _ = run_cli(capsys, [
         "primal", "--market", market_path, "--utility", "log",
@@ -167,6 +181,7 @@ def _spec_with_leaf_time(time):
 @pytest.mark.parametrize("spec, message", [
     (_spec_without_time(), "has no ['time']"),
     (_spec_with_price("abc"), "price at node 'up' is not a number: 'abc'"),
+    (_spec_with_price(True), "price at node 'up' is not a number: True"),
     (_spec_with_nodes("root"), "'nodes' must be a list"),
     ([1, 2], "market spec must be a JSON object, got list"),
     (_spec_with_stray_cond_prob(),
@@ -174,7 +189,7 @@ def _spec_with_leaf_time(time):
      " ['root->ghost', 'nowhere']"),
     (_spec_with_leaf_time(1.7), "time of node 'up' is not an integer: 1.7"),
     (_spec_with_leaf_time(True), "time of node 'up' is not an integer: True"),
-], ids=["node-without-time", "price-abc", "nodes-string", "top-level-list",
+], ids=["node-without-time", "price-abc", "price-true", "nodes-string", "top-level-list",
         "stray-cond-prob", "time-1.7", "time-true"])
 def test_malformed_market_exits_2(tmp_path, out, capsys, spec, message):
     path = tmp_path / "bad.json"

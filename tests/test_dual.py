@@ -265,3 +265,21 @@ def test_ipm_evaluates_gradient_once_per_iterate(monkeypatch):
     du.solve_dual(model, LOG, 1.0)
     assert counts
     assert all(c["gradient"] <= c["objective"] for c in counts)
+
+
+def test_cold_dual_at_large_y_is_one_ipm_solve(monkeypatch):
+    # the barrier-merit line search converges from the polytope's interior
+    # point at y = 100, so no continuation in y wraps the solve
+    model = hn.random_instance(2034, depth=3, branching=2, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    iterations = []
+    solve = du.solve_convex
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(du, "solve_convex", counting)
+    du.solve_dual(model, LOG, 100.0)
+    assert len(iterations) == 1

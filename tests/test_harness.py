@@ -45,7 +45,8 @@ def test_yhat_frictionless_power(alpha):
 
 @pytest.mark.parametrize("family,alpha", [("log", None), ("power", 0.5)])
 def test_yhat_search_dual_solve_count(monkeypatch, family, alpha):
-    # bracket, root search and refinement together stay within ten dual solves
+    # bracket and root search together stay within ten dual solves (the
+    # refinement at the root runs in recover_primal_from_dual)
     spec = ut.make_utility(family, alpha)
     model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
                                max_attempts=600)
@@ -243,3 +244,17 @@ def test_run_experiment_from_market_file(tmp_path):
 def test_selftest_two_seeds(tmp_path):
     results = hn.selftest([1, 2], str(tmp_path), jobs=1)
     assert results == {1: True, 2: True}
+
+
+def test_attainability_row_lists_the_tolerance_that_decides_it():
+    # the recovery flags ghat attainable when its slack is within
+    # ATTAINABILITY_TOL; the report row must list that tolerance, not a tighter one
+    report = hn.run_experiment({
+        "seed": {"seed": 2014, "depth": 3, "branching": 2, "lambda": 0.3, "rho": 0.3},
+        "utility": "power:0.5", "x_offsets": [0.5, 1.0, 2.0],
+        "check_marginals": False,
+    })
+    rows = [c for c in report.checks if c["name"] == "recovery_attainable"]
+    assert len(rows) == 3
+    assert all(row["passed"] == (row["value"] <= row["tolerance"]) for row in rows)
+    assert all(row["tolerance"] == hn.ATTAINABILITY_TOL for row in rows)

@@ -189,3 +189,25 @@ def test_primal_ipm_starts_inside_the_bounds(monkeypatch):
     monkeypatch.setattr(pr, "solve_convex", counting)
     pr.solve_primal(model, LOG, x)
     assert sum(iterations) <= 40
+
+
+def test_primal_solve_is_one_ipm_solve(monkeypatch):
+    # a near-degenerate instance: trades reach 3e4 while a leaf wealth falls
+    # to 1e-6, and the one solve stops on a residual floor that the stall
+    # rule accepts, without restarts
+    model = hn.random_instance(2034, depth=3, branching=2, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
+    iterations = []
+    solve = pr.solve_convex
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(pr, "solve_convex", counting)
+    pr.solve_primal(model, ut.make_utility("power", 0.5), x)
+    assert len(iterations) == 1
+    assert iterations[0] <= 100
