@@ -157,8 +157,8 @@ def _cmd_report(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     if args.market:
-        if "seed" in config or "market" in config:
-            raise ConfigError("--market conflicts with the market/seed named in the config")
+        if not isinstance(config, dict) or "seed" in config or "market" in config:
+            raise ConfigError("--market needs a config object that names no market or seed")
         config["market"] = args.market
     out = _output_dir(args)
     report = run_experiment(config, output_dir=out)

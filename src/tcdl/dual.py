@@ -126,42 +126,27 @@ def cps_polytope(model: MarketModel) -> CpsPolytope:
     tree = model.tree
     n = tree.n_nodes
     s = model.ask()
-    lam = model.lam
-    reduced = lam == 0.0
-
-    eq_rows: list[np.ndarray] = []
-    eq_rhs: list[float] = []
+    reduced = model.lam == 0.0
     nv = n if reduced else 2 * n
 
-    def row() -> np.ndarray:
-        return np.zeros(nv)
-
-    r = row()
-    r[tree.root] = 1.0
-    eq_rows.append(r)
-    eq_rhs.append(1.0)
-    for k in range(n):
-        ch = list(tree.children[k])
-        if not ch:
-            continue
-        cp = np.array(tree.cond_prob[k])
-        r = row()
-        r[k] = 1.0
-        r[ch] = -cp
-        eq_rows.append(r)
-        eq_rhs.append(0.0)
-        r = row()
-        if reduced:
-            # Shadow-price martingale: S_k z0_k = sum_c cp_c S_c z0_c.
-            r[k] = s[k]
-            r[ch] = -cp * s[list(ch)]
-        else:
-            r[np.array(ch) + n] = -cp
-            r[k + n] = 1.0
-        eq_rows.append(r)
-        eq_rhs.append(0.0)
-    A = np.vstack(eq_rows)
-    b = np.array(eq_rhs)
+    # Martingale block, one row per internal node in index order:
+    # z_k - sum_c cp_c z_c = 0.  Every non-root node c sits in the row of
+    # its parent with minus its conditional probability.
+    internal = np.array([bool(ch) for ch in tree.children])
+    row_of = np.cumsum(internal) - 1
+    cp = np.zeros(n)
+    cp[[c for ch in tree.children for c in ch]] = [q for qs in tree.cond_prob for q in qs]
+    M = np.zeros((row_of[-1] + 1, n))
+    M[row_of[internal], np.flatnonzero(internal)] = 1.0
+    M[row_of[list(tree.parent[1:])], np.arange(1, n)] = -cp[1:]
+    # After the root normalisation, each internal node has its z0 row and
+    # then its z1 row, or at lam = 0 the shadow-price martingale
+    # S_k z0_k = sum_c cp_c S_c z0_c.
+    Z = np.zeros_like(M)
+    pairs = (M, M * s) if reduced else (np.hstack([M, Z]), np.hstack([Z, M]))
+    A = np.vstack([np.eye(1, nv, tree.root), np.stack(pairs, axis=1).reshape(-1, nv)])
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
     if reduced:
         # A single child, or siblings sharing a price, can make a node's two
         # martingale rows dependent.  With z1 free (lam > 0) the rows have
@@ -169,38 +154,19 @@ def cps_polytope(model: MarketModel) -> CpsPolytope:
         # only in its parent's martingale row.
         A, b = _drop_dependent_rows(A, b)
 
-    ineq_rows: list[np.ndarray] = []
-    ineq_rhs: list[float] = []
-    scales: list[float] = []
-    for k in range(n):
-        r = row()
-        r[k] = -1.0
-        ineq_rows.append(r)
-        ineq_rhs.append(0.0)
-        scales.append(1.0)
-        if not reduced:
-            r = row()
-            r[k + n] = -1.0
-            ineq_rows.append(r)
-            ineq_rhs.append(0.0)
-            scales.append(1.0)
-            r = row()
-            r[k] = (1.0 - lam) * s[k]
-            r[k + n] = -1.0
-            ineq_rows.append(r)
-            ineq_rhs.append(0.0)
-            scales.append(s[k])
-            r = row()
-            r[k] = -s[k]
-            r[k + n] = 1.0
-            ineq_rows.append(r)
-            ineq_rhs.append(0.0)
-            scales.append(s[k])
-    G = np.vstack(ineq_rows)
-    h = np.array(ineq_rhs)
+    # Per node: z0 >= 0, and for lam > 0 also z1 >= 0 and the two spread
+    # rows (1 - lam) S z0 <= z1 <= S z0.  Each row is given by its z0 and z1
+    # coefficients and its phase-1 scale.
+    zero, one = np.zeros(n), np.ones(n)
+    rows = [(-one, zero, one), (zero, -one, one), ((1.0 - model.lam) * s, -one, s), (-s, one, s)]
+    rows = rows[:1] if reduced else rows
+    G = np.stack([np.hstack([np.diag(u), np.diag(v)])[:, :nv] for u, v, _ in rows],
+                 axis=1).reshape(-1, nv)
+    scales = np.stack([w for _, _, w in rows], axis=1).ravel()
+    h = np.zeros(G.shape[0])
 
     # Phase 1: maximize the scaled slack margin over the polytope.
-    G1 = np.hstack([G, np.array(scales)[:, None]])
+    G1 = np.hstack([G, scales[:, None]])
     A1 = np.hstack([A, np.zeros((A.shape[0], 1))])
     c1 = np.zeros(nv + 1)
     c1[-1] = 1.0

@@ -22,8 +22,8 @@ from scipy.optimize import brentq
 from . import dual as du
 from . import primal as pr
 from . import utility as ut
-from .errors import BelowX0Error, MarketError, SolverIndeterminateError
-from .market import MarketModel, build_market, market_to_dict
+from .errors import BelowX0Error, ConfigError, MarketError, SolverIndeterminateError
+from .market import MarketModel, _integer, _mapping, _number, build_market, market_to_dict
 
 DEFAULT_X_OFFSETS = (0.5, 1.0, 2.0)
 # Margin above x0 for automatic x grids; keeps yhat away from the blow-up.
@@ -134,28 +134,15 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     e = model.endowment_vector()
     p = tree.leaf_prob()
     z0_T = np.array(dsol.optimizer.z0)[list(tree.leaves)]
-    # Correct yhat holding the leaf densities fixed: solve the scalar equation
-    # E[z0 I(y z0)] = x + E[z0 e] exactly, so the recovered payoff satisfies
-    # E[z0 ghat] = 0 by construction.  The dual derivative carries a small
-    # flat-direction bias that would otherwise leak into the payoff.
+    # Correct yhat holding the leaf densities fixed, so that the recovered
+    # payoff has E[z0 ghat] = 0: the dual derivative carries a small
+    # flat-direction bias that would otherwise leak into it.  As
+    # I(y z) = I(y) I(z), E[z0 I(y z0)] = x + E[z0 e] solves in closed form;
+    # its right side is positive because x > x0 >= E[z0 (-e)].
     mask = z0_T > du.DENSITY_FLOOR
     target = x + float((p * z0_T) @ e)
-
-    def resid(y: float) -> float:
-        return float((p[mask] * z0_T[mask]) @ ut.i_eval(spec, y * z0_T[mask])) - target
-
-    if resid(yhat) != 0.0:
-        lo, hi = yhat, yhat
-        while resid(lo) < 0.0:
-            lo /= 2.0
-            if lo < yhat * 2.0 ** -30:
-                break
-        while resid(hi) > 0.0:
-            hi *= 2.0
-            if hi > yhat * 2.0 ** 30:
-                break
-        if lo < hi and resid(lo) > 0.0 > resid(hi):
-            yhat = float(brentq(resid, lo, hi, xtol=1e-15, rtol=1e-14))
+    unit_wealth = float((p[mask] * z0_T[mask]) @ ut.i_eval(spec, z0_T[mask]))
+    yhat = float(ut.u_prime(spec, target / unit_wealth))
     ghat = ut.i_eval(spec, yhat * z0_T) - x - e
     # One max-min LP certifies ghat and builds its strategy: the margin
     # max_u min_leaf (C u - ghat) is minus the superreplication price of ghat,
@@ -415,62 +402,110 @@ def write_report_files(report: DualityReport, out_dir: str) -> dict:
     return paths
 
 
+def _config_field(check, value, what: str):
+    """A ``market`` field check applied to report-config field ``what``."""
+    try:
+        return check(value, f"config field {what!r}")
+    except MarketError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _config_typed(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"config field {what!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _config_number(value, what: str, low: float = -np.inf) -> float:
+    number = _config_field(_number, value, what)
+    if not low < number < np.inf:
+        bound = "" if low == -np.inf else f" above {low:g}"
+        raise ConfigError(f"config field {what!r} must be a finite number{bound}, got {value!r}")
+    return number
+
+
+def _config_numbers(value, what: str, low: float = -np.inf) -> list[float]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"config field {what!r} must be a nonempty JSON list, got {value!r}")
+    return [_config_number(v, f"{what}[{i}]", low) for i, v in enumerate(value)]
+
+
+def _config_keys(mapping, what: str, *allowed: str) -> None:
+    unknown = sorted(set(map(str, _config_field(_mapping, mapping, what))) - set(allowed))
+    if unknown:
+        raise ConfigError(f"config field {what!r} has unknown keys {unknown}")
+
+
 def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport:
     """Full pipeline on a configured instance; writes report files.
 
     The config supplies either ``market`` (path to a market JSON file) or
     ``seed`` ({seed, depth, branching, lambda, rho}), plus optional
     ``utility`` (default log), ``x_grid`` or ``x_offsets``, ``y_grid``
-    ({min, max, n} or a list), and ``check_marginals``.
+    ({min, max, n} or a list), and ``check_marginals``; ``ConfigError`` names
+    a malformed or unknown field.
     """
-    from .errors import ConfigError
-
+    _config_keys(config, "config", "market", "seed", "utility", "x_grid", "x_offsets",
+                 "y_grid", "check_marginals")
     has_market = "market" in config
     has_seed = "seed" in config
     if has_market == has_seed:
         raise ConfigError("config must name exactly one of 'market' or 'seed'")
+    if "x_grid" in config and "x_offsets" in config:
+        raise ConfigError("config must name at most one of 'x_grid' or 'x_offsets'")
 
     meta: dict = {}
     if has_market:
-        with open(config["market"]) as fh:
+        with open(_config_typed(config["market"], str, "market")) as fh:
             model = build_market(json.load(fh))
         meta["source"] = {"market": config["market"]}
+        label = os.path.splitext(os.path.basename(config["market"]))[0]
     else:
-        sd = dict(config["seed"])
+        sd = config["seed"]
+        _config_keys(sd, "seed", "seed", "depth", "branching", "lambda", "rho")
+        seed = _config_field(_integer, sd.get("seed"), "seed.seed")
         model, attempts = random_instance(
-            seed=int(sd["seed"]), depth=int(sd.get("depth", 3)),
-            branching=int(sd.get("branching", 2)),
-            lam=float(sd.get("lambda", 0.1)), rho=float(sd.get("rho", 0.2)),
+            seed=seed,
+            depth=_config_field(_integer, sd.get("depth", 3), "seed.depth"),
+            branching=_config_field(_integer, sd.get("branching", 2), "seed.branching"),
+            lam=_config_number(sd.get("lambda", 0.1), "seed.lambda"),
+            rho=_config_number(sd.get("rho", 0.2), "seed.rho"),
             return_attempts=True,
         )
-        meta["source"] = {"seed": sd, "attempts": attempts}
+        meta["source"] = {"seed": dict(sd), "attempts": attempts}
+        label = f"seed{seed}"
 
-    spec = ut.parse_utility(config.get("utility", "log"))
+    spec = ut.parse_utility(_config_typed(config.get("utility", "log"), str, "utility"))
 
     yg = config.get("y_grid")
     if yg is None:
         y_grid = du.default_y_grid()
     elif isinstance(yg, dict):
-        y_grid = np.logspace(np.log10(float(yg["min"])), np.log10(float(yg["max"])),
-                             int(yg["n"]))
+        _config_keys(yg, "y_grid", "min", "max", "n")
+        lo = _config_number(yg.get("min"), "y_grid.min", 0.0)
+        hi = _config_number(yg.get("max"), "y_grid.max", 0.0)
+        count = _config_field(_integer, yg.get("n"), "y_grid.n")
+        if count < 1:
+            raise ConfigError(f"config field 'y_grid.n' must be at least 1, got {count}")
+        y_grid = np.logspace(np.log10(lo), np.log10(hi), count)
     else:
-        y_grid = np.array([float(y) for y in yg])
+        y_grid = np.array(_config_numbers(yg, "y_grid", 0.0))
 
     if "x_grid" in config:
-        x_grid = [float(x) for x in config["x_grid"]]
+        x_grid = _config_numbers(config["x_grid"], "x_grid")
     else:
+        offsets = (_config_numbers(config["x_offsets"], "x_offsets")
+                   if "x_offsets" in config else DEFAULT_X_OFFSETS)
         poly = du.cps_polytope(model)
         x0 = du.compute_x0(model, poly)
         margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
-        offsets = config.get("x_offsets", DEFAULT_X_OFFSETS)
         x_grid = [x0 + margin + float(o) for o in offsets]
 
+    check_marginals = _config_typed(config.get("check_marginals", True), bool,
+                                    "check_marginals")
     report = conjugacy_check(model, spec, x_grid, y_grid,
-                             check_marginals=bool(config.get("check_marginals", True)),
-                             metadata=meta)
+                             check_marginals=check_marginals, metadata=meta)
     if output_dir is not None:
-        label = (f"seed{config['seed']['seed']}" if has_seed
-                 else os.path.splitext(os.path.basename(config["market"]))[0])
         sub = os.path.join(output_dir, f"{report.metadata['model_hash'][:12]}-{label}")
         write_report_files(report, sub)
     return report

@@ -90,15 +90,14 @@ def _trade_matrices(model: MarketModel):
     tree = model.tree
     n = tree.n_nodes
     s = model.ask()
-    L = len(tree.leaves)
-    C = np.zeros((L, 2 * n))
-    D = np.zeros((L, 2 * n))
-    for i, leaf in enumerate(tree.leaves):
-        for m in tree.path(leaf):
-            C[i, m] = -s[m]
-            C[i, m + n] = (1.0 - model.lam) * s[m]
-            D[i, m] = 1.0
-            D[i, m + n] = -1.0
+    # Row k of the incidence marks node k and its ancestors; parents precede
+    # their children, so one pass copies each parent's row.
+    on_path = np.eye(n, dtype=bool)
+    for k in range(1, n):
+        on_path[k] |= on_path[tree.parent[k]]
+    leaf_paths = np.tile(on_path[list(tree.leaves)], 2)
+    C = np.where(leaf_paths, np.concatenate([-s, (1.0 - model.lam) * s]), 0.0)
+    D = np.where(leaf_paths, np.repeat([1.0, -1.0], n), 0.0)
     return C, D
 
 
@@ -246,11 +245,9 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     # worst-case margin puts each bound delta away from zero rather than on
     # it; a small fixed cap left most bounds with barrier duals 1/delta and
     # held the fraction-to-boundary step to a few percent for dozens of
-    # iterations.
-    s = model.ask()
-    max_path_cost = max(
-        model.lam * sum(s[m] for m in tree.path(leaf)) for leaf in tree.leaves
-    )
+    # iterations.  The asks along each path are summed root to leaf, the
+    # order cumsum keeps, from C's buy block (minus the asks).
+    max_path_cost = model.lam * -float(C[:, :n].cumsum(axis=1)[:, -1].min())
     delta = t_star / (2.0 * (max_path_cost + 1.0))
 
     cp = ConvexProgram(objective, gradient, hessian, n=nu,

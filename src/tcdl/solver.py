@@ -29,7 +29,8 @@ method polishes to KKT residuals around 1e-9, which the duality checks
 downstream rely on.  Once eta <= tol, a solve whose residuals make no new
 low for 20 iterations sits on a rounding floor and stops as
 "numerically-indeterminate" with its residual, as does one in which no
-step decreases the merit.
+step decreases the merit or whose KKT matrix is singular (dependent rows
+in ``A``, say); there is no least-squares fallback.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         try:
             sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
+            return result(INDETERMINATE, max(res_inf, eta), it)
         dz, dnu = sol[:n], sol[n:]
         Gdz = G @ dz
         # d(lam*s): s dlam + lam ds = tau - lam*s with ds = -G dz.

@@ -95,3 +95,47 @@ def binomial_cps_polytope_matrices(s0, s_up, s_down, lam, p_up=0.5):
         rows.append(nn)
         rhs.append(0.0)
     return A_eq, b_eq, np.array(rows), np.array(rhs)
+
+
+def tree_matrices_by_rows(model):
+    """CPS polytope rows (A, b, G, h) and trade maps (C, D) built one row at a time.
+
+    The reference for ``dual.cps_polytope`` (before its frictionless
+    dependent-row drop) and ``primal._trade_matrices``: equality rows are the
+    root normalisation, then per internal node its z0 and z1 martingale rows
+    (z0 and S z0 at lam = 0); inequality rows are per node z0 >= 0 and, for
+    lam > 0, z1 >= 0, (1 - lam) S z0 <= z1 and z1 <= S z0; leaf rows of C and
+    D walk the path from the root.
+    """
+    tree, s, lam = model.tree, model.ask(), model.lam
+    n = tree.n_nodes
+    nv = n if lam == 0.0 else 2 * n
+    A, G = [np.eye(1, nv)[0]], []
+    for k in range(n):
+        ch = list(tree.children[k])
+        if ch:
+            cp = np.array(tree.cond_prob[k])
+            r0, r1 = np.zeros(nv), np.zeros(nv)
+            r0[k], r0[ch] = 1.0, -cp
+            if lam == 0.0:
+                r1[k], r1[ch] = s[k], -cp * s[ch]
+            else:
+                r1[k + n], r1[np.array(ch) + n] = 1.0, -cp
+            A += [r0, r1]
+        rows = [{k: -1.0}]
+        if lam > 0.0:
+            rows += [{k + n: -1.0}, {k: (1.0 - lam) * s[k], k + n: -1.0},
+                     {k: -s[k], k + n: 1.0}]
+        for entries in rows:
+            r = np.zeros(nv)
+            r[list(entries)] = list(entries.values())
+            G.append(r)
+    C = np.zeros((len(tree.leaves), 2 * n))
+    D = np.zeros((len(tree.leaves), 2 * n))
+    for i, leaf in enumerate(tree.leaves):
+        for m in tree.path(leaf):
+            C[i, m], C[i, m + n] = -s[m], (1.0 - lam) * s[m]
+            D[i, m], D[i, m + n] = 1.0, -1.0
+    b = np.zeros(len(A))
+    b[0] = 1.0
+    return np.array(A), b, np.array(G), np.zeros(len(G)), C, D

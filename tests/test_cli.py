@@ -118,6 +118,30 @@ def test_report_market_flag_conflicts_with_seed(tmp_path, out, market_path, caps
     assert "error:" in err
 
 
+_SMALL_REPORT = {"seed": {"seed": 1, "depth": 1, "branching": 2, "lambda": 0.1, "rho": 0.2},
+                 "y_grid": {"min": 0.1, "max": 10.0, "n": 3}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"seed": {"seed": "abc"}}, "config field 'seed.seed' is not a number: 'abc'"),
+    ({"x_grid": ["q"]}, "config field 'x_grid[0]' is not a number: 'q'"),
+    ({"seed": 5}, "config field 'seed' must be a JSON object, got int"),
+    ({"x_offsets": 0.5}, "config field 'x_offsets' must be a nonempty JSON list, got 0.5"),
+    ({"utility": 5}, "config field 'utility' must be a str, got 5"),
+    ({"y_grid": {"min": 0, "max": 10.0, "n": 3}},
+     "config field 'y_grid.min' must be a finite number above 0, got 0"),
+    ({"check_marginals": "false"}, "config field 'check_marginals' must be a bool, got 'false'"),
+    ({"x_ofsets": [1.0]}, "has unknown keys ['x_ofsets']"),
+], ids=["seed-abc", "x-grid-q", "seed-5", "x-offsets-scalar", "utility-5", "y-min-0",
+        "check-marginals-string", "unknown-key"])
+def test_malformed_report_config_exits_2(tmp_path, out, capsys, change, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_SMALL_REPORT, **change)))
+    code, _, err = run_cli(capsys, ["report", "--config", str(cfg), "--output", out])
+    assert code == 2
+    assert message in err
+
+
 def test_selftest_command(out, capsys):
     code, out_text, _ = run_cli(capsys, ["selftest", "--seeds", "1,2",
                                          "--jobs", "1", "--output", out])

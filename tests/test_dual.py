@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from tcdl.errors import DomainError, NoConsistentPriceSystemError
-from tcdl.market import binomial_market
+from tcdl.market import binomial_market, build_market
 from tcdl import dual as du
 from tcdl import harness as hn
 from tcdl import primal as pr
@@ -16,6 +16,7 @@ from tcdl import utility as ut
 from oracles import (
     binomial_cps_polytope_matrices,
     lp_max_by_vertices,
+    tree_matrices_by_rows,
     vertex_enumerate,
 )
 
@@ -109,6 +110,90 @@ def test_rows_are_dropped_only_for_the_frictionless_polytope(monkeypatch):
     assert calls == {"drop": 0, "qr": 0}
     du.cps_polytope(binomial_market(4.0, 8.0, 2.0, lam=0.0))
     assert calls == {"drop": 1, "qr": 1}
+
+
+def test_two_period_matrices_match_literal():
+    # r -> a -> a0 (single child), r -> b -> {b0, b1}; node order r a b a0 b0 b1,
+    # variables [z0; z1] for the polytope and [buy; sell] for the trades
+    model = build_market({
+        "nodes": [{"id": "r", "parent": None, "time": 0},
+                  {"id": "a", "parent": "r", "time": 1}, {"id": "b", "parent": "r", "time": 1},
+                  {"id": "a0", "parent": "a", "time": 2}, {"id": "b0", "parent": "b", "time": 2},
+                  {"id": "b1", "parent": "b", "time": 2}],
+        "cond_prob": {"r": {"a": 0.25, "b": 0.75}, "a": {"a0": 1.0}, "b": {"b0": 0.5, "b1": 0.5}},
+        "prices": {"r": 4.0, "a": 6.0, "b": 4.0, "a0": 6.0, "b0": 2.0, "b1": 8.0},
+        "lambda": 0.25, "endowment": {"a0": 0.5, "b0": -0.25, "b1": 0.0},
+    })
+    poly = du.cps_polytope(model)
+    A = np.array([
+        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],            # z0 at the root is 1
+        [1, -.25, -.75, 0, 0, 0, 0, 0, 0, 0, 0, 0],      # r: z0 martingale
+        [0, 0, 0, 0, 0, 0, 1, -.25, -.75, 0, 0, 0],      # r: z1 martingale
+        [0, 1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0],           # a
+        [0, 0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0],
+        [0, 0, 1, 0, -.5, -.5, 0, 0, 0, 0, 0, 0],        # b
+        [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -.5, -.5],
+    ])
+    G = np.array([
+        [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],           # r: z0 >= 0
+        [0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],           # r: z1 >= 0
+        [3, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],           # r: bid z0 <= z1
+        [-4, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],           # r: z1 <= ask z0
+        [0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],           # a
+        [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+        [0, 4.5, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0],
+        [0, -6, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0],           # b
+        [0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+        [0, 0, 3, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+        [0, 0, -4, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0],           # a0
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0],
+        [0, 0, 0, 4.5, 0, 0, 0, 0, 0, -1, 0, 0],
+        [0, 0, 0, -6, 0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],           # b0
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, 1.5, 0, 0, 0, 0, 0, -1, 0],
+        [0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],           # b1
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, -1],
+        [0, 0, 0, 0, 0, -8, 0, 0, 0, 0, 0, 1],
+    ])
+    assert np.array_equal(poly.A, A)
+    assert np.array_equal(poly.b, [1, 0, 0, 0, 0, 0, 0])
+    assert np.array_equal(poly.G, G)
+    assert np.array_equal(poly.h, np.zeros(24))
+    assert poly.interior is not None
+    C, D = pr._trade_matrices(model)
+    # leaf rows a0 (path r a a0), b0 (r b b0), b1 (r b b1): buy at the ask,
+    # sell at the bid, and the position bought along the path is sold back
+    assert np.array_equal(C, [
+        [-4, -6, 0, -6, 0, 0, 3, 4.5, 0, 4.5, 0, 0],
+        [-4, 0, -4, 0, -2, 0, 3, 0, 3, 0, 1.5, 0],
+        [-4, 0, -4, 0, 0, -8, 3, 0, 3, 0, 0, 6],
+    ])
+    assert np.array_equal(D, [
+        [1, 1, 0, 1, 0, 0, -1, -1, 0, -1, 0, 0],
+        [1, 0, 1, 0, 1, 0, -1, 0, -1, 0, -1, 0],
+        [1, 0, 1, 0, 0, 1, -1, 0, -1, 0, 0, -1],
+    ])
+
+
+@pytest.mark.parametrize("seed, depth, branching, lam", [
+    (2000, 2, 3, 0.01), (2002, 3, 2, 0.3), (2003, 3, 3, 0.3), (7, 3, 2, 0.0),
+])
+def test_block_matrices_equal_row_by_row_reference(seed, depth, branching, lam):
+    # same arithmetic, so the block build must match the row-at-a-time one bit for bit
+    model = hn.random_instance(seed, depth=depth, branching=branching, lam=lam,
+                               rho=0.3, max_attempts=600)
+    A, b, G, h, C, D = tree_matrices_by_rows(model)
+    if lam == 0.0:
+        A, b = du._drop_dependent_rows(A, b)
+    poly = du.cps_polytope(model)
+    got = (poly.A, poly.b, poly.G, poly.h) + pr._trade_matrices(model)
+    for name, ref, arr in zip("AbGhCD", (A, b, G, h, C, D), got):
+        assert arr.shape == ref.shape and arr.tobytes() == ref.tobytes(), name
 
 
 def test_arbitrage_market_has_no_cps():

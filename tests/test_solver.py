@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tcdl.solver import (
+    INDETERMINATE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
@@ -163,6 +164,25 @@ def test_convex_barrier_domain_respected():
     res = solve_convex(cp, tol=1e-10)
     assert res.status == OPTIMAL
     assert res.z[0] == pytest.approx(1.5, abs=1e-8)
+
+
+def test_rank_deficient_kkt_is_indeterminate():
+    # min |z|^2/2 with the row z1 + z2 = 1 given twice: the KKT matrix is
+    # singular, so the solve has no Newton step and stops with its residual
+    cp = ConvexProgram(
+        objective=lambda z: 0.5 * float(z @ z),
+        gradient=lambda z: z.copy(),
+        hessian=lambda z: np.eye(2),
+        n=2,
+        A=np.ones((2, 2)), b=np.ones(2),
+        start=np.array([0.9, 0.1]),
+    )
+    res = solve_convex(cp, tol=1e-10)
+    assert res.status == INDETERMINATE
+    assert res.iterations == 1
+    assert res.kkt_residual == pytest.approx(0.9)
+    with pytest.raises(SolverIndeterminateError, match="numerically-indeterminate"):
+        require_optimal(res, "rank-deficient solve")
 
 
 def test_require_optimal_raises_with_context():
