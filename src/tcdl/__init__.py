@@ -21,7 +21,7 @@ from .primal import (
 )
 from .dual import (
     CpsElement, CpsPolytope, DualSolution, compute_x0, cps_check, cps_polytope,
-    dual_derivative, dual_grid, solve_dual, superreplication_price,
+    dual_grid, solve_dual, superreplication_price,
 )
 from .harness import (
     DualityReport, conjugacy_check, find_yhat, model_hash, random_instance,

@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import dual as du
 from . import primal as pr
 from . import utility as ut
@@ -22,9 +20,7 @@ from .errors import (
     BelowX0Error, ConfigError, DomainError, MarketError,
     NoConsistentPriceSystemError, SolverIndeterminateError, TcdlError,
 )
-from .harness import (
-    model_hash, run_experiment, selftest, write_csv, write_report_files,
-)
+from .harness import model_hash, run_experiment, selftest, write_csv
 from .market import load_market
 
 EXIT_OK = 0
@@ -45,10 +41,18 @@ def _emit(payload: dict) -> None:
 
 
 def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in text.split(",")]
+    except (ValueError, OverflowError):
+        raise ConfigError(f"--seeds must be a range a..b or a comma list of integers, "
+                          f"got {text!r}") from None
+    if not seeds:
+        raise ConfigError(f"--seeds names no seed: {text!r}")
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,9 +28,6 @@ from .solver import (
 )
 
 CPS_TOL = 1e-10
-# Leaves with density below this are excluded from the v' formula; the
-# excluded probability mass is reported alongside.
-DENSITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -217,13 +214,13 @@ def compute_x0(model: MarketModel, polytope: CpsPolytope | None = None) -> float
 @dataclass
 class DualSolution:
     y: float
+    z: np.ndarray            # interior-point solution, the polytope's variables
+    z0_T: np.ndarray         # leaf densities, aligned with tree.leaves
     optimizer: CpsElement
-    value: float
-    v_term: float            # E[V(y z0_T)]
-    endow_term: float        # y E[z0_T e_T]
+    value: float             # E[V(y z0_T)] + y E[z0_T e_T]
+    derivative: float        # v'(y) = -E[z0_T I(y z0_T)] + E[z0_T e_T]
     singular_mass: float     # 1 - E[z0_T]; identically 0 at finite scale
     kkt_residual: float
-    derivative: float | None = None
 
 
 def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
@@ -281,35 +278,14 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
                        G=poly.G, h=poly.h, A=poly.A, b=poly.b, start=z_start)
     res = solve_convex(cp, tol=tol)
     require_optimal(res, f"dual solve at y={y}")
-    elem = poly.element(res.z)
     d = poly.leaf_density(res.z)
-    v_term = float(p @ ut.v_eval(spec, y * d))
-    endow_term = float(y * (p * d) @ e)
-    sol = DualSolution(
-        y=float(y), optimizer=elem,
-        value=v_term + endow_term,
-        v_term=v_term, endow_term=endow_term,
+    return DualSolution(
+        y=float(y), z=res.z, z0_T=d, optimizer=poly.element(res.z),
+        value=float(p @ ut.v_eval(spec, y * d)) + float(y * (p * d) @ e),
+        derivative=-float((p * d) @ ut.i_eval(spec, y * d)) + float((p * d) @ e),
         singular_mass=float(1.0 - p @ d),
         kkt_residual=float(res.kkt_residual),
     )
-    sol.derivative = dual_derivative(model, spec, sol)
-    return sol
-
-
-def dual_derivative(model: MarketModel, spec: ut.UtilitySpec, solution: DualSolution) -> float:
-    """Envelope derivative v'(y) = -E[Z0_T I(y Z0_T)] + E[Z0_T e_T].
-
-    Evaluated on {z0 > floor}; the excluded probability mass is zero for the
-    shipped utilities because V'(0+) = -infinity pushes densities interior.
-    """
-    tree = model.tree
-    p = tree.leaf_prob()
-    e = model.endowment_vector()
-    d = np.array(solution.optimizer.z0)[list(tree.leaves)]
-    mask = d > DENSITY_FLOOR
-    y = solution.y
-    term = float((p[mask] * d[mask]) @ ut.i_eval(spec, y * d[mask]))
-    return -term + float((p * d) @ e)
 
 
 def dual_grid(model: MarketModel, spec: ut.UtilitySpec, y_grid,

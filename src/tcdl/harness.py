@@ -59,8 +59,9 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     For the shipped utilities I(y z) = I(y) I(z), so v'(U'(t)) + x is affine in
     t up to the drift of the optimal density and the interpolation steps
     converge in a few dual solves, where in y it bends like -1/y and bisects.
-    Returns the y of the search's dual solve at the root;
-    ``recover_primal_from_dual`` refines that solve, which leaves y as it is.
+    Returns the y of the search's dual solve at the root.
+    ``recover_primal_from_dual`` refines that solve and reports the closed-form
+    yhat on the refined density, which differs from this y in the last digits.
     """
     return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0).y
 
@@ -126,22 +127,19 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     yhat = coarse.y
     # Near-degenerate polytopes leave flat directions in the dual objective;
     # the search tolerance pins the leaf densities only loosely along them.
-    warm = (np.asarray(coarse.optimizer.z0) if poly.reduced
-            else np.concatenate([coarse.optimizer.z0, coarse.optimizer.z1]))
     dsol = du.solve_dual(model, spec, yhat, polytope=poly,
-                         start=0.9 * warm + 0.1 * poly.interior, tol=1e-10)
+                         start=0.9 * coarse.z + 0.1 * poly.interior, tol=1e-10)
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
-    z0_T = np.array(dsol.optimizer.z0)[list(tree.leaves)]
+    z0_T = dsol.z0_T
     # Correct yhat holding the leaf densities fixed, so that the recovered
     # payoff has E[z0 ghat] = 0: the dual derivative carries a small
     # flat-direction bias that would otherwise leak into it.  As
     # I(y z) = I(y) I(z), E[z0 I(y z0)] = x + E[z0 e] solves in closed form;
     # its right side is positive because x > x0 >= E[z0 (-e)].
-    mask = z0_T > du.DENSITY_FLOOR
     target = x + float((p * z0_T) @ e)
-    unit_wealth = float((p[mask] * z0_T[mask]) @ ut.i_eval(spec, z0_T[mask]))
+    unit_wealth = float((p * z0_T) @ ut.i_eval(spec, z0_T))
     yhat = float(ut.u_prime(spec, target / unit_wealth))
     ghat = ut.i_eval(spec, yhat * z0_T) - x - e
     # One max-min LP certifies ghat and builds its strategy: the margin
@@ -155,7 +153,6 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     psol = pr.PrimalSolution(
         x=float(x), strategy=strategy, ghat=ghat, wealth=wealth,
         value=float(p @ ut.u_eval(spec, wealth)), kkt_residual=float("nan"),
-        marginal=yhat,
     )
     return RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
                           attainable=attainable, attainability_slack=-margin)
@@ -171,9 +168,8 @@ class SlacknessResiduals:
 
 def slackness_check(model: MarketModel, primal_sol: pr.PrimalSolution,
                     dual_sol: du.DualSolution) -> SlacknessResiduals:
-    tree = model.tree
-    p = tree.leaf_prob()
-    z0_T = np.array(dual_sol.optimizer.z0)[list(tree.leaves)]
+    p = model.tree.leaf_prob()
+    z0_T = dual_sol.z0_T
     x = primal_sol.x
     r1 = abs(float((p * z0_T) @ primal_sol.ghat))
     r2 = abs(float((p * z0_T) @ (x + primal_sol.ghat)) - x)
@@ -216,7 +212,11 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                     x_grid, y_grid,
                     check_marginals: bool = True,
                     metadata: dict | None = None) -> DualityReport:
-    """Run the full Main Theorem certification on the given grids."""
+    """Run the full Main Theorem certification on the given grids.
+
+    The y grid is sorted ascending before the solves; the convexity,
+    monotonicity and large-y slope checks read it in that order.
+    """
     tol = DEFAULT_TOLERANCES
     poly = du.cps_polytope(model)
     x0 = du.compute_x0(model, poly)
@@ -226,7 +226,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     report.metadata["lambda"] = model.lam
     report.metadata["rho"] = model.rho
 
-    y_solutions = du.dual_grid(model, spec, y_grid, polytope=poly)
+    y_solutions = du.dual_grid(model, spec, np.sort(y_grid), polytope=poly)
     for sol in y_solutions:
         report.y_records.append({
             "y": sol.y, "v": sol.value, "v_prime": sol.derivative,
@@ -322,11 +322,14 @@ def random_instance(seed: int, depth: int, branching: int, lam: float,
 
     Prices start at 1 and move by uniform multiplicative shocks in [0.5, 2];
     conditional probabilities are uniform-normalized with a 0.05 floor; the
-    endowment is uniform in [-rho, rho].  Regenerates until the CPS polytope
-    has a strictly interior point.
+    endowment is uniform in [-rho, rho], and zero without a draw at rho = 0.
+    Regenerates until the CPS polytope has a strictly interior point.
     """
-    if depth > 5 or branching > 3:
-        raise MarketError("random_instance is desk scale: depth <= 5, branching <= 3")
+    if not (1 <= depth <= 5 and 1 <= branching <= 3):
+        raise MarketError("random_instance is desk scale: 1 <= depth <= 5, 1 <= branching <= 3, "
+                          f"got depth {depth}, branching {branching}")
+    if not rho >= 0:
+        raise MarketError(f"random_instance needs an endowment bound rho >= 0, got {rho}")
     rng = np.random.default_rng(seed)
     for attempt in range(1, max_attempts + 1):
         nodes = [{"id": "r", "parent": None, "time": 0}]

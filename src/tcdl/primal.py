@@ -79,7 +79,6 @@ class PrimalSolution:
     wealth: np.ndarray           # x + ghat + e_T per leaf
     value: float
     kkt_residual: float
-    marginal: float | None = None
 
 
 def _trade_matrices(model: MarketModel):

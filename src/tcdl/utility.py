@@ -14,7 +14,6 @@ neither marginal utilities nor optimizers.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 

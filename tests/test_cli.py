@@ -1,9 +1,12 @@
 """CLI subcommands, output payloads, and exit codes."""
 
+import contextlib
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcdl.cli import main
 from tcdl.market import binomial_market, market_to_dict, save_market
@@ -109,6 +112,15 @@ def test_report_command(tmp_path, out, capsys):
     assert payload["n_checks"] > 0
 
 
+def test_report_market_flag_with_config_naming_no_instance(tmp_path, out, market_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"y_grid": [0.25, 0.5, 1.0, 2.0, 4.0], "check_marginals": False}))
+    code, out_text, _ = run_cli(capsys, ["report", "--config", str(cfg),
+                                         "--market", market_path, "--output", out])
+    assert code == 0
+    assert json.loads(out_text)["passed"] is True
+
+
 def test_report_market_flag_conflicts_with_seed(tmp_path, out, market_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": {"seed": 1}}))
@@ -132,8 +144,12 @@ _SMALL_REPORT = {"seed": {"seed": 1, "depth": 1, "branching": 2, "lambda": 0.1, 
      "config field 'y_grid.min' must be a finite number above 0, got 0"),
     ({"check_marginals": "false"}, "config field 'check_marginals' must be a bool, got 'false'"),
     ({"x_ofsets": [1.0]}, "has unknown keys ['x_ofsets']"),
+    ({"x_grid": [10 ** 400]}, "config field 'x_grid[0]' is not a number: 1000"),
+    ({"seed": {"seed": 1, "depth": 1, "branching": 0}}, "got depth 1, branching 0"),
+    ({"seed": {"seed": 1, "rho": -1}}, "endowment bound rho >= 0, got -1.0"),
 ], ids=["seed-abc", "x-grid-q", "seed-5", "x-offsets-scalar", "utility-5", "y-min-0",
-        "check-marginals-string", "unknown-key"])
+        "check-marginals-string", "unknown-key", "x-grid-huge-integer", "branching-0",
+        "rho-negative"])
 def test_malformed_report_config_exits_2(tmp_path, out, capsys, change, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL_REPORT, **change)))
@@ -148,6 +164,22 @@ def test_selftest_command(out, capsys):
     assert code == 0
     payload = json.loads(out_text)
     assert payload == {"passed": True, "results": {"1": True, "2": True}}
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ("abc", "--seeds must be a range a..b or a comma list of integers, got 'abc'"),
+    ("", "--seeds must be a range a..b or a comma list of integers, got ''"),
+    ("1..x", "--seeds must be a range a..b or a comma list of integers, got '1..x'"),
+    ("1,,2", "--seeds must be a range a..b or a comma list of integers, got '1,,2'"),
+    ("5..1", "--seeds names no seed: '5..1'"),
+    ("0.." + "9" * 30, "--seeds must be a range a..b or a comma list of integers"),
+], ids=["abc", "empty", "bound-x", "empty-item", "empty-range", "range-too-long"])
+def test_malformed_seeds_exit_2(out, capsys, seeds, message):
+    code, out_text, err = run_cli(capsys, ["selftest", "--seeds", seeds,
+                                           "--jobs", "1", "--output", out])
+    assert code == 2
+    assert out_text == ""
+    assert message in err
 
 
 def test_invalid_market_exits_2(tmp_path, out, capsys):
@@ -196,6 +228,12 @@ def _spec_with_stray_cond_prob():
     return spec
 
 
+def _spec_with_endowment(value):
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    spec["endowment"]["up"] = value
+    return spec
+
+
 def _spec_with_leaf_time(time):
     spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
     next(rec for rec in spec["nodes"] if rec["id"] == "up")["time"] = time
@@ -213,14 +251,74 @@ def _spec_with_leaf_time(time):
      " ['root->ghost', 'nowhere']"),
     (_spec_with_leaf_time(1.7), "time of node 'up' is not an integer: 1.7"),
     (_spec_with_leaf_time(True), "time of node 'up' is not an integer: True"),
+    (_spec_with_endowment(10 ** 400), "endowment at node 'up' is not a number: 1000"),
 ], ids=["node-without-time", "price-abc", "price-true", "nodes-string", "top-level-list",
-        "stray-cond-prob", "time-1.7", "time-true"])
+        "stray-cond-prob", "time-1.7", "time-true", "endowment-huge-integer"])
 def test_malformed_market_exits_2(tmp_path, out, capsys, spec, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     code, _, err = run_cli(capsys, ["x0", "--market", str(path), "--output", out])
     assert code == 2
     assert message in err
+
+
+_BINOMIAL_SPEC = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1,
+                                                endowment=(0.25, -0.5)))
+_DELETE = object()
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON value, containers included."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out += [prefix + (key,)] + _paths(child, prefix + (key,))
+    return out
+
+
+def _lookup(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+# Each path of the valid spec, and a new key "zz" in each of its objects.
+_MUTABLE_PATHS = _paths(_BINOMIAL_SPEC) + [
+    path + ("zz",) for path in [()] + _paths(_BINOMIAL_SPEC)
+    if isinstance(_lookup(_BINOMIAL_SPEC, path), dict)
+]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(_MUTABLE_PATHS), st.just(_DELETE) | _JSON),
+                min_size=1, max_size=3))
+def test_mutated_market_ends_in_documented_exit_code(tmp_path_factory, mutations):
+    # each mutation replaces or deletes one entry of the valid binomial spec;
+    # one that no longer finds its path after an earlier mutation is skipped
+    spec = copy.deepcopy(_BINOMIAL_SPEC)
+    for path, value in mutations:
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            parent = _lookup(spec, path[:-1])
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+    work = tmp_path_factory.mktemp("mutated")
+    (work / "market.json").write_text(json.dumps(spec))
+    code = main(["x0", "--market", str(work / "market.json"), "--output", str(work / "out")])
+    assert code in (0, 1, 2, 3)
 
 
 def test_missing_file_exits_2(out, capsys):

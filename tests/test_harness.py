@@ -18,7 +18,8 @@ LOG = ut.make_utility("log")
 def test_yhat_frictionless_log():
     # complete market: E[z0 I(y z0)] = 1/y, so v'(y) + x = 0 at y = 1/x
     model = binomial_market(4.0, 8.0, 2.0, lam=0.0)
-    for x in (0.5, 1.0, 2.0):
+    # x = 1e-3 and 1e3 walk the bracket out to y = 1e4 and y = 1e-4
+    for x in (1e-3, 0.5, 1.0, 2.0, 1e3):
         assert hn.find_yhat(model, LOG, x) == pytest.approx(1.0 / x, rel=1e-9)
 
 
@@ -180,6 +181,12 @@ def test_random_instance_scale_guard():
         hn.random_instance(1, depth=6, branching=2, lam=0.1, rho=0.0)
     with pytest.raises(MarketError):
         hn.random_instance(1, depth=3, branching=4, lam=0.1, rho=0.0)
+    with pytest.raises(MarketError, match="got depth 0, branching 2"):
+        hn.random_instance(1, depth=0, branching=2, lam=0.1, rho=0.0)
+    with pytest.raises(MarketError, match="got depth 1, branching 0"):
+        hn.random_instance(1, depth=1, branching=0, lam=0.1, rho=0.0)
+    with pytest.raises(MarketError, match="rho >= 0"):
+        hn.random_instance(1, depth=1, branching=2, lam=0.1, rho=-1.0)
 
 
 def test_run_experiment_writes_files(tmp_path):
@@ -216,6 +223,19 @@ def test_run_experiment_output_deterministic(tmp_path):
     (d2,) = list(out2.iterdir())
     for name in ("report.json", "u_curve.csv", "v_curve.csv", "checks.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("y_grid", [[0.05, 20.0, 0.5, 2.0, 5.0],
+                                    {"min": 20.0, "max": 0.05, "n": 9}],
+                         ids=["unordered-list", "descending-range"])
+def test_run_experiment_solves_y_grid_ascending(y_grid):
+    report = hn.run_experiment({
+        "seed": {"seed": 3, "depth": 2, "branching": 2, "lambda": 0.1, "rho": 0.2},
+        "y_grid": y_grid, "check_marginals": False,
+    })
+    ys = [r["y"] for r in report.y_records]
+    assert ys == sorted(ys)
+    assert report.passed, [c for c in report.checks if not c["passed"]]
 
 
 def test_run_experiment_config_validation(tmp_path):

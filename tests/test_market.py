@@ -58,6 +58,15 @@ def test_leaf_probabilities_chain_rule():
     assert tree.node_prob[tree.root] == pytest.approx(1.0)
 
 
+def test_cond_prob_must_agree_with_leaf_probabilities():
+    spec = binomial_spec()
+    spec["cond_prob"] = {"root": {"up": 0.5, "down": 0.5}}
+    assert build_tree(spec).prob == (0.5, 0.5)
+    spec["cond_prob"] = {"root": {"up": 0.6, "down": 0.4}}
+    with pytest.raises(MarketError, match="inconsistent with leaf probabilities"):
+        build_tree(spec)
+
+
 def test_tree_spec_round_trip():
     tree = build_tree(binomial_spec())
     again = build_tree(tree_to_spec(tree))
