@@ -106,7 +106,12 @@ class CpsPolytope:
 
 
 def _drop_dependent_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove linearly dependent equality rows (QR with column pivoting on A')."""
+    """Remove equality rows that the others imply (QR with column pivoting on A').
+
+    A row that depends on the kept rows but contradicts their right side
+    stays, so that a system with no solution keeps none and the phase-1 LP
+    reports it infeasible.
+    """
     if A.shape[0] <= 1:
         return A, b
     from scipy.linalg import qr
@@ -114,7 +119,12 @@ def _drop_dependent_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     diag = np.abs(np.diag(r))
     tol = max(A.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     rank = int((diag > tol).sum())
-    keep = sorted(piv[:rank])
+    keep, drop = list(piv[:rank]), piv[rank:]
+    if drop.size:
+        w = np.linalg.lstsq(A[keep].T, A[drop].T, rcond=None)[0]
+        clash = np.abs(b[keep] @ w - b[drop]) > 1e-9 * (1.0 + np.abs(w).sum(axis=0))
+        keep += list(drop[clash])
+    keep = sorted(keep)
     return A[keep], b[keep]
 
 

@@ -28,6 +28,8 @@ from .market import MarketModel, _integer, _mapping, _number, build_market, mark
 DEFAULT_X_OFFSETS = (0.5, 1.0, 2.0)
 # Margin above x0 for automatic x grids; keeps yhat away from the blow-up.
 X0_MARGIN_COEFF = 0.05
+# Largest y grid a report config may ask for by count; each point is a dual solve.
+MAX_Y_GRID = 10_000
 
 DEFAULT_TOLERANCES = {
     "strong_duality": 1e-5,
@@ -211,15 +213,18 @@ class DualityReport:
 def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                     x_grid, y_grid,
                     check_marginals: bool = True,
-                    metadata: dict | None = None) -> DualityReport:
+                    metadata: dict | None = None,
+                    polytope: du.CpsPolytope | None = None,
+                    x0: float | None = None) -> DualityReport:
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
     monotonicity and large-y slope checks read it in that order.
     """
     tol = DEFAULT_TOLERANCES
-    poly = du.cps_polytope(model)
-    x0 = du.compute_x0(model, poly)
+    poly = polytope or du.cps_polytope(model)
+    if x0 is None:
+        x0 = du.compute_x0(model, poly)
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
     report.metadata.setdefault("model_hash", model_hash(model))
     report.metadata.setdefault("utility", spec.label())
@@ -273,6 +278,8 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
         record = {
             "x": x, "status": "ok", "u": u_val, "yhat": yhat,
             "v_at_yhat": dsol.value, "gap": gap, "rel_gap": rel_gap,
+            "primal_kkt_residual": psol.kkt_residual,
+            "primal_stall_accepted": psol.stall_accepted,
             "recovery_value": rec.primal.value,
             "recovery_attainable": rec.attainable,
             "slackness": {"r1": slack.r1, "r2": slack.r2, "r3": slack.r3},
@@ -315,6 +322,64 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     return report
 
 
+def _draw_tree(rng: np.random.Generator, depth: int, branching: int, rho: float) -> dict:
+    """One draw of ``random_instance``: a market spec without its ``lambda``.
+
+    Nodes are listed level by level, so every child comes after its parent.
+    """
+    nodes = [{"id": "r", "parent": None, "time": 0}]
+    prices = {"r": 1.0}
+    cond: dict[str, dict[str, float]] = {}
+    frontier = ["r"]
+    for t in range(1, depth + 1):
+        nxt = []
+        for nid in frontier:
+            w = rng.uniform(size=branching)
+            ps = 0.05 + (1.0 - 0.05 * branching) * w / w.sum()
+            row = {}
+            for j in range(branching):
+                cid = f"{nid}{j}"
+                nodes.append({"id": cid, "parent": nid, "time": t})
+                prices[cid] = prices[nid] * rng.uniform(0.5, 2.0)
+                row[cid] = float(ps[j])
+                nxt.append(cid)
+            cond[nid] = row
+        frontier = nxt
+    endow = {nid: float(rng.uniform(-rho, rho)) if rho > 0 else 0.0 for nid in frontier}
+    return {"nodes": nodes, "cond_prob": cond, "prices": prices, "endowment": endow}
+
+
+def _spreads_admit_cps(draw: dict, lam: float) -> bool:
+    """Whether the draw's bid-ask spreads admit a strictly consistent price system.
+
+    One exists exactly when some price strictly inside every node's spread
+    ((1 - lam) S, S), the ask itself at lam = 0, lies strictly between its
+    children's prices or equals all of them (Jouini & Kallal, J. Econ. Theory
+    66, 1995).  Leaf to root, the prices a node can take form its open spread
+    cut by (lowest lower end, highest upper end) over its children's.  A draw
+    that passes still goes to the phase-1 LP, which decides acceptance.
+    """
+    prices, cond = draw["prices"], draw["cond_prob"]
+    span: dict[str, tuple[float, float]] = {}
+    for node in reversed(draw["nodes"]):
+        nid = node["id"]
+        ask = prices[nid]
+        lo, hi = (1.0 - lam) * ask, ask
+        kids = cond.get(nid)
+        if kids:
+            kid_lo = min(span[c][0] for c in kids)
+            kid_hi = max(span[c][1] for c in kids)
+            if lam == 0.0:
+                if not (kid_lo < ask < kid_hi or kid_lo == ask == kid_hi):
+                    return False
+            else:
+                lo, hi = max(lo, kid_lo), min(hi, kid_hi)
+                if not lo < hi:
+                    return False
+        span[nid] = (lo, hi)
+    return True
+
+
 def random_instance(seed: int, depth: int, branching: int, lam: float,
                     rho: float, max_attempts: int = 100,
                     return_attempts: bool = False):
@@ -323,38 +388,25 @@ def random_instance(seed: int, depth: int, branching: int, lam: float,
     Prices start at 1 and move by uniform multiplicative shocks in [0.5, 2];
     conditional probabilities are uniform-normalized with a 0.05 floor; the
     endowment is uniform in [-rho, rho], and zero without a draw at rho = 0.
-    Regenerates until the CPS polytope has a strictly interior point.
+    Regenerates until the CPS polytope has a strictly interior point.  A draw
+    whose spreads admit no strictly consistent price system is rejected by
+    one pass over its nodes, without building its market or polytope; the
+    attempt count includes it.
     """
     if not (1 <= depth <= 5 and 1 <= branching <= 3):
         raise MarketError("random_instance is desk scale: 1 <= depth <= 5, 1 <= branching <= 3, "
                           f"got depth {depth}, branching {branching}")
     if not rho >= 0:
         raise MarketError(f"random_instance needs an endowment bound rho >= 0, got {rho}")
+    # build_market's own check would see only the draws the spread pass keeps.
+    if not 0.0 <= lam < 1.0:
+        raise MarketError(f"invalid market: lambda {float(lam)} outside [0, 1)")
     rng = np.random.default_rng(seed)
     for attempt in range(1, max_attempts + 1):
-        nodes = [{"id": "r", "parent": None, "time": 0}]
-        prices = {"r": 1.0}
-        cond: dict[str, dict[str, float]] = {}
-        frontier = ["r"]
-        for t in range(1, depth + 1):
-            nxt = []
-            for nid in frontier:
-                w = rng.uniform(size=branching)
-                ps = 0.05 + (1.0 - 0.05 * branching) * w / w.sum()
-                row = {}
-                for j in range(branching):
-                    cid = f"{nid}{j}"
-                    nodes.append({"id": cid, "parent": nid, "time": t})
-                    prices[cid] = prices[nid] * rng.uniform(0.5, 2.0)
-                    row[cid] = float(ps[j])
-                    nxt.append(cid)
-                cond[nid] = row
-            frontier = nxt
-        endow = {nid: float(rng.uniform(-rho, rho)) if rho > 0 else 0.0 for nid in frontier}
-        model = build_market({
-            "nodes": nodes, "cond_prob": cond, "prices": prices,
-            "lambda": lam, "endowment": endow,
-        })
+        draw = _draw_tree(rng, depth, branching, rho)
+        if not _spreads_admit_cps(draw, lam):
+            continue
+        model = build_market(dict(draw, **{"lambda": lam}))
         poly = du.cps_polytope(model)
         if poly.nonempty and poly.interior is not None:
             return (model, attempt) if return_attempts else model
@@ -490,24 +542,27 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
         count = _config_field(_integer, yg.get("n"), "y_grid.n")
         if count < 1:
             raise ConfigError(f"config field 'y_grid.n' must be at least 1, got {count}")
+        if count > MAX_Y_GRID:
+            raise ConfigError(f"config field 'y_grid.n' must be at most {MAX_Y_GRID}, "
+                              f"got {count}")
         y_grid = np.logspace(np.log10(lo), np.log10(hi), count)
     else:
         y_grid = np.array(_config_numbers(yg, "y_grid", 0.0))
 
-    if "x_grid" in config:
-        x_grid = _config_numbers(config["x_grid"], "x_grid")
-    else:
-        offsets = (_config_numbers(config["x_offsets"], "x_offsets")
-                   if "x_offsets" in config else DEFAULT_X_OFFSETS)
-        poly = du.cps_polytope(model)
-        x0 = du.compute_x0(model, poly)
-        margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
-        x_grid = [x0 + margin + float(o) for o in offsets]
-
+    x_grid = _config_numbers(config["x_grid"], "x_grid") if "x_grid" in config else None
+    offsets = (_config_numbers(config["x_offsets"], "x_offsets")
+               if "x_offsets" in config else DEFAULT_X_OFFSETS)
     check_marginals = _config_typed(config.get("check_marginals", True), bool,
                                     "check_marginals")
+
+    poly = du.cps_polytope(model)
+    x0 = du.compute_x0(model, poly)
+    if x_grid is None:
+        margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
+        x_grid = [x0 + margin + float(o) for o in offsets]
     report = conjugacy_check(model, spec, x_grid, y_grid,
-                             check_marginals=check_marginals, metadata=meta)
+                             check_marginals=check_marginals, metadata=meta,
+                             polytope=poly, x0=x0)
     if output_dir is not None:
         sub = os.path.join(output_dir, f"{report.metadata['model_hash'][:12]}-{label}")
         write_report_files(report, sub)

@@ -79,6 +79,7 @@ class PrimalSolution:
     wealth: np.ndarray           # x + ghat + e_T per leaf
     value: float
     kkt_residual: float
+    stall_accepted: bool = False  # a stalled IPM iterate was accepted as optimal
 
 
 def _trade_matrices(model: MarketModel):
@@ -257,7 +258,8 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     # inside the tolerances anything downstream relies on: near-degenerate
     # instances (offsetting trades blowing up while a leaf wealth approaches
     # zero) leave the KKT residual on a rounding floor above tol.
-    if res.status != OPTIMAL and res.kkt_residual <= 1e-6 * (1.0 + abs(res.value)):
+    stall_accepted = res.status != OPTIMAL and res.kkt_residual <= 1e-6 * (1.0 + abs(res.value))
+    if stall_accepted:
         res = replace(res, status=OPTIMAL)
     require_optimal(res, f"primal solve at x={x}")
     u_opt = res.z
@@ -285,6 +287,7 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         wealth=w,
         value=float(p @ ut.u_eval(spec, w)),
         kkt_residual=kkt,
+        stall_accepted=stall_accepted,
     )
 
 

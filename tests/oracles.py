@@ -2,12 +2,18 @@
 
 These deliberately avoid the library's own solvers: linear programs are
 checked by enumerating basic feasible points of the constraint polytope,
-and one-dimensional concave problems by golden-section search.
+and one-dimensional concave problems by golden-section search.  The
+reference builders at the end keep the straightforward form of code the
+library now does faster, so the tests can require equal results.
 """
 
 from itertools import combinations
 
 import numpy as np
+
+from tcdl import dual as du
+from tcdl.errors import MarketError
+from tcdl.market import build_market
 
 
 def vertex_enumerate(A_eq, b_eq, G, h, tol=1e-9):
@@ -139,3 +145,42 @@ def tree_matrices_by_rows(model):
     b = np.zeros(len(A))
     b[0] = 1.0
     return np.array(A), b, np.array(G), np.zeros(len(G)), C, D
+
+
+def random_instance_by_lp(seed, depth, branching, lam, rho, max_attempts=100):
+    """``harness.random_instance`` deciding every draw by the CPS phase-1 LP.
+
+    Returns the market and its attempt count.  The reference for the
+    library's generator, which rejects a draw by one pass over its bid-ask
+    spreads before any LP and must return the same market after the same
+    number of attempts.
+    """
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, max_attempts + 1):
+        nodes = [{"id": "r", "parent": None, "time": 0}]
+        prices = {"r": 1.0}
+        cond = {}
+        frontier = ["r"]
+        for t in range(1, depth + 1):
+            nxt = []
+            for nid in frontier:
+                w = rng.uniform(size=branching)
+                ps = 0.05 + (1.0 - 0.05 * branching) * w / w.sum()
+                row = {}
+                for j in range(branching):
+                    cid = f"{nid}{j}"
+                    nodes.append({"id": cid, "parent": nid, "time": t})
+                    prices[cid] = prices[nid] * rng.uniform(0.5, 2.0)
+                    row[cid] = float(ps[j])
+                    nxt.append(cid)
+                cond[nid] = row
+            frontier = nxt
+        endow = {nid: float(rng.uniform(-rho, rho)) if rho > 0 else 0.0 for nid in frontier}
+        model = build_market({
+            "nodes": nodes, "cond_prob": cond, "prices": prices,
+            "lambda": lam, "endowment": endow,
+        })
+        poly = du.cps_polytope(model)
+        if poly.nonempty and poly.interior is not None:
+            return model, attempt
+    raise MarketError(f"no CPS-feasible instance after {max_attempts} attempts (seed {seed})")

@@ -147,9 +147,13 @@ _SMALL_REPORT = {"seed": {"seed": 1, "depth": 1, "branching": 2, "lambda": 0.1, 
     ({"x_grid": [10 ** 400]}, "config field 'x_grid[0]' is not a number: 1000"),
     ({"seed": {"seed": 1, "depth": 1, "branching": 0}}, "got depth 1, branching 0"),
     ({"seed": {"seed": 1, "rho": -1}}, "endowment bound rho >= 0, got -1.0"),
+    ({"y_grid": {"min": 0.1, "max": 10.0, "n": 10 ** 400}},
+     "config field 'y_grid.n' must be at most 10000, got 1000"),
+    ({"y_grid": {"min": 0.1, "max": 10.0, "n": 2 ** 63}},
+     "config field 'y_grid.n' must be at most 10000, got 9223372036854775808"),
 ], ids=["seed-abc", "x-grid-q", "seed-5", "x-offsets-scalar", "utility-5", "y-min-0",
         "check-marginals-string", "unknown-key", "x-grid-huge-integer", "branching-0",
-        "rho-negative"])
+        "rho-negative", "y-grid-n-huge", "y-grid-n-2-63"])
 def test_malformed_report_config_exits_2(tmp_path, out, capsys, change, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL_REPORT, **change)))
@@ -287,11 +291,36 @@ def _lookup(value, path):
     return value
 
 
-# Each path of the valid spec, and a new key "zz" in each of its objects.
-_MUTABLE_PATHS = _paths(_BINOMIAL_SPEC) + [
-    path + ("zz",) for path in [()] + _paths(_BINOMIAL_SPEC)
-    if isinstance(_lookup(_BINOMIAL_SPEC, path), dict)
-]
+def _mutable_paths(spec):
+    """Each path of a valid spec, and a new key "zz" in each of its objects."""
+    return _paths(spec) + [path + ("zz",) for path in [()] + _paths(spec)
+                           if isinstance(_lookup(spec, path), dict)]
+
+
+def _mutated(spec, mutations):
+    # each mutation replaces or deletes one entry of the valid spec; one that
+    # no longer finds its path after an earlier mutation is skipped
+    spec = copy.deepcopy(spec)
+    for path, value in mutations:
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            parent = _lookup(spec, path[:-1])
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+    return spec
+
+
+def _mutations(spec, values):
+    return st.lists(st.tuples(st.sampled_from(_mutable_paths(spec)), st.just(_DELETE) | values),
+                    min_size=1, max_size=3)
+
+
+def _documents(spec, values):
+    """The valid spec with one to three entries mutated, or a bare value in its place."""
+    return _mutations(spec, values).map(lambda mutations: _mutated(spec, mutations)) | values
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4)
     | st.integers(min_value=-10 ** 400, max_value=10 ** 400),
@@ -302,22 +331,52 @@ _JSON = st.recursive(
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(st.lists(st.tuples(st.sampled_from(_MUTABLE_PATHS), st.just(_DELETE) | _JSON),
-                min_size=1, max_size=3))
+@given(_mutations(_BINOMIAL_SPEC, _JSON))
 def test_mutated_market_ends_in_documented_exit_code(tmp_path_factory, mutations):
-    # each mutation replaces or deletes one entry of the valid binomial spec;
-    # one that no longer finds its path after an earlier mutation is skipped
-    spec = copy.deepcopy(_BINOMIAL_SPEC)
-    for path, value in mutations:
-        with contextlib.suppress(KeyError, IndexError, TypeError):
-            parent = _lookup(spec, path[:-1])
-            if value is _DELETE:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
     work = tmp_path_factory.mktemp("mutated")
-    (work / "market.json").write_text(json.dumps(spec))
+    (work / "market.json").write_text(json.dumps(_mutated(_BINOMIAL_SPEC, mutations)))
     code = main(["x0", "--market", str(work / "market.json"), "--output", str(work / "out")])
+    assert code in (0, 1, 2, 3)
+
+
+_PAYOFF = {"up": 3.0, "down": 0.0}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_documents(_PAYOFF, _JSON))
+def test_mutated_payoff_ends_in_documented_exit_code(tmp_path_factory, payoff):
+    work = tmp_path_factory.mktemp("mutated")
+    save_market(binomial_market(4.0, 8.0, 2.0, lam=0.1), str(work / "market.json"))
+    (work / "payoff.json").write_text(json.dumps(payoff))
+    code = main(["price", "--market", str(work / "market.json"),
+                 "--payoff", str(work / "payoff.json"), "--output", str(work / "out")])
+    assert code in (0, 1, 2, 3)
+
+
+_REPORT_CONFIG = {"utility": "log", "x_offsets": [0.5, 1.0],
+                  "y_grid": {"min": 0.5, "max": 2.0, "n": 3}, "check_marginals": False}
+# Integers stay at most 2 or are too large for any count, so that no mutated
+# y_grid.n asks for a long grid.
+_CONFIG_JSON = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4)
+    | st.sampled_from([-1, 0, 1, 2, 2 ** 63, 10 ** 400, -10 ** 400])
+    | st.sampled_from([0.0, -0.5, 0.5, 2.5, 1e-300, 1e300,
+                       float("nan"), float("inf"), float("-inf")]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_documents(_REPORT_CONFIG, _CONFIG_JSON))
+def test_mutated_report_config_ends_in_documented_exit_code(tmp_path_factory, config):
+    work = tmp_path_factory.mktemp("mutated")
+    save_market(binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5)),
+                str(work / "market.json"))
+    (work / "cfg.json").write_text(json.dumps(config))
+    code = main(["report", "--config", str(work / "cfg.json"),
+                 "--market", str(work / "market.json"), "--output", str(work / "out")])
     assert code in (0, 1, 2, 3)
 
 

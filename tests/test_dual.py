@@ -205,6 +205,19 @@ def test_arbitrage_market_has_no_cps():
         du.superreplication_price(model, np.zeros(2), poly)
 
 
+@pytest.mark.parametrize("child_price, nonempty", [(2.0, False), (1.0, True)])
+def test_frictionless_single_child_needs_equal_prices(child_price, nonempty):
+    # the normalisation and both martingale rows pin z0 = (1, 1), which the
+    # shadow-price row S_r z0_r = S_c z0_c admits only at equal prices; the
+    # three rows in two unknowns must not lose the one that contradicts
+    model = build_market({
+        "nodes": [{"id": "r", "parent": None, "time": 0}, {"id": "c", "parent": "r", "time": 1}],
+        "cond_prob": {"r": {"c": 1.0}}, "prices": {"r": 1.0, "c": child_price},
+        "lambda": 0.0,
+    })
+    assert du.cps_polytope(model).nonempty is nonempty
+
+
 def test_superreplication_against_vertex_oracle():
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1)
     A_eq, b_eq, G, h = binomial_cps_polytope_matrices(4.0, 8.0, 2.0, 0.1)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from tcdl.errors import BelowX0Error, ConfigError, MarketError
-from tcdl.market import binomial_market, market_to_dict
+from tcdl.market import binomial_market, build_market, market_to_dict
 from tcdl import dual as du
 from tcdl import harness as hn
 from tcdl import primal as pr
 from tcdl import utility as ut
+
+from oracles import random_instance_by_lp
 
 LOG = ut.make_utility("log")
 
@@ -187,6 +189,76 @@ def test_random_instance_scale_guard():
         hn.random_instance(1, depth=1, branching=0, lam=0.1, rho=0.0)
     with pytest.raises(MarketError, match="rho >= 0"):
         hn.random_instance(1, depth=1, branching=2, lam=0.1, rho=-1.0)
+    for lam in (-0.1, 1.0, float("nan")):
+        with pytest.raises(MarketError, match=r"outside \[0, 1\)"):
+            hn.random_instance(1, depth=1, branching=2, lam=lam, rho=0.0)
+
+
+# (seed, depth, branching, lam, rho, max_attempts) of the generated instances
+# the suite and the benchmark rely on.
+_COMBOS = [(0.01, 2, 3), (0.1, 2, 3), (0.3, 3, 2), (0.3, 3, 3)]
+_GENERATED = {
+    "criterion-02": [(2000 + k, _COMBOS[k % 4][1], _COMBOS[k % 4][2], _COMBOS[k % 4][0], 0.3, 600)
+                     for k in range(50)],
+    "selftest": [(s, 3, 2, 0.3, 0.2, 100) for s in range(1, 11)],
+    "deep-tree": [(s, 4, 3, 0.3, 0.2, 100) for s in range(1, 25)],
+    # seed 2 at 5 x 3 is accepted on its 77th draw; the others exhaust 100
+    "depth-5": [(s, 5, 2, 0.3, 0.2, 100) for s in range(1, 5)] + [(2, 5, 3, 0.3, 0.2, 100)],
+}
+
+
+def _generate(generator, seed, depth, branching, lam, rho, max_attempts):
+    try:
+        model, attempts = generator(seed, depth, branching, lam, rho, max_attempts)
+    except MarketError as exc:
+        return str(exc)
+    return market_to_dict(model), attempts
+
+
+@pytest.mark.parametrize("group", sorted(_GENERATED))
+def test_random_instance_matches_lp_per_draw(group):
+    # the spread pass only skips LPs: same market after the same attempt count
+    def library(*args):
+        return hn.random_instance(*args, return_attempts=True)
+
+    for case in _GENERATED[group]:
+        assert _generate(library, *case) == _generate(random_instance_by_lp, *case), case
+
+
+def test_spread_pass_agrees_with_cps_phase1():
+    # A draw with a strictly interior CPS passes; a draw that passes has a
+    # nonempty CPS polytope.  2056 draws: 36 per (lam, depth, branching), 10
+    # at the 364-node size whose LP costs most.
+    verdicts = set()
+    for lam in (0.0, 0.01, 0.1, 0.3):
+        for depth in range(1, 6):
+            for branching in range(1, 4):
+                rng = np.random.default_rng([depth, branching, int(lam * 100)])
+                for _ in range(10 if (depth, branching) == (5, 3) else 36):
+                    draw = hn._draw_tree(rng, depth, branching, 0.2)
+                    passed = hn._spreads_admit_cps(draw, lam)
+                    poly = du.cps_polytope(build_market(dict(draw, **{"lambda": lam})))
+                    strict = poly.nonempty and poly.interior is not None
+                    assert passed or not strict, (lam, depth, branching)
+                    assert poly.nonempty or not passed, (lam, depth, branching)
+                    verdicts.add((passed, strict))
+    assert {(True, True), (False, False)} <= verdicts
+
+
+@pytest.mark.parametrize("utility, stalled", [("power:0.5", True), ("log", False)])
+def test_report_records_primal_stall_acceptance(utility, stalled):
+    # criterion 02's instance 2012: with power:0.5 each primal solve stops on a
+    # KKT residual floor above its tolerance 1e-9, below the 1e-6 (1 + |u|)
+    # under which the stalled iterate is accepted
+    report = hn.run_experiment({
+        "seed": {"seed": 2012, "depth": 2, "branching": 3, "lambda": 0.01, "rho": 0.3},
+        "utility": utility, "y_grid": [0.5, 1.0, 2.0], "check_marginals": False,
+    })
+    assert report.passed and len(report.x_records) == 3
+    for rec in report.x_records:
+        assert rec["primal_stall_accepted"] is stalled
+        assert (rec["primal_kkt_residual"] > 1e-9) is stalled
+        assert rec["primal_kkt_residual"] <= 1e-6 * (1.0 + abs(rec["u"]))
 
 
 def test_run_experiment_writes_files(tmp_path):
