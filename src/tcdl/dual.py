@@ -200,6 +200,15 @@ def _require_nonempty(poly: CpsPolytope):
             "market admits no consistent price system (arbitrage)")
 
 
+def require_interior(poly: CpsPolytope) -> np.ndarray:
+    """The polytope's strictly interior point, where every dual solve starts."""
+    _require_nonempty(poly)
+    if poly.interior is None:
+        raise SolverIndeterminateError(
+            "dual polytope has empty relative interior; cannot run the interior-point solve")
+    return poly.interior
+
+
 def superreplication_price(model: MarketModel, g, polytope: CpsPolytope | None = None) -> float:
     """Cheapest superreplication capital: sup of E[Z0_T g] over the polytope."""
     poly = polytope or cps_polytope(model)
@@ -240,28 +249,40 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     """Minimize E[V(y Z0_T)] + y E[Z0_T e_T] over the dual polytope.
 
     One interior-point solve from ``start`` or, by default, the polytope's
-    interior point; a stall raises ``SolverIndeterminateError``.  The tighter
-    re-solve at yhat lives in ``harness.recover_primal_from_dual``.
+    interior point; a stall raises ``SolverIndeterminateError``, and a y at
+    which y I(y z) or V(y z) at the start is no finite float a
+    ``DomainError``.  The tighter re-solve at yhat lives in
+    ``harness.recover_primal_from_dual``.
     """
     if y <= 0:
         raise DomainError("solve_dual requires y > 0")
     poly = polytope or cps_polytope(model)
-    _require_nonempty(poly)
-    if poly.interior is None:
-        raise SolverIndeterminateError(
-            "dual polytope has empty relative interior; cannot run the interior-point solve")
+    interior = require_interior(poly)
     tree = model.tree
     p = tree.leaf_prob()
     e = model.endowment_vector()
     leaves = np.array(tree.leaves)
     nv = poly.n_vars
+    # y^2 V''(y d) = y I(y d) / ((1 - a) d) for both families (a = 0 for
+    # log), so the Hessian reuses the gradient's y I(y d) and neither
+    # underflows nor overflows where y I(y d) does not.
+    curvature = 1.0 if spec.family == "log" else 1.0 - spec.alpha
 
-    z_start = poly.interior if start is None else start
+    z_start = interior if start is None else start
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        w = y * z_start[leaves]
+        finite = (0.0 < w.min() and w.max() < np.inf
+                  and np.isfinite(y * ut.i_eval(spec, w)).all()
+                  and np.isfinite(ut.v_eval(spec, w) + y * e).all())
+    if not finite:
+        raise DomainError(f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float")
+
+    def scaled_marginal(d: np.ndarray) -> np.ndarray:
+        return y * ut.i_eval(spec, y * d)
 
     def raw_gradient(z: np.ndarray) -> np.ndarray:
-        d = z[leaves]
         g = np.zeros(nv)
-        g[leaves] = p * y * (-ut.i_eval(spec, y * d)) + y * p * e
+        g[leaves] = p * (y * e - scaled_marginal(z[leaves]))
         return g
 
     # Normalize by the gradient scale at the start so the solver tolerance
@@ -281,7 +302,7 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     def hessian(z: np.ndarray) -> np.ndarray:
         d = z[leaves]
         H = np.zeros((nv, nv))
-        H[leaves, leaves] = p * y * y * ut.v_double_prime(spec, y * d)
+        H[leaves, leaves] = p * scaled_marginal(d) / (curvature * d)
         return H / scale
 
     cp = ConvexProgram(objective, gradient, hessian, n=nv,

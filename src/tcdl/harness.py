@@ -1,11 +1,12 @@
 """End-to-end duality harness.
 
-Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 by a
-root search in the optimal wealth t = I(y), where the equation is nearly
-affine, recovers the primal optimizer from the dual density, checks
-complementary slackness, and assembles a full report (value grids, gaps,
-residuals) for a market instance.  Also provides the seeded random-instance
-generator and the selftest driver used by the CLI.
+Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 in the
+optimal wealth t = I(y), where the equation is affine up to the drift of the
+optimal density, by fixed-point and secant steps (at most YHAT_MAX_SOLVES
+dual solves, then SolverIndeterminateError); recovers the primal optimizer
+from the dual density, checks complementary slackness, and assembles a full
+report (value grids, gaps, residuals) for a market instance.  Also provides
+the seeded random-instance generator and the selftest driver used by the CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dual as du
 from . import primal as pr
@@ -41,6 +41,11 @@ DEFAULT_TOLERANCES = {
     "x0_slope": 1e-2,
     "yhat_root": 1e-7,
 }
+# The yhat search stops at |v'(y) + x| <= YHAT_STOP (1 + |x|), two decades
+# inside the yhat_root tolerance and above the rounding floor of a dual
+# solve's v' (about 2e-12), and gives up after YHAT_MAX_SOLVES dual solves.
+YHAT_STOP = 1e-9
+YHAT_MAX_SOLVES = 20
 # Certificate tolerance of the recovered payoff: ghat sits exactly on the
 # attainability boundary and lands within root-finding error of it, so the
 # budget matches the yhat root residual.  It decides the recovery's
@@ -56,54 +61,53 @@ def model_hash(model: MarketModel) -> str:
 def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
               polytope: du.CpsPolytope | None = None,
               x0: float | None = None) -> float:
-    """Root of v'(y) + x = 0 by bracketed brentq in the wealth t = I(y), y = U'(t).
+    """Root of v'(y) + x = 0, found in the optimal wealth t = I(y), y = U'(t).
 
-    For the shipped utilities I(y z) = I(y) I(z), so v'(U'(t)) + x is affine in
-    t up to the drift of the optimal density and the interpolation steps
-    converge in a few dual solves, where in y it bends like -1/y and bisects.
-    Returns the y of the search's dual solve at the root.
-    ``recover_primal_from_dual`` refines that solve and reports the closed-form
-    yhat on the refined density, which differs from this y in the last digits.
+    For the shipped utilities I(y z) = I(y) I(z), so g(t) = v'(U'(t)) + x
+    equals -t E[z I(z)] + E[z e] + x, with z the optimal leaf density at
+    U'(t).  Were z fixed, the root would be T(z) = (x + E[z e]) / E[z I(z)].
+    The search starts at T of the polytope's interior density, then takes
+    secant steps on its last two (t, g) pairs, falling back to T of the
+    latest density when the secant step is not positive.  It stops at
+    |g| <= 1e-9 (1 + |x|) and raises ``SolverIndeterminateError`` past
+    ``YHAT_MAX_SOLVES`` dual solves.  Returns the y of the dual solve at the
+    root; ``recover_primal_from_dual`` refines that solve and reports the
+    closed-form yhat on the refined density, which differs in the last digits.
     """
-    return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0).y
+    return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)[0].y
 
 
 def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
                         polytope: du.CpsPolytope | None = None,
-                        x0: float | None = None) -> du.DualSolution:
+                        x0: float | None = None) -> tuple[du.DualSolution, int]:
+    """The dual solve at the root of ``find_yhat``'s search, and the solves it took."""
     poly = polytope or du.cps_polytope(model)
     if x0 is None:
         x0 = du.compute_x0(model, poly)
     if x <= x0:
         raise BelowX0Error(f"below-x0: x={x} <= x0={x0}, the infimum of v(y)+xy is -infinity")
+    interior = du.require_interior(poly)
+    p = model.tree.leaf_prob()
+    e = model.endowment_vector()
 
-    # Search in the optimal wealth t = I(y) rather than in y: the solves are
-    # keyed by t and made at y = U'(t), which need not round-trip to the
-    # bracket's y bitwise, so the returned yhat is the y of a cached solve.
-    cache: dict[float, du.DualSolution] = {}
+    def fixed_point(d: np.ndarray) -> float:
+        # Positive: x > x0 >= E[d (-e)] for every density d of the polytope.
+        return float((x + (p * d) @ e) / ((p * d) @ ut.i_eval(spec, d)))
 
-    def g(t: float) -> float:
-        sol = cache.get(t)
-        if sol is None:
-            sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly)
-            cache[t] = sol
-        return sol.derivative + x
-
-    lo, hi = 1e-2, 1e2
-    while g(ut.i_eval(spec, lo)) >= 0.0:
-        lo /= 10.0
-        if lo < 1e-8:
-            raise SolverIndeterminateError("yhat bracket not found below 1e-8")
-    while g(ut.i_eval(spec, hi)) <= 0.0:
-        hi *= 10.0
-        if hi > 1e8:
-            raise SolverIndeterminateError("yhat bracket not found above 1e8")
-    that = float(brentq(g, ut.i_eval(spec, hi), ut.i_eval(spec, lo), xtol=1e-14, rtol=1e-12))
-    resid = g(that)
-    if abs(resid) > DEFAULT_TOLERANCES["yhat_root"] * (1.0 + abs(x)):
-        raise SolverIndeterminateError(f"yhat root residual {resid:.3e} too large")
-
-    return cache[that]
+    stop = YHAT_STOP * (1.0 + abs(x))
+    t, last = fixed_point(poly.leaf_density(interior)), None
+    for solves in range(1, YHAT_MAX_SOLVES + 1):
+        sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly)
+        g = sol.derivative + x
+        if abs(g) <= stop:
+            return sol, solves
+        secant = last is not None and g != last[1]
+        step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
+        last = (t, g)
+        t = step if 0.0 < step < np.inf else fixed_point(sol.z0_T)
+    raise SolverIndeterminateError(
+        f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
+        f"after {YHAT_MAX_SOLVES} dual solves")
 
 
 @dataclass
@@ -113,6 +117,7 @@ class RecoveryResult:
     primal: pr.PrimalSolution
     attainable: bool
     attainability_slack: float   # superreplication price of ghat (<= 0 up to tol)
+    yhat_dual_solves: int        # dual solves of the yhat search, before the refinement
 
 
 def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
@@ -125,7 +130,7 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     ``SolverIndeterminateError``.
     """
     poly = polytope or du.cps_polytope(model)
-    coarse = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
+    coarse, solves = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
     yhat = coarse.y
     # Near-degenerate polytopes leave flat directions in the dual objective;
     # the search tolerance pins the leaf densities only loosely along them.
@@ -156,8 +161,8 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
         x=float(x), strategy=strategy, ghat=ghat, wealth=wealth,
         value=float(p @ ut.u_eval(spec, wealth)), kkt_residual=float("nan"),
     )
-    return RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
-                          attainable=attainable, attainability_slack=-margin)
+    return RecoveryResult(yhat=yhat, dual=dsol, primal=psol, attainable=attainable,
+                          attainability_slack=-margin, yhat_dual_solves=solves)
 
 
 @dataclass
@@ -250,7 +255,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     report.add_check("v_convex_midpoint", worst <= tol["convexity"], worst, tol["convexity"])
     mono = float(np.min(np.diff(vps))) if len(vps) > 1 else 0.0
     report.add_check("v_prime_increasing", mono >= -tol["convexity"], mono, tol["convexity"])
-    if ys[-1] >= 1e3 - 1e-9:
+    if len(ys) > 1 and ys[-1] >= 1e3 - 1e-9:
         slope = (vs[-1] - vs[-2]) / (ys[-1] - ys[-2])
         err = abs(-slope - x0)
         report.add_check("x0_matches_large_y_slope", err <= tol["x0_slope"], err,
@@ -282,6 +287,8 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
             "primal_stall_accepted": psol.stall_accepted,
             "recovery_value": rec.primal.value,
             "recovery_attainable": rec.attainable,
+            "yhat_dual_solves": rec.yhat_dual_solves,
+            "refine_kkt_residual": dsol.kkt_residual,
             "slackness": {"r1": slack.r1, "r2": slack.r2, "r3": slack.r3},
         }
         report.add_check("strong_duality", rel_gap <= tol["strong_duality"],
@@ -381,8 +388,7 @@ def _spreads_admit_cps(draw: dict, lam: float) -> bool:
 
 
 def random_instance(seed: int, depth: int, branching: int, lam: float,
-                    rho: float, max_attempts: int = 100,
-                    return_attempts: bool = False):
+                    rho: float, max_attempts: int = 100) -> MarketModel:
     """Seeded random market on a full (branching)^depth tree.
 
     Prices start at 1 and move by uniform multiplicative shocks in [0.5, 2];
@@ -393,6 +399,12 @@ def random_instance(seed: int, depth: int, branching: int, lam: float,
     one pass over its nodes, without building its market or polytope; the
     attempt count includes it.
     """
+    return _generate_instance(seed, depth, branching, lam, rho, max_attempts)[0]
+
+
+def _generate_instance(seed: int, depth: int, branching: int, lam: float, rho: float,
+                       max_attempts: int = 100) -> tuple[MarketModel, int, du.CpsPolytope]:
+    """``random_instance``'s market, its attempt count and its CPS polytope."""
     if not (1 <= depth <= 5 and 1 <= branching <= 3):
         raise MarketError("random_instance is desk scale: 1 <= depth <= 5, 1 <= branching <= 3, "
                           f"got depth {depth}, branching {branching}")
@@ -409,7 +421,7 @@ def random_instance(seed: int, depth: int, branching: int, lam: float,
         model = build_market(dict(draw, **{"lambda": lam}))
         poly = du.cps_polytope(model)
         if poly.nonempty and poly.interior is not None:
-            return (model, attempt) if return_attempts else model
+            return model, attempt, poly
     raise MarketError(f"no CPS-feasible instance after {max_attempts} attempts (seed {seed})")
 
 
@@ -513,19 +525,19 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     if has_market:
         with open(_config_typed(config["market"], str, "market")) as fh:
             model = build_market(json.load(fh))
+        poly = None   # built once the rest of the config is checked
         meta["source"] = {"market": config["market"]}
         label = os.path.splitext(os.path.basename(config["market"]))[0]
     else:
         sd = config["seed"]
         _config_keys(sd, "seed", "seed", "depth", "branching", "lambda", "rho")
         seed = _config_field(_integer, sd.get("seed"), "seed.seed")
-        model, attempts = random_instance(
+        model, attempts, poly = _generate_instance(
             seed=seed,
             depth=_config_field(_integer, sd.get("depth", 3), "seed.depth"),
             branching=_config_field(_integer, sd.get("branching", 2), "seed.branching"),
             lam=_config_number(sd.get("lambda", 0.1), "seed.lambda"),
             rho=_config_number(sd.get("rho", 0.2), "seed.rho"),
-            return_attempts=True,
         )
         meta["source"] = {"seed": dict(sd), "attempts": attempts}
         label = f"seed{seed}"
@@ -555,7 +567,7 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     check_marginals = _config_typed(config.get("check_marginals", True), bool,
                                     "check_marginals")
 
-    poly = du.cps_polytope(model)
+    poly = poly or du.cps_polytope(model)
     x0 = du.compute_x0(model, poly)
     if x_grid is None:
         margin = X0_MARGIN_COEFF * (1.0 + abs(x0))

@@ -10,8 +10,10 @@ library now does faster, so the tests can require equal results.
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from tcdl import dual as du
+from tcdl import utility as ut
 from tcdl.errors import MarketError
 from tcdl.market import build_market
 
@@ -184,3 +186,27 @@ def random_instance_by_lp(seed, depth, branching, lam, rho, max_attempts=100):
         if poly.nonempty and poly.interior is not None:
             return model, attempt
     raise MarketError(f"no CPS-feasible instance after {max_attempts} attempts (seed {seed})")
+
+
+def find_yhat_by_brentq(model, spec, x, polytope, x0):
+    """Root of v'(y) + x = 0 by a bracketed brentq in the wealth t = I(y).
+
+    The reference for ``harness.find_yhat``: the bracket starts at y in
+    [1e-2, 1e2] and widens tenfold, to at most [1e-8, 1e8], until v'(y) + x
+    changes sign on it; each evaluation is a dual solve at y = U'(t) from the
+    polytope's interior point.  Returns the y of the solve at brentq's root.
+    """
+    assert x > x0
+
+    def g(t):
+        return du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=polytope).derivative + x
+
+    lo, hi = 1e-2, 1e2
+    while g(ut.i_eval(spec, lo)) >= 0.0:
+        lo /= 10.0
+        assert lo >= 1e-8, "no bracket below 1e-8"
+    while g(ut.i_eval(spec, hi)) <= 0.0:
+        hi *= 10.0
+        assert hi <= 1e8, "no bracket above 1e8"
+    t = brentq(g, ut.i_eval(spec, hi), ut.i_eval(spec, lo), xtol=1e-14, rtol=1e-12)
+    return float(ut.u_prime(spec, t))

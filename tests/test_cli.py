@@ -380,6 +380,20 @@ def test_mutated_report_config_ends_in_documented_exit_code(tmp_path_factory, co
     assert code in (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("utility, y, codes", [("log", 1e-160, (0, 1)), ("log", 1e160, (0, 1)),
+                                               ("power:0.5", 1e-160, (2,))])
+def test_report_at_extreme_y(tmp_path, market_path, out, capsys, utility, y, codes):
+    # the log dual's Hessian is 1/d^2 whatever y is, so log solves at any y;
+    # power:0.5 at y = 1e-160 has I(y) = 1e320, an input error naming y
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"utility": utility, "y_grid": [y], "check_marginals": False}))
+    code, _, err = run_cli(capsys, ["report", "--config", str(tmp_path / "cfg.json"),
+                                    "--market", market_path, "--output", out])
+    assert code in codes, err
+    if code == 2:
+        assert f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float" in err
+
+
 def test_missing_file_exits_2(out, capsys):
     code, _, err = run_cli(capsys, ["x0", "--market", "/no/such/file.json",
                                     "--output", out])

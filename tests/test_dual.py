@@ -1,6 +1,8 @@
 """Consistent price systems, superreplication pricing, and the dual solve."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +317,17 @@ def test_dual_solve_rejects_nonpositive_y():
         du.solve_dual(model, LOG, 0.0)
     with pytest.raises(DomainError):
         du.solve_dual(model, LOG, -1.0)
+
+
+@pytest.mark.parametrize("spec, y", [(LOG, 5e-324), (LOG, 1.7e308),
+                                     (ut.make_utility("power", 0.5), 1e-160)])
+def test_dual_solve_names_y_outside_the_floats(spec, y):
+    # y I(y z) or V(y z) overflows at the start point: a typed error, no warning
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"dual at y={y!r}:")):
+            du.solve_dual(model, spec, y)
 
 
 def test_dual_solve_deterministic():

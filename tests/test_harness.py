@@ -1,18 +1,19 @@
 """Conjugacy certification harness: yhat search, recovery, reports."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tcdl.errors import BelowX0Error, ConfigError, MarketError
+from tcdl.errors import BelowX0Error, ConfigError, MarketError, SolverIndeterminateError
 from tcdl.market import binomial_market, build_market, market_to_dict
 from tcdl import dual as du
 from tcdl import harness as hn
 from tcdl import primal as pr
 from tcdl import utility as ut
 
-from oracles import random_instance_by_lp
+from oracles import find_yhat_by_brentq, random_instance_by_lp
 
 LOG = ut.make_utility("log")
 
@@ -20,7 +21,7 @@ LOG = ut.make_utility("log")
 def test_yhat_frictionless_log():
     # complete market: E[z0 I(y z0)] = 1/y, so v'(y) + x = 0 at y = 1/x
     model = binomial_market(4.0, 8.0, 2.0, lam=0.0)
-    # x = 1e-3 and 1e3 walk the bracket out to y = 1e4 and y = 1e-4
+    # x = 1e-3 and 1e3 put the root at y = 1e3 and y = 1e-3
     for x in (1e-3, 0.5, 1.0, 2.0, 1e3):
         assert hn.find_yhat(model, LOG, x) == pytest.approx(1.0 / x, rel=1e-9)
 
@@ -65,6 +66,53 @@ def test_yhat_search_dual_solve_count(monkeypatch, family, alpha):
     monkeypatch.setattr(du, "solve_dual", counting)
     hn.find_yhat(model, spec, x)
     assert len(calls) <= 10
+
+
+def test_yhat_agrees_with_brentq_oracle():
+    # criterion 02's instances, both utilities, one offset each
+    combos = [(0.01, 2, 3), (0.1, 2, 3), (0.3, 3, 2), (0.3, 3, 3)]
+    budget = hn.DEFAULT_TOLERANCES["yhat_root"]
+    for k in range(50):
+        lam, depth, branching = combos[k % 4]
+        model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
+                                   rho=0.3, max_attempts=600)
+        poly = du.cps_polytope(model)
+        x0 = du.compute_x0(model, poly)
+        x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
+        for spec in (LOG, ut.make_utility("power", 0.5)):
+            yhat = hn.find_yhat(model, spec, x, polytope=poly, x0=x0)
+            expected = find_yhat_by_brentq(model, spec, x, poly, x0)
+            assert abs(yhat - expected) <= budget * expected, (2000 + k, spec.label())
+
+
+@pytest.mark.parametrize("residual", [lambda n: 1.0, lambda n: float("nan"),
+                                      lambda n: (-1.0) ** n, lambda n: 1.0 + 1.0 / n],
+                         ids=["constant", "nan", "alternating", "drifting"])
+def test_yhat_search_gives_up_after_the_cap(monkeypatch, residual):
+    # v'(y) + x never reaches the stop: the search raises the typed error
+    # after its fixed number of dual solves, whatever steps the residuals ask for
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x = 2.0
+    calls = []
+    solve = du.solve_dual
+
+    def stuck(*args, **kwargs):
+        calls.append(args[2])
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, derivative=residual(len(calls)) - x)
+
+    monkeypatch.setattr(du, "solve_dual", stuck)
+    with pytest.raises(SolverIndeterminateError, match="after 20 dual solves"):
+        hn.find_yhat(model, LOG, x)
+    assert len(calls) == hn.YHAT_MAX_SOLVES
+    assert all(y > 0 for y in calls)
+
+
+def test_yhat_search_without_interior_point_raises():
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    poly = dataclasses.replace(du.cps_polytope(model), interior=None)
+    with pytest.raises(SolverIndeterminateError, match="empty relative interior"):
+        hn.find_yhat(model, LOG, 2.0, polytope=poly, x0=0.5)
 
 
 def test_yhat_below_x0_raises():
@@ -219,7 +267,7 @@ def _generate(generator, seed, depth, branching, lam, rho, max_attempts):
 def test_random_instance_matches_lp_per_draw(group):
     # the spread pass only skips LPs: same market after the same attempt count
     def library(*args):
-        return hn.random_instance(*args, return_attempts=True)
+        return hn._generate_instance(*args)[:2]
 
     for case in _GENERATED[group]:
         assert _generate(library, *case) == _generate(random_instance_by_lp, *case), case
@@ -279,6 +327,35 @@ def test_run_experiment_writes_files(tmp_path):
         blob = json.load(fh)
     assert blob["passed"] is True
     assert blob["metadata"]["model_hash"] == report.metadata["model_hash"]
+
+
+def test_run_experiment_builds_one_polytope(monkeypatch):
+    # the generator's accepted polytope is the one the report uses
+    calls = []
+    build = du.cps_polytope
+
+    def counting(model):
+        calls.append(model)
+        return build(model)
+
+    monkeypatch.setattr(du, "cps_polytope", counting)
+    report = hn.run_experiment({
+        "seed": {"seed": 7, "depth": 2, "branching": 2, "lambda": 0.1, "rho": 0.2},
+        "y_grid": [0.5, 1.0, 2.0], "check_marginals": False,
+    })
+    assert report.passed
+    assert len(calls) == report.metadata["source"]["attempts"] == 1
+
+
+def test_report_records_the_yhat_search():
+    report = hn.run_experiment({
+        "seed": {"seed": 2011, "depth": 3, "branching": 3, "lambda": 0.3, "rho": 0.3},
+        "y_grid": [0.5, 1.0, 2.0], "check_marginals": False,
+    })
+    assert report.passed and len(report.x_records) == 3
+    for rec in report.x_records:
+        assert 1 <= rec["yhat_dual_solves"] <= hn.YHAT_MAX_SOLVES
+        assert 0.0 <= rec["refine_kkt_residual"] <= 1e-10
 
 
 def test_run_experiment_output_deterministic(tmp_path):
