@@ -22,7 +22,7 @@ import numpy as np
 from . import dual as du
 from . import primal as pr
 from . import utility as ut
-from .errors import BelowX0Error, ConfigError, MarketError, SolverIndeterminateError
+from .errors import BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError
 from .market import MarketModel, _integer, _mapping, _number, build_market, market_to_dict
 
 DEFAULT_X_OFFSETS = (0.5, 1.0, 2.0)
@@ -81,6 +81,8 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
                         polytope: du.CpsPolytope | None = None,
                         x0: float | None = None) -> tuple[du.DualSolution, int]:
     """The dual solve at the root of ``find_yhat``'s search, and the solves it took."""
+    if not np.isfinite(x):
+        raise DomainError(f"yhat search needs a finite x, got x={x!r}")
     poly = polytope or du.cps_polytope(model)
     if x0 is None:
         x0 = du.compute_x0(model, poly)
@@ -230,6 +232,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     poly = polytope or du.cps_polytope(model)
     if x0 is None:
         x0 = du.compute_x0(model, poly)
+    p = model.tree.leaf_prob()
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
     report.metadata.setdefault("model_hash", model_hash(model))
     report.metadata.setdefault("utility", spec.label())
@@ -308,7 +311,8 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
         report.add_check("slackness_r2", slack.r2 <= tol["slackness"], slack.r2,
                          tol["slackness"], location=f"x={x:g}")
         if check_marginals:
-            marg = pr.primal_marginal(model, spec, x)
+            # Envelope identity: A(x) = x + A(0), so u'(x) = E[U'(w*)] at the optimum.
+            marg = float(p @ ut.u_prime(spec, psol.wealth))
             record["marginal"] = marg
             report.add_check("marginal_equals_yhat",
                              abs(marg - yhat) <= tol["marginal"] * (1.0 + yhat),

@@ -117,17 +117,6 @@ def v_prime_closed(spec: UtilitySpec, y) -> float | np.ndarray:
     return -i_eval(spec, y)
 
 
-def v_double_prime(spec: UtilitySpec, y) -> float | np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
-        raise DomainError("v_double_prime requires y > 0")
-    if spec.family == "log":
-        out = 1.0 / y ** 2
-    else:
-        out = -1.0 / (spec.alpha - 1.0) * y ** (1.0 / (spec.alpha - 1.0) - 1.0)
-    return out if out.shape else float(out)
-
-
 def check_rae(spec: UtilitySpec) -> dict:
     """Asymptotic elasticity AE(U) = limsup x U'(x)/U(x), plus a numeric check.
 

@@ -407,6 +407,14 @@ def test_bad_utility_exits_2(market_path, out, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_non_finite_x_exits_2(market_path, out, capsys, x):
+    code, _, err = run_cli(capsys, ["primal", "--market", market_path,
+                                    "--utility", "log", "--x", x, "--output", out])
+    assert code == 2
+    assert f"primal solve needs a finite x, got x={x}" in err
+
+
 def test_below_x0_exits_1(market_path, out, capsys):
     code, _, err = run_cli(capsys, ["primal", "--market", market_path,
                                     "--utility", "log", "--x", "-5.0",

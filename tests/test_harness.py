@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from tcdl.errors import BelowX0Error, ConfigError, MarketError, SolverIndeterminateError
+from tcdl.errors import (
+    BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError,
+)
 from tcdl.market import binomial_market, build_market, market_to_dict
 from tcdl import dual as du
 from tcdl import harness as hn
@@ -115,6 +117,13 @@ def test_yhat_search_without_interior_point_raises():
         hn.find_yhat(model, LOG, 2.0, polytope=poly, x0=0.5)
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_yhat_search_rejects_non_finite_x(x):
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    with pytest.raises(DomainError, match=f"got x={x!r}"):
+        hn.find_yhat(model, LOG, x)
+
+
 def test_yhat_below_x0_raises():
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     x0 = du.compute_x0(model)
@@ -214,6 +223,41 @@ def test_conjugacy_check_report():
             "slackness_r1", "slackness_r2", "marginal_equals_yhat",
             "weak_duality_v_ge_env"} <= names
     assert all(c["passed"] for c in report.checks)
+
+
+def test_conjugacy_check_solves_each_x_once(monkeypatch):
+    # the marginal check reads u'(x) off the primal optimum: no extra solves
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x0 = du.compute_x0(model)
+    calls = []
+    solve = pr.solve_primal
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "solve_primal", counting)
+    report = hn.conjugacy_check(model, LOG, [x0 - 0.1, x0 + 0.5, x0 + 1.5], [0.5, 1.0, 2.0])
+    assert report.passed
+    assert calls == [x0 + 0.5, x0 + 1.5]
+
+
+def test_envelope_marginal_agrees_with_finite_difference():
+    # criterion 02's first ten instances: the report's u'(x) = E[U'(w*)]
+    # against a central difference of the primal value, within the check's budget
+    for k in range(10):
+        lam, depth, branching = _COMBOS[k % 4]
+        model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
+                                   rho=0.3, max_attempts=600)
+        poly = du.cps_polytope(model)
+        x0 = du.compute_x0(model, poly)
+        x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
+        for spec in (LOG, ut.make_utility("power", 0.5)):
+            report = hn.conjugacy_check(model, spec, [x], [1.0], polytope=poly, x0=x0)
+            record = report.x_records[0]
+            budget = hn.DEFAULT_TOLERANCES["marginal"] * (1.0 + record["yhat"])
+            fd = pr.primal_marginal(model, spec, x)
+            assert abs(record["marginal"] - fd) <= budget, (2000 + k, spec.label())
 
 
 def test_random_instance_deterministic():

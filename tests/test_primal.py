@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tcdl.errors import BelowX0Error, MarketError
+from tcdl.errors import BelowX0Error, DomainError, MarketError
 from tcdl.market import binomial_market, single_node_market
 from tcdl import primal as pr
 from tcdl import dual as du
@@ -105,6 +105,22 @@ def test_max_min_wealth_zero_endowment():
     model = with_costs(lam=0.1)
     value, _ = pr.max_min_wealth(model, 2.0)
     assert value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_max_min_wealth_at_huge_x():
+    # x only shifts the LP's value, so it never reaches the LP: x = 1e21 is
+    # past the bound HiGHS reads as infinite, yet the market is CPS-feasible
+    model = with_costs(lam=0.1, endowment=(0.25, -0.5))
+    x = 1e21
+    assert pr.max_min_wealth(model, x)[0] == x + pr.max_min_wealth(model, 0.0)[0]
+    sol = pr.solve_primal(model, LOG, x)
+    assert np.isfinite(sol.value)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_x_is_an_input_error(x):
+    with pytest.raises(DomainError, match=f"got x={x!r}"):
+        pr.solve_primal(with_costs(), LOG, x)
 
 
 def test_frictionless_log_closed_form():

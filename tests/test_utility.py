@@ -94,14 +94,16 @@ def test_i_inverts_marginal_utility(spec, y):
     assert ut.u_prime(spec, ut.i_eval(spec, y)) == pytest.approx(y, rel=1e-12)
 
 
-def test_u_prime_v_double_prime_consistency():
-    # V'' = -I' = -1/U''(I): spot check on a grid
+def test_u_double_prime_is_the_derivative_of_u_prime():
+    # the primal Hessian's U'' against a central difference of U', on the
+    # wealths I(y) of a y grid
     for text in FAMILIES:
         spec = ut.parse_utility(text)
         for y in (0.1, 1.0, 7.0):
             x = ut.i_eval(spec, y)
-            assert ut.v_double_prime(spec, y) == pytest.approx(
-                -1.0 / ut.u_double_prime(spec, x), rel=1e-10)
+            h = 1e-5 * x
+            fd = (ut.u_prime(spec, x + h) - ut.u_prime(spec, x - h)) / (2.0 * h)
+            assert ut.u_double_prime(spec, x) == pytest.approx(fd, rel=1e-7)
 
 
 def test_asymptotic_elasticity():
