@@ -11,7 +11,7 @@ from .market import (
 )
 from .utility import (
     UtilitySpec, check_inada, check_rae, i_eval, make_utility, parse_utility,
-    u_eval, u_prime, v_eval, v_prime_closed,
+    u_eval, u_prime, v_eval,
 )
 from .solver import ConvexProgram, LinearProgram, solve_convex, solve_lp
 from .primal import (

@@ -262,50 +262,34 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     p = tree.leaf_prob()
     e = model.endowment_vector()
     leaves = np.array(tree.leaves)
-    nv = poly.n_vars
     # y^2 V''(y d) = y I(y d) / ((1 - a) d) for both families (a = 0 for
-    # log), so the Hessian reuses the gradient's y I(y d) and neither
-    # underflows nor overflows where y I(y d) does not.
+    # log), so the second derivative reuses the first's m = y I(y d) and
+    # neither underflows nor overflows where m does not.
     curvature = 1.0 if spec.family == "log" else 1.0 - spec.alpha
 
     z_start = interior if start is None else start
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        w = y * z_start[leaves]
-        finite = (0.0 < w.min() and w.max() < np.inf
-                  and np.isfinite(y * ut.i_eval(spec, w)).all()
-                  and np.isfinite(ut.v_eval(spec, w) + y * e).all())
+        yd = y * z_start[leaves]
+        m = y * ut.i_eval(spec, yd) if 0.0 < yd.min() and yd.max() < np.inf else np.nan
+        finite = np.isfinite(m).all() and np.isfinite(ut.v_eval(spec, yd) + y * e).all()
     if not finite:
         raise DomainError(f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float")
-
-    def scaled_marginal(d: np.ndarray) -> np.ndarray:
-        return y * ut.i_eval(spec, y * d)
-
-    def raw_gradient(z: np.ndarray) -> np.ndarray:
-        g = np.zeros(nv)
-        g[leaves] = p * (y * e - scaled_marginal(z[leaves]))
-        return g
-
     # Normalize by the gradient scale at the start so the solver tolerance
     # acts relatively; extreme y values otherwise push the objective far
     # from unit scale and stall the iteration at machine precision.
-    scale = max(1.0, float(np.abs(raw_gradient(z_start)).max()))
+    w = p / max(1.0, float(np.abs(p * (y * e - m)).max()))
 
-    def objective(z: np.ndarray) -> float:
-        d = z[leaves]
+    def value(d: np.ndarray) -> np.ndarray:
         if d.min() <= 0:
             return np.inf
-        return float(p @ ut.v_eval(spec, y * d) + y * (p * d) @ e) / scale
+        return w * (ut.v_eval(spec, y * d) + y * e * d)
 
-    def gradient(z: np.ndarray) -> np.ndarray:
-        return raw_gradient(z) / scale
+    def slopes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = y * ut.i_eval(spec, y * d)
+        return w * (y * e - m), w * m / (curvature * d)
 
-    def hessian(z: np.ndarray) -> np.ndarray:
-        d = z[leaves]
-        H = np.zeros((nv, nv))
-        H[leaves, leaves] = p * scaled_marginal(d) / (curvature * d)
-        return H / scale
-
-    cp = ConvexProgram(objective, gradient, hessian, n=nv,
+    selector = np.eye(poly.n_vars)[leaves]
+    cp = ConvexProgram(selector, value, slopes,
                        G=poly.G, h=poly.h, A=poly.A, b=poly.b, start=z_start)
     res = solve_convex(cp, tol=tol)
     require_optimal(res, f"dual solve at y={y}")

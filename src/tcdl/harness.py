@@ -30,6 +30,9 @@ DEFAULT_X_OFFSETS = (0.5, 1.0, 2.0)
 X0_MARGIN_COEFF = 0.05
 # Largest y grid a report config may ask for by count; each point is a dual solve.
 MAX_Y_GRID = 10_000
+# The report config of each selftest seed, which fills in seed.seed.
+SELFTEST_CONFIG = {"seed": {"depth": 3, "branching": 2, "lambda": 0.3, "rho": 0.2},
+                   "utility": "log"}
 
 DEFAULT_TOLERANCES = {
     "strong_duality": 1e-5,
@@ -586,19 +589,15 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
 
 
 def _selftest_one(args) -> tuple[int, bool]:
-    seed, output_dir, config = args
-    cfg = dict(config)
-    cfg["seed"] = dict(cfg.get("seed", {}), seed=seed)
+    seed, output_dir = args
+    cfg = dict(SELFTEST_CONFIG, seed=dict(SELFTEST_CONFIG["seed"], seed=seed))
     report = run_experiment(cfg, output_dir=output_dir)
     return seed, report.passed
 
 
-def selftest(seeds, output_dir: str, jobs: int = 1,
-             config: dict | None = None) -> dict:
+def selftest(seeds, output_dir: str, jobs: int = 1) -> dict:
     """Run the experiment pipeline over a seed range; returns per-seed pass flags."""
-    base = config or {"seed": {"depth": 3, "branching": 2, "lambda": 0.3, "rho": 0.2},
-                      "utility": "log"}
-    tasks = [(int(s), output_dir, base) for s in seeds]
+    tasks = [(int(s), output_dir) for s in seeds]
     results: list[tuple[int, bool]] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:

@@ -26,7 +26,7 @@ from .market import MarketModel, _mapping, _number
 from .solver import (
     OPTIMAL, UNBOUNDED,
     ConvexProgram, LinearProgram,
-    gram_assembler, require_optimal, solve_convex, solve_lp,
+    require_optimal, solve_convex, solve_lp,
 )
 
 SF_TOL = 1e-10
@@ -221,24 +221,12 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
             f"infeasible-below-x0: no strategy keeps terminal wealth positive from x={x}"
             f" (max-min wealth {t_star:.3e})")
 
-    def wealth(u: np.ndarray) -> np.ndarray:
-        return x + e + C @ u
+    def value(v: np.ndarray) -> np.ndarray:
+        return -p * ut.u_eval(spec, x + e + v)
 
-    def objective(u: np.ndarray) -> float:
-        w = wealth(u)
-        if w.min() <= 0:
-            return np.inf
-        return -float(p @ ut.u_eval(spec, w))
-
-    def gradient(u: np.ndarray) -> np.ndarray:
-        w = wealth(u)
-        return -C.T @ (p * ut.u_prime(spec, w))
-
-    cost_gram = gram_assembler(C)
-
-    def hessian(u: np.ndarray) -> np.ndarray:
-        w = wealth(u)
-        return cost_gram(-p * ut.u_double_prime(spec, w))
+    def slopes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = x + e + v
+        return -p * ut.u_prime(spec, w), -p * ut.u_double_prime(spec, w)
 
     # Shift the phase-1 vertex into the strict interior of u >= 0 by delta
     # in every coordinate.  Equal buy/sell increments keep D u = 0 (D 1 = 0)
@@ -253,7 +241,7 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     max_path_cost = model.lam * -float(C[:, :n].cumsum(axis=1)[:, -1].min())
     delta = t_star / (2.0 * (max_path_cost + 1.0))
 
-    cp = ConvexProgram(objective, gradient, hessian, n=nu,
+    cp = ConvexProgram(C, value, slopes,
                        G=-np.eye(nu), h=np.zeros(nu),
                        A=D, b=np.zeros(D.shape[0]), start=u_feas + delta)
     res = solve_convex(cp, tol=1e-9)
@@ -281,7 +269,7 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         u_opt = require_optimal(lp, f"minimal-turnover LP at x={x}").z
 
     ghat = C @ u_opt
-    w = wealth(u_opt)
+    w = x + e + ghat
     strategy = strategy_from_trades(model, x, u_opt[:n], u_opt[n:])
     return PrimalSolution(
         x=float(x),

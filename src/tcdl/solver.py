@@ -7,18 +7,24 @@ than a wrong answer.
 
 ``solve_convex`` is a primal-dual interior-point method for
 
-    minimize f(z)  subject to  G z <= h,  A z = b,
+    minimize sum(value(X z))  subject to  G z <= h,  A z = b,
 
-with f smooth and convex on an open domain (f returns +inf outside, the line
-search backtracks into the domain).  Problems here are desk scale (a few
-hundred variables).  Each step solves one reduced KKT system by a dense LU;
-its barrier term G'·diag(lam/s)·G is assembled from the nonzero pattern of
-G (``gram_assembler``), because the polytopes here have at most two
-nonzeros per inequality row.  ``A`` must have full row rank; callers drop
-dependent rows once when they build the constraints.
+with ``value`` a smooth convex function applied row by row to the linear
+image X z (+inf outside its open domain; the line search backtracks into
+the domain).  Both duality problems have this form: the primal's X is the
+trade-to-wealth map, the dual's the leaf selector.  Problems here are desk
+scale (a few hundred variables).  Each step solves one reduced KKT system by
+a dense LU; its upper-left block, the Hessian plus the barrier term,
+
+    X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G],
+
+is one Gram over the stacked rows, assembled from their nonzero pattern
+(``gram_assembler``): a leaf-selector row has one nonzero, a polytope row
+at most two.  ``A`` must have full row rank; callers drop dependent rows once
+when they build the constraints.
 
 The primal step is an Armijo backtracking on the barrier merit
-phi(z) = f(z) - tau * sum(log s(z)), tau = eta / (10 m) the current
+phi(z) = sum(value(X z)) - tau * sum(log s(z)), tau = eta / (10 m) the current
 centering target, from 0.99 of the longest step that keeps s > 0; the
 Newton direction is a descent direction for phi wherever A z = b holds,
 which every start satisfies.  The multipliers take their own
@@ -165,21 +171,22 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
 @dataclass
 class ConvexProgram:
-    """Smooth convex objective with linear constraints and a strict start.
+    """minimize sum(value(X z)) s.t. G z <= h, A z = b, from a strict start.
 
-    ``objective`` must return +inf outside its open domain; ``start`` must be
-    strictly feasible for the inequalities, inside the domain and on
-    ``A z = b`` (the barrier-merit line search relies on it).  ``A`` must
-    have full row rank (the solver does not drop dependent rows), and the
-    barrier term of each Newton step is assembled from the nonzero pattern
-    of ``G``.  The solver reports a stall as "numerically-indeterminate"
-    with its KKT residual; it never restarts.
+    ``value(v)`` returns the per-row values at v = X z, +inf outside its open
+    domain; ``slopes(v)`` returns the per-row first and second derivatives.
+    The gradient is X' first and each Newton matrix is one Gram over
+    [X; G] with weights [second; lam/s].  ``start`` must be strictly
+    feasible for the inequalities, inside the domain and on ``A z = b``
+    (the barrier-merit line search relies on it).  ``A`` must have full row
+    rank (the solver does not drop dependent rows).  The solver reports a
+    stall as "numerically-indeterminate" with its KKT residual; it never
+    restarts.
     """
 
-    objective: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
-    n: int
+    X: np.ndarray
+    value: Callable[[np.ndarray], np.ndarray]
+    slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     G: np.ndarray | None = None
     h: np.ndarray | None = None
     A: np.ndarray | None = None
@@ -193,8 +200,6 @@ class ConvexResult:
     z: np.ndarray | None = None
     value: float | None = None
     kkt_residual: float | None = None
-    ineq_duals: np.ndarray | None = None
-    eq_duals: np.ndarray | None = None
     iterations: int = 0
 
 
@@ -229,13 +234,21 @@ def gram_assembler(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     """Primal-dual interior-point solve; see module docstring for the problem form."""
-    n = cp.n
+    X = np.asarray(cp.X, dtype=float)
+    n = X.shape[1]
     G = np.zeros((0, n)) if cp.G is None else np.asarray(cp.G, dtype=float)
     h = np.zeros(0) if cp.h is None else np.asarray(cp.h, dtype=float)
     A = np.zeros((0, n)) if cp.A is None else np.asarray(cp.A, dtype=float)
     b = np.zeros(0) if cp.b is None else np.asarray(cp.b, dtype=float)
     m, p = G.shape[0], A.shape[0]
-    barrier_gram = gram_assembler(G)
+    newton_gram = gram_assembler(np.vstack([X, G]))
+
+    def objective(z: np.ndarray) -> float:
+        return float(np.sum(cp.value(X @ z)))
+
+    def derivatives(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        first, second = cp.slopes(X @ z)
+        return X.T @ first, second
 
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
@@ -243,20 +256,20 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     s = h - G @ z
     if m and s.min() <= 0:
         raise DomainError("start point is not strictly feasible for the inequalities")
-    f = float(cp.objective(z))
+    f = objective(z)
     if not np.isfinite(f):
         raise DomainError("start point is outside the objective domain")
 
     lam = 1.0 / np.maximum(s, 1e-12)
     nu = np.zeros(p)
-    # f and its gradient at the current iterate; each accepted line-search
-    # point hands its own over to the next iteration.
-    grad = cp.gradient(z)
+    # f, its gradient and the per-row second derivatives at the current
+    # iterate; each accepted line-search point hands its own over to the
+    # next iteration.
+    grad, second = derivatives(z)
     best_res, best_it = np.inf, 0
 
     def result(status, kkt, it):
         return ConvexResult(status=status, z=z, value=f, kkt_residual=kkt,
-                            ineq_duals=lam.copy(), eq_duals=nu.copy(),
                             iterations=it)
 
     for it in range(1, _MAX_ITER + 1):
@@ -280,7 +293,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         # phi wherever A z = b holds.
         grad_phi = grad + G.T @ (tau / s)
         K = np.zeros((n + p, n + p))
-        K[:n, :n] = cp.hessian(z) + barrier_gram(lam / s)
+        K[:n, :n] = newton_gram(np.concatenate([second, lam / s]))
         K[:n, n:] = A.T
         K[n:, :n] = A
         rhs = np.concatenate([-(grad_phi + A.T @ nu), -r_pri])
@@ -305,7 +318,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
             z_n = z + alpha * dz
             s_n = h - G @ z_n
             if not m or s_n.min() > 0:
-                f_n = float(cp.objective(z_n))
+                f_n = objective(z_n)
                 if f_n - tau * float(np.log(s_n).sum()) <= phi + 1e-4 * alpha * slope:
                     break
             alpha *= 0.5
@@ -321,7 +334,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         lam = lam + beta * dlam
         nu = nu + beta * dnu
         z, s, f = z_n, s_n, f_n
-        grad = cp.gradient(z)
+        grad, second = derivatives(z)
 
     r_dual = grad + G.T @ lam + A.T @ nu
     kkt = max(float(s @ lam),

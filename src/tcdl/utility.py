@@ -113,10 +113,6 @@ def i_eval(spec: UtilitySpec, y) -> float | np.ndarray:
     return out if out.shape else float(out)
 
 
-def v_prime_closed(spec: UtilitySpec, y) -> float | np.ndarray:
-    return -i_eval(spec, y)
-
-
 def check_rae(spec: UtilitySpec) -> dict:
     """Asymptotic elasticity AE(U) = limsup x U'(x)/U(x), plus a numeric check.
 

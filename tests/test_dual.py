@@ -349,33 +349,75 @@ def test_dual_beats_primal_weak_duality():
         assert u_val <= sol.value + x * y + 1e-8
 
 
-def test_ipm_evaluates_gradient_once_per_iterate(monkeypatch):
-    # each accepted line-search point hands its residuals to the next
-    # iteration, so the gradient is never evaluated twice at one iterate
-    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
-                               max_attempts=600)
+def _instance_2011():
+    return hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                              max_attempts=600)
+
+
+def test_ipm_evaluates_slopes_once_per_iterate(monkeypatch):
+    # slopes run at the start and at each accepted line-search point, which
+    # hands them to the next iteration; value runs at every trial point
+    model = _instance_2011()
     counts = []
     solve = du.solve_convex
 
     def counting(cp, **kwargs):
-        calls = {"objective": 0, "gradient": 0}
+        calls = {"value": 0, "slopes": 0}
 
         def counted(name, fn):
-            def wrapper(z):
+            def wrapper(v):
                 calls[name] += 1
-                return fn(z)
+                return fn(v)
             return wrapper
 
         res = solve(dataclasses.replace(
-            cp, objective=counted("objective", cp.objective),
-            gradient=counted("gradient", cp.gradient)), **kwargs)
-        counts.append(calls)
+            cp, value=counted("value", cp.value),
+            slopes=counted("slopes", cp.slopes)), **kwargs)
+        counts.append((calls, res.iterations))
         return res
 
     monkeypatch.setattr(du, "solve_convex", counting)
     du.solve_dual(model, LOG, 1.0)
-    assert counts
-    assert all(c["gradient"] <= c["objective"] for c in counts)
+    assert len(counts) == 1
+    calls, iterations = counts[0]
+    assert calls["slopes"] == iterations
+    assert calls["slopes"] <= calls["value"]
+
+
+def test_dual_solve_evaluates_inverse_marginal_once_per_iterate(monkeypatch):
+    # one y I(y d) per slopes call, one for the start check and one for
+    # v'(y); before the one-Gram form this solve made 48 calls in 23
+    # iterations
+    model = _instance_2011()
+    calls, iterations = [], []
+    i_eval, solve = ut.i_eval, du.solve_convex
+
+    def counting_i_eval(*args):
+        calls.append(1)
+        return i_eval(*args)
+
+    def counting_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(ut, "i_eval", counting_i_eval)
+    monkeypatch.setattr(du, "solve_convex", counting_solve)
+    du.solve_dual(model, LOG, 1.0)
+    assert len(iterations) == 1
+    assert len(calls) <= iterations[0] + 3
+
+
+def test_instance_2011_values_are_pinned():
+    # the dual at y = 1 and the primal at x0 + 1, as solved before the
+    # one-Gram Newton matrix; the dual moved only in its last digits
+    model = _instance_2011()
+    poly = du.cps_polytope(model)
+    assert du.solve_dual(model, LOG, 1.0, polytope=poly).value == pytest.approx(
+        0.13480937185140368, rel=1e-12)
+    x0 = du.compute_x0(model, poly)
+    assert pr.solve_primal(model, LOG, x0 + 1.0).value == pytest.approx(
+        1.371298146505993, rel=1e-12)
 
 
 def test_cold_dual_at_large_y_is_one_ipm_solve(monkeypatch):

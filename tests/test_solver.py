@@ -116,10 +116,9 @@ def test_convex_quadratic_with_equality():
     # min ||z - t||^2 s.t. sum z = 1: projection of t on the simplex plane
     t = np.array([0.3, 0.9, -0.1])
     cp = ConvexProgram(
-        objective=lambda z: float(np.sum((z - t) ** 2)),
-        gradient=lambda z: 2.0 * (z - t),
-        hessian=lambda z: 2.0 * np.eye(3),
-        n=3,
+        X=np.eye(3),
+        value=lambda v: (v - t) ** 2,
+        slopes=lambda v: (2.0 * (v - t), np.full(3, 2.0)),
         A=np.ones((1, 3)), b=np.array([1.0]),
         start=np.full(3, 1.0 / 3.0),
     )
@@ -132,12 +131,11 @@ def test_convex_quadratic_with_equality():
 def test_convex_entropy_on_simplex_matches_golden_section():
     # max p log z1 + (1-p) log z2 on z1 + z2 = 1, z >= 0; optimum z1 = p
     p = 0.3
+    q = np.array([p, 1 - p])
     cp = ConvexProgram(
-        objective=lambda z: float(-(p * np.log(z[0]) + (1 - p) * np.log(z[1])))
-        if np.all(z > 0) else np.inf,
-        gradient=lambda z: np.array([-p / z[0], -(1 - p) / z[1]]),
-        hessian=lambda z: np.diag([p / z[0] ** 2, (1 - p) / z[1] ** 2]),
-        n=2,
+        X=np.eye(2),
+        value=lambda v: -q * np.log(v) if np.all(v > 0) else np.inf,
+        slopes=lambda v: (-q / v, q / v ** 2),
         G=-np.eye(2), h=np.zeros(2),
         A=np.ones((1, 2)), b=np.array([1.0]),
         start=np.array([0.5, 0.5]),
@@ -154,11 +152,9 @@ def test_convex_entropy_on_simplex_matches_golden_section():
 def test_convex_barrier_domain_respected():
     # objective undefined for z <= 0.5; solver must never step out
     cp = ConvexProgram(
-        objective=lambda z: float(-np.log(z[0] - 0.5) + z[0])
-        if z[0] > 0.5 else np.inf,
-        gradient=lambda z: np.array([-1.0 / (z[0] - 0.5) + 1.0]),
-        hessian=lambda z: np.array([[1.0 / (z[0] - 0.5) ** 2]]),
-        n=1,
+        X=np.eye(1),
+        value=lambda v: -np.log(v - 0.5) + v if v[0] > 0.5 else np.inf,
+        slopes=lambda v: (-1.0 / (v - 0.5) + 1.0, 1.0 / (v - 0.5) ** 2),
         start=np.array([1.0]),
     )
     res = solve_convex(cp, tol=1e-10)
@@ -170,10 +166,9 @@ def test_rank_deficient_kkt_is_indeterminate():
     # min |z|^2/2 with the row z1 + z2 = 1 given twice: the KKT matrix is
     # singular, so the solve has no Newton step and stops with its residual
     cp = ConvexProgram(
-        objective=lambda z: 0.5 * float(z @ z),
-        gradient=lambda z: z.copy(),
-        hessian=lambda z: np.eye(2),
-        n=2,
+        X=np.eye(2),
+        value=lambda v: 0.5 * v ** 2,
+        slopes=lambda v: (v.copy(), np.ones(2)),
         A=np.ones((2, 2)), b=np.ones(2),
         start=np.array([0.9, 0.1]),
     )

@@ -73,7 +73,7 @@ def test_fenchel_young_inequality(spec, x, y):
 def test_v_prime_matches_finite_difference(spec, y):
     h = 1e-6 * y
     fd = (ut.v_eval(spec, y + h) - ut.v_eval(spec, y - h)) / (2 * h)
-    assert ut.v_prime_closed(spec, y) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    assert -ut.i_eval(spec, y) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 @given(specs, st.floats(min_value=1e-3, max_value=1e3),
