@@ -21,7 +21,7 @@ from .errors import (
     NoConsistentPriceSystemError, SolverIndeterminateError, TcdlError,
 )
 from .harness import model_hash, run_experiment, selftest, write_csv
-from .market import load_market
+from .market import load_market, read_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,8 +106,7 @@ def _write_failure_record(out_dir: str, name: str, detail: str) -> None:
 
 def _cmd_price(args) -> int:
     model = load_market(args.market)
-    with open(args.payoff) as fh:
-        payoff = pr.PayoffVector.from_leaf_dict(model, json.load(fh))
+    payoff = pr.PayoffVector.from_leaf_dict(model, read_json(args.payoff))
     price = du.superreplication_price(model, payoff.vector())
     _emit({"market": args.market, "model_hash": model_hash(model),
            "superreplication_price": price})
@@ -158,8 +157,7 @@ def _cmd_x0(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
+    config = read_json(args.config, ConfigError)
     if args.market:
         if not isinstance(config, dict) or "seed" in config or "market" in config:
             raise ConfigError("--market needs a config object that names no market or seed")
@@ -200,8 +198,7 @@ def main(argv=None) -> int:
     out_dir = _output_dir(args)
     try:
         return _COMMANDS[args.command](args)
-    except (MarketError, DomainError, ConfigError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (MarketError, DomainError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_failure_record(out_dir, "input-error", str(exc))
         return EXIT_INPUT_ERROR

@@ -240,6 +240,7 @@ class DualSolution:
     derivative: float        # v'(y) = -E[z0_T I(y z0_T)] + E[z0_T e_T]
     singular_mass: float     # 1 - E[z0_T]; identically 0 at finite scale
     kkt_residual: float
+    iterations: int          # interior-point iterations of the solve
 
 
 def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
@@ -300,6 +301,7 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
         derivative=-float((p * d) @ ut.i_eval(spec, y * d)) + float((p * d) @ e),
         singular_mass=float(1.0 - p @ d),
         kkt_residual=float(res.kkt_residual),
+        iterations=res.iterations,
     )
 
 

@@ -23,7 +23,9 @@ from . import dual as du
 from . import primal as pr
 from . import utility as ut
 from .errors import BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError
-from .market import MarketModel, _integer, _mapping, _number, build_market, market_to_dict
+from .market import (
+    MarketModel, _integer, _mapping, _number, build_market, market_to_dict, read_json,
+)
 
 DEFAULT_X_OFFSETS = (0.5, 1.0, 2.0)
 # Margin above x0 for automatic x grids; keeps yhat away from the blow-up.
@@ -82,8 +84,9 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
 
 def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
                         polytope: du.CpsPolytope | None = None,
-                        x0: float | None = None) -> tuple[du.DualSolution, int]:
-    """The dual solve at the root of ``find_yhat``'s search, and the solves it took."""
+                        x0: float | None = None) -> tuple[du.DualSolution, int, int]:
+    """The dual solve at the root of ``find_yhat``'s search, and the solves
+    and interior-point iterations it took."""
     if not np.isfinite(x):
         raise DomainError(f"yhat search needs a finite x, got x={x!r}")
     poly = polytope or du.cps_polytope(model)
@@ -100,12 +103,13 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
         return float((x + (p * d) @ e) / ((p * d) @ ut.i_eval(spec, d)))
 
     stop = YHAT_STOP * (1.0 + abs(x))
-    t, last = fixed_point(poly.leaf_density(interior)), None
+    t, last, iterations = fixed_point(poly.leaf_density(interior)), None, 0
     for solves in range(1, YHAT_MAX_SOLVES + 1):
         sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly)
+        iterations += sol.iterations
         g = sol.derivative + x
         if abs(g) <= stop:
-            return sol, solves
+            return sol, solves, iterations
         secant = last is not None and g != last[1]
         step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
         last = (t, g)
@@ -123,6 +127,7 @@ class RecoveryResult:
     attainable: bool
     attainability_slack: float   # superreplication price of ghat (<= 0 up to tol)
     yhat_dual_solves: int        # dual solves of the yhat search, before the refinement
+    yhat_ipm_iterations: int     # their interior-point iterations, summed
 
 
 def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
@@ -135,7 +140,7 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     ``SolverIndeterminateError``.
     """
     poly = polytope or du.cps_polytope(model)
-    coarse, solves = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
+    coarse, solves, iterations = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
     yhat = coarse.y
     # Near-degenerate polytopes leave flat directions in the dual objective;
     # the search tolerance pins the leaf densities only loosely along them.
@@ -164,10 +169,11 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     wealth = x + ghat + e
     psol = pr.PrimalSolution(
         x=float(x), strategy=strategy, ghat=ghat, wealth=wealth,
-        value=float(p @ ut.u_eval(spec, wealth)), kkt_residual=float("nan"),
+        value=float(p @ ut.u_eval(spec, wealth)), kkt_residual=float("nan"), iterations=0,
     )
     return RecoveryResult(yhat=yhat, dual=dsol, primal=psol, attainable=attainable,
-                          attainability_slack=-margin, yhat_dual_solves=solves)
+                          attainability_slack=-margin, yhat_dual_solves=solves,
+                          yhat_ipm_iterations=iterations)
 
 
 @dataclass
@@ -247,6 +253,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
         report.y_records.append({
             "y": sol.y, "v": sol.value, "v_prime": sol.derivative,
             "singular_mass": sol.singular_mass, "kkt_residual": sol.kkt_residual,
+            "ipm_iterations": sol.iterations,
         })
 
     # Convexity of v along the grid (midpoint test) and monotone v'.
@@ -290,11 +297,14 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
             "x": x, "status": "ok", "u": u_val, "yhat": yhat,
             "v_at_yhat": dsol.value, "gap": gap, "rel_gap": rel_gap,
             "primal_kkt_residual": psol.kkt_residual,
+            "primal_ipm_iterations": psol.iterations,
             "primal_stall_accepted": psol.stall_accepted,
             "recovery_value": rec.primal.value,
             "recovery_attainable": rec.attainable,
             "yhat_dual_solves": rec.yhat_dual_solves,
+            "yhat_ipm_iterations": rec.yhat_ipm_iterations,
             "refine_kkt_residual": dsol.kkt_residual,
+            "refine_ipm_iterations": dsol.iterations,
             "slackness": {"r1": slack.r1, "r2": slack.r2, "r3": slack.r3},
         }
         report.add_check("strong_duality", rel_gap <= tol["strong_duality"],
@@ -530,8 +540,7 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
 
     meta: dict = {}
     if has_market:
-        with open(_config_typed(config["market"], str, "market")) as fh:
-            model = build_market(json.load(fh))
+        model = build_market(read_json(_config_typed(config["market"], str, "market")))
         poly = None   # built once the rest of the config is checked
         meta["source"] = {"market": config["market"]}
         label = os.path.splitext(os.path.basename(config["market"]))[0]

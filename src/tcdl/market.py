@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import MarketError
+from .errors import MarketError, TcdlError
 
 # Tolerances for probability bookkeeping: sums to one, and leaf probabilities
 # versus chained conditionals.
@@ -410,9 +410,22 @@ def market_to_dict(model: MarketModel) -> dict:
     return spec
 
 
+def read_json(path: str, error: type[TcdlError] = MarketError):
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be opened, is no UTF-8 text, is no JSON or nests
+    deeper than the parser's recursion limit raises ``error`` naming the
+    file, so every input file ends in a typed input error.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read JSON file {path!r}: {exc}") from None
+
+
 def load_market(path: str) -> MarketModel:
-    with open(path) as fh:
-        return build_market(json.load(fh))
+    return build_market(read_json(path))
 
 
 def save_market(model: MarketModel, path: str) -> None:

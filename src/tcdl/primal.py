@@ -79,6 +79,7 @@ class PrimalSolution:
     wealth: np.ndarray           # x + ghat + e_T per leaf
     value: float
     kkt_residual: float
+    iterations: int              # interior-point iterations, 0 when not solved by one
     stall_accepted: bool = False  # a stalled IPM iterate was accepted as optimal
 
 
@@ -278,6 +279,7 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         wealth=w,
         value=float(p @ ut.u_eval(spec, w)),
         kkt_residual=kkt,
+        iterations=res.iterations,
         stall_accepted=stall_accepted,
     )
 

@@ -1,4 +1,4 @@
-"""Small dense LP and smooth convex solvers.
+"""LP and smooth convex solvers.
 
 ``solve_lp`` wraps scipy's HiGHS backend behind a plain dataclass contract and
 re-certifies feasibility, complementary slackness, and the duality gap before
@@ -12,16 +12,24 @@ than a wrong answer.
 with ``value`` a smooth convex function applied row by row to the linear
 image X z (+inf outside its open domain; the line search backtracks into
 the domain).  Both duality problems have this form: the primal's X is the
-trade-to-wealth map, the dual's the leaf selector.  Problems here are desk
-scale (a few hundred variables).  Each step solves one reduced KKT system by
-a dense LU; its upper-left block, the Hessian plus the barrier term,
+trade-to-wealth map, the dual's the leaf selector.  Each step factors one
+reduced KKT matrix K = [[H, A'], [A, 0]] once; its upper-left block, the
+Hessian plus the barrier term,
 
-    X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G],
+    H = X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G],
 
 is one Gram over the stacked rows, assembled from their nonzero pattern
-(``gram_assembler``): a leaf-selector row has one nonzero, a polytope row
-at most two.  ``A`` must have full row rank; callers drop dependent rows once
-when they build the constraints.
+(``newton_solver``): a leaf-selector row has one nonzero, a polytope row
+at most two.  K's order n + p selects how it is stored and factored.  Below
+``_SPARSE_KKT_ORDER`` it is a dense array factored by LAPACK's LU; at or
+above it, a CSC matrix factored by SuperLU (``splu``, COLAMD order).
+SuperLU's fixed cost per factorisation makes it the slower choice on small
+matrices.  Timed per Newton step on a 2-vCPU x86 machine, the dense LU
+takes 25-55 us at orders 35-45 against 75-190 us for SuperLU, and the two
+tie at order 107 on the dual.  At order 323 (a 121-node tree, whose dual
+K has 1126 nonzeros) SuperLU takes 0.56 ms against 2.2 ms; the table is
+in BENCH_14.json.  ``A`` must have full row rank; callers drop dependent
+rows once when they build the constraints.
 
 The primal step is an Armijo backtracking on the barrier merit
 phi(z) = sum(value(X z)) - tau * sum(log s(z)), tau = eta / (10 m) the current
@@ -46,6 +54,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SolverIndeterminateError
 
@@ -61,6 +71,9 @@ _MU = 10.0
 # Once eta <= tol, a solve whose KKT residual has made no new low for this
 # many iterations sits on a rounding floor and stops.
 _STALL_ITERS = 20
+# KKT order n + p from which each Newton step is factored sparsely; below
+# it the dense LU is as fast or faster (see the module docstring).
+_SPARSE_KKT_ORDER = 200
 
 
 @dataclass
@@ -175,13 +188,14 @@ class ConvexProgram:
 
     ``value(v)`` returns the per-row values at v = X z, +inf outside its open
     domain; ``slopes(v)`` returns the per-row first and second derivatives.
-    The gradient is X' first and each Newton matrix is one Gram over
-    [X; G] with weights [second; lam/s].  ``start`` must be strictly
-    feasible for the inequalities, inside the domain and on ``A z = b``
-    (the barrier-merit line search relies on it).  ``A`` must have full row
-    rank (the solver does not drop dependent rows).  The solver reports a
-    stall as "numerically-indeterminate" with its KKT residual; it never
-    restarts.
+    The gradient is X' first and each Newton matrix's Hessian block is one
+    Gram over [X; G] with weights [second; lam/s]; the matrix is factored
+    densely or sparsely by its order (see the module docstring).  ``start``
+    must be strictly feasible for the inequalities, inside the domain and on
+    ``A z = b`` (the barrier-merit line search relies on it).  ``A`` must
+    have full row rank (the solver does not drop dependent rows).  The
+    solver reports a stall as "numerically-indeterminate" with its KKT
+    residual; it never restarts.
     """
 
     X: np.ndarray
@@ -203,15 +217,13 @@ class ConvexResult:
     iterations: int = 0
 
 
-def gram_assembler(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Return ``w -> X' diag(w) X`` computed from the nonzero pattern of X.
+def _gram_pairs(X: np.ndarray):
+    """Every pair of nonzeros sharing a row of X, read once from its pattern.
 
-    The pattern is read once: every pair of nonzeros sharing a row
-    contributes ``w[row] * X[row, j] * X[row, k]`` to entry (j, k), and each
-    call sums all pairs in a single ``np.bincount`` scatter.
+    Returns the pairs' rows, the products ``X[row, j] * X[row, k]`` and the
+    column indices j and k; the Gram ``X' diag(w) X`` is the sum over pairs
+    of ``w[row] * coef`` at entry (j, k).
     """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
     rows, cols = np.nonzero(X)
     vals = X[rows, cols]
     # np.nonzero is row-major, so each row's nonzeros are contiguous.
@@ -221,15 +233,74 @@ def gram_assembler(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     first = np.repeat(np.arange(rows.size), reps)
     offset = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
     second = starts[rows[first]] + offset
-    pair_row = rows[first]
-    pair_coef = vals[first] * vals[second]
-    pair_index = cols[first] * n + cols[second]
+    return rows[first], vals[first] * vals[second], cols[first], cols[second]
+
+
+def gram_assembler(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Return ``w -> X' diag(w) X`` computed from the nonzero pattern of X.
+
+    The pattern is read once (``_gram_pairs``), and each call sums all pairs
+    in a single ``np.bincount`` scatter.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[1]
+    pair_row, pair_coef, j, k = _gram_pairs(X)
+    pair_index = j * n + k
 
     def gram(w: np.ndarray) -> np.ndarray:
         return np.bincount(pair_index, weights=pair_coef * w[pair_row],
                            minlength=n * n).reshape(n, n)
 
     return gram
+
+
+def newton_solver(XG: np.ndarray, A: np.ndarray
+                  ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Return ``(w, rhs) -> K^-1 rhs`` for K = [[XG' diag(w) XG, A'], [A, 0]].
+
+    K's pattern, the Gram pairs of ``XG`` plus A's entries, is read once.
+    Below ``_SPARSE_KKT_ORDER`` K is a dense array factored by LAPACK's LU;
+    at or above it K is a CSC matrix factored by SuperLU with a COLAMD
+    column order.  Each call factors K once.  A singular K raises
+    ``np.linalg.LinAlgError`` on both paths.
+    """
+    n, p = XG.shape[1], A.shape[0]
+    order = n + p
+    if order < _SPARSE_KKT_ORDER:
+        gram = gram_assembler(XG)
+
+        def dense_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+            K = np.zeros((order, order))
+            K[:n, :n] = gram(w)
+            K[:n, n:] = A.T
+            K[n:, :n] = A
+            return np.linalg.solve(K, rhs)
+
+        return dense_solve
+
+    pair_row, pair_coef, j, k = _gram_pairs(XG)
+    a_row, a_col = np.nonzero(A)
+    a_val = A[a_row, a_col]
+    # Every contribution to K as (row, column): the Gram pairs, A' in the
+    # upper right and A in the lower left.  Keyed column-major and made
+    # unique, they give the CSC pattern and each contribution's slot in it.
+    rows = np.concatenate([j, a_col, n + a_row])
+    cols = np.concatenate([k, n + a_row, a_col])
+    keys, slot = np.unique(cols * order + rows, return_inverse=True)
+    indices = keys % order
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // order, minlength=order))])
+    constant = np.concatenate([a_val, a_val])
+
+    def sparse_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        data = np.bincount(slot, weights=np.concatenate([pair_coef * w[pair_row], constant]),
+                           minlength=keys.size)
+        K = csc_array((data, indices, indptr), shape=(order, order))
+        try:
+            return splu(K).solve(rhs)
+        except RuntimeError as exc:   # SuperLU's "Factor is exactly singular"
+            raise np.linalg.LinAlgError(str(exc)) from None
+
+    return sparse_solve
 
 
 def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
@@ -241,7 +312,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     A = np.zeros((0, n)) if cp.A is None else np.asarray(cp.A, dtype=float)
     b = np.zeros(0) if cp.b is None else np.asarray(cp.b, dtype=float)
     m, p = G.shape[0], A.shape[0]
-    newton_gram = gram_assembler(np.vstack([X, G]))
+    newton = newton_solver(np.vstack([X, G]), A)
 
     def objective(z: np.ndarray) -> float:
         return float(np.sum(cp.value(X @ z)))
@@ -292,13 +363,9 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         # right-hand side -grad(phi) - A'nu makes dz a descent direction for
         # phi wherever A z = b holds.
         grad_phi = grad + G.T @ (tau / s)
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = newton_gram(np.concatenate([second, lam / s]))
-        K[:n, n:] = A.T
-        K[n:, :n] = A
         rhs = np.concatenate([-(grad_phi + A.T @ nu), -r_pri])
         try:
-            sol = np.linalg.solve(K, rhs)
+            sol = newton(np.concatenate([second, lam / s]), rhs)
         except np.linalg.LinAlgError:
             return result(INDETERMINATE, max(res_inf, eta), it)
         dz, dnu = sol[:n], sol[n:]

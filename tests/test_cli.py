@@ -394,6 +394,51 @@ def test_report_at_extreme_y(tmp_path, market_path, out, capsys, utility, y, cod
         assert f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float" in err
 
 
+def _unreadable(tmp_path, case):
+    """A path whose content no JSON reader can return as a document."""
+    path = tmp_path / f"{case}.json"
+    if case == "not-utf8":
+        path.write_bytes(b"\xff{}")
+    elif case == "deep-nesting":
+        path.write_text("[" * 100_000)
+    else:
+        path.mkdir()
+    return str(path)
+
+
+def _site_argv(tmp_path, site, bad, market_path, out):
+    """The CLI call that reads ``bad`` at one of the four JSON input sites."""
+    if site == "market":
+        return ["x0", "--market", bad, "--output", out]
+    if site == "config-market":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"market": bad, "y_grid": [1.0]}))
+        return ["report", "--config", str(cfg), "--output", out]
+    if site == "payoff":
+        return ["price", "--market", market_path, "--payoff", bad, "--output", out]
+    return ["report", "--config", bad, "--market", market_path, "--output", out]
+
+
+@pytest.mark.parametrize("site", ["market", "config-market", "payoff", "config"])
+@pytest.mark.parametrize("case", ["not-utf8", "deep-nesting", "directory"])
+def test_unreadable_json_file_exits_2(tmp_path, market_path, out, capsys, case, site):
+    bad = _unreadable(tmp_path, case)
+    code, out_text, err = run_cli(capsys, _site_argv(tmp_path, site, bad, market_path, out))
+    assert code == 2
+    assert out_text == ""
+    assert f"cannot read JSON file {bad!r}" in err
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_JSON.map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=32))
+def test_any_document_in_place_of_a_market_exits_2(tmp_path_factory, document):
+    # no document this small describes a market, so each one is an input error
+    work = tmp_path_factory.mktemp("document")
+    (work / "market.json").write_bytes(document)
+    code = main(["x0", "--market", str(work / "market.json"), "--output", str(work / "out")])
+    assert code == 2
+
+
 def test_missing_file_exits_2(out, capsys):
     code, _, err = run_cli(capsys, ["x0", "--market", "/no/such/file.json",
                                     "--output", out])

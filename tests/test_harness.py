@@ -391,15 +391,34 @@ def test_run_experiment_builds_one_polytope(monkeypatch):
     assert len(calls) == report.metadata["source"]["attempts"] == 1
 
 
-def test_report_records_the_yhat_search():
+def test_report_records_the_yhat_search(monkeypatch):
+    # every interior-point solve of the report is counted in exactly one of
+    # its iteration fields
+    iterations = []
+    solve = du.solve_convex
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(du, "solve_convex", counting)
+    monkeypatch.setattr(pr, "solve_convex", counting)
     report = hn.run_experiment({
         "seed": {"seed": 2011, "depth": 3, "branching": 3, "lambda": 0.3, "rho": 0.3},
         "y_grid": [0.5, 1.0, 2.0], "check_marginals": False,
     })
     assert report.passed and len(report.x_records) == 3
     for rec in report.x_records:
-        assert 1 <= rec["yhat_dual_solves"] <= hn.YHAT_MAX_SOLVES
+        assert 1 <= rec["yhat_dual_solves"] <= rec["yhat_ipm_iterations"]
+        assert rec["yhat_dual_solves"] <= hn.YHAT_MAX_SOLVES
         assert 0.0 <= rec["refine_kkt_residual"] <= 1e-10
+        assert rec["refine_ipm_iterations"] >= 1 and rec["primal_ipm_iterations"] >= 1
+    assert all(rec["ipm_iterations"] >= 1 for rec in report.y_records)
+    fields = ("yhat_ipm_iterations", "refine_ipm_iterations", "primal_ipm_iterations")
+    assert sum(iterations) == (sum(rec["ipm_iterations"] for rec in report.y_records)
+                               + sum(rec[f] for rec in report.x_records for f in fields))
+    assert len(iterations) == 3 + sum(rec["yhat_dual_solves"] + 2 for rec in report.x_records)
 
 
 def test_run_experiment_output_deterministic(tmp_path):

@@ -6,6 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tcdl import dual as du
+from tcdl import primal as pr
+from tcdl import solver
+from tcdl import utility as ut
+from tcdl.harness import random_instance
 from tcdl.solver import (
     INDETERMINATE,
     INFEASIBLE,
@@ -162,22 +167,76 @@ def test_convex_barrier_domain_respected():
     assert res.z[0] == pytest.approx(1.5, abs=1e-8)
 
 
-def test_rank_deficient_kkt_is_indeterminate():
-    # min |z|^2/2 with the row z1 + z2 = 1 given twice: the KKT matrix is
-    # singular, so the solve has no Newton step and stops with its residual
-    cp = ConvexProgram(
-        X=np.eye(2),
-        value=lambda v: 0.5 * v ** 2,
-        slopes=lambda v: (v.copy(), np.ones(2)),
-        A=np.ones((2, 2)), b=np.ones(2),
-        start=np.array([0.9, 0.1]),
-    )
-    res = solve_convex(cp, tol=1e-10)
-    assert res.status == INDETERMINATE
-    assert res.iterations == 1
-    assert res.kkt_residual == pytest.approx(0.9)
-    with pytest.raises(SolverIndeterminateError, match="numerically-indeterminate"):
-        require_optimal(res, "rank-deficient solve")
+def _counting_splu(monkeypatch):
+    calls, splu = [], solver.splu
+
+    def counting(K):
+        calls.append(K.shape[0])
+        return splu(K)
+
+    monkeypatch.setattr(solver, "splu", counting)
+    return calls
+
+
+def test_rank_deficient_kkt_is_indeterminate(monkeypatch):
+    # min |z|^2/2 with the row sum(z) = 1 given twice: the KKT matrix, of
+    # order n + 2, is singular, so the solve has no Newton step and stops
+    # with its residual, whether K is factored densely (n = 2) or by
+    # SuperLU (order at the constant)
+    calls = _counting_splu(monkeypatch)
+    for n in (2, solver._SPARSE_KKT_ORDER - 2):
+        start = np.zeros(n)
+        start[:2] = [0.9, 0.1]
+        cp = ConvexProgram(
+            X=np.eye(n),
+            value=lambda v: 0.5 * v ** 2,
+            slopes=lambda v, n=n: (v.copy(), np.ones(n)),
+            A=np.ones((2, n)), b=np.ones(2),
+            start=start,
+        )
+        res = solve_convex(cp, tol=1e-10)
+        assert res.status == INDETERMINATE
+        assert res.iterations == 1
+        assert res.kkt_residual == pytest.approx(0.9)
+        with pytest.raises(SolverIndeterminateError, match="numerically-indeterminate"):
+            require_optimal(res, "rank-deficient solve")
+    assert calls == [solver._SPARSE_KKT_ORDER]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sparse_and_dense_newton_steps_agree_on_deep_trees(monkeypatch, seed):
+    # a 121-node tree: both KKT matrices (dual and primal) are of order 323,
+    # above the constant, so the default run factors every step by SuperLU
+    model = random_instance(seed, 4, 3, lam=0.3, rho=0.2)
+    poly = du.cps_polytope(model)
+    x = du.compute_x0(model, poly) + 1.0
+    log = ut.make_utility("log")
+    calls = _counting_splu(monkeypatch)
+    sparse_dual = du.solve_dual(model, log, 1.0, polytope=poly)
+    sparse_primal = pr.solve_primal(model, log, x)
+    assert calls and set(calls) == {323}
+    calls.clear()
+    monkeypatch.setattr(solver, "_SPARSE_KKT_ORDER", 10 ** 9)
+    dense_dual = du.solve_dual(model, log, 1.0, polytope=poly)
+    dense_primal = pr.solve_primal(model, log, x)
+    assert not calls
+    assert sparse_dual.iterations == dense_dual.iterations
+    assert sparse_primal.iterations == dense_primal.iterations
+    assert sparse_dual.value == pytest.approx(dense_dual.value, rel=1e-10)
+    assert sparse_primal.value == pytest.approx(dense_primal.value, rel=1e-10)
+
+
+def test_selftest_size_solves_never_factor_sparsely(monkeypatch):
+    # depth 3 x branching 2 (selftest's trees): KKT orders 38 to 45 stay dense
+    def refuse(K):
+        raise AssertionError(f"splu called at order {K.shape[0]}")
+
+    monkeypatch.setattr(solver, "splu", refuse)
+    model = random_instance(1, 3, 2, lam=0.3, rho=0.2)
+    poly = du.cps_polytope(model)
+    log = ut.make_utility("log")
+    assert du.solve_dual(model, log, 1.0, polytope=poly).iterations > 0
+    assert pr.solve_primal(model, log, du.compute_x0(model, poly) + 1.0).iterations > 0
 
 
 def test_require_optimal_raises_with_context():
