@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: price, primal, dual, x0, report, selftest.  Exit codes:
-0 success and all checks passed, 1 check failure, 2 input error,
-3 solver numerically indeterminate.  The output directory comes from
---output, or the TCDL_OUTPUT_DIR environment variable, or ./tcdl_out.
+0 success and all checks passed, 1 check failure, 2 input error (an
+output that cannot be written included), 3 solver numerically
+indeterminate.  The output directory comes from --output, or the
+TCDL_OUTPUT_DIR environment variable, or ./tcdl_out.
 """
 
 from __future__ import annotations
@@ -94,14 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_failure_record(out_dir: str, name: str, detail: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+    """Append the failure to ``checks.csv``; an unwritable output directory
+    is noted on stderr and leaves the original error and exit code in place."""
     path = os.path.join(out_dir, "checks.csv")
-    new = not os.path.exists(path)
-    with open(path, "a") as fh:
-        if new:
-            fh.write("name,location,value,tolerance,passed\n")
-        detail = detail.replace(",", ";").replace("\n", " ")
-        fh.write(f"{name},{detail},nan,0.0,False\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        new = not os.path.exists(path)
+        with open(path, "a") as fh:
+            if new:
+                fh.write("name,location,value,tolerance,passed\n")
+            detail = detail.replace(",", ";").replace("\n", " ")
+            fh.write(f"{name},{detail},nan,0.0,False\n")
+    except OSError as exc:
+        print(f"note: no failure record written: {exc}", file=sys.stderr)
 
 
 def _cmd_price(args) -> int:
@@ -214,6 +220,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _write_failure_record(out_dir, "check-failure", str(exc))
         return EXIT_CHECK_FAILED
+    except OSError as exc:
+        # Input files are read by market.read_json, which raises typed
+        # errors, so what is left is an output that cannot be written.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

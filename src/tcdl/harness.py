@@ -82,6 +82,18 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)[0].y
 
 
+def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
+                    d: np.ndarray) -> float:
+    """T(d) = (x + E[d e]) / E[d I(d)], the optimal wealth t = I(y) for the
+    fixed leaf density d.
+
+    As I(y z) = I(y) I(z), t solves E[d I(U'(t) d)] = x + E[d e].  T is
+    positive because x > x0 >= E[d (-e)] for every density d of the polytope.
+    """
+    pd = p * d
+    return float((x + pd @ e) / (pd @ ut.i_eval(spec, d)))
+
+
 def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
                         polytope: du.CpsPolytope | None = None,
                         x0: float | None = None) -> tuple[du.DualSolution, int, int]:
@@ -98,12 +110,8 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
     p = model.tree.leaf_prob()
     e = model.endowment_vector()
 
-    def fixed_point(d: np.ndarray) -> float:
-        # Positive: x > x0 >= E[d (-e)] for every density d of the polytope.
-        return float((x + (p * d) @ e) / ((p * d) @ ut.i_eval(spec, d)))
-
     stop = YHAT_STOP * (1.0 + abs(x))
-    t, last, iterations = fixed_point(poly.leaf_density(interior)), None, 0
+    t, last, iterations = _optimal_wealth(spec, x, p, e, poly.leaf_density(interior)), None, 0
     for solves in range(1, YHAT_MAX_SOLVES + 1):
         sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly)
         iterations += sol.iterations
@@ -113,7 +121,7 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
         secant = last is not None and g != last[1]
         step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
         last = (t, g)
-        t = step if 0.0 < step < np.inf else fixed_point(sol.z0_T)
+        t = step if 0.0 < step < np.inf else _optimal_wealth(spec, x, p, e, sol.z0_T)
     raise SolverIndeterminateError(
         f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
         f"after {YHAT_MAX_SOLVES} dual solves")
@@ -152,12 +160,8 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     z0_T = dsol.z0_T
     # Correct yhat holding the leaf densities fixed, so that the recovered
     # payoff has E[z0 ghat] = 0: the dual derivative carries a small
-    # flat-direction bias that would otherwise leak into it.  As
-    # I(y z) = I(y) I(z), E[z0 I(y z0)] = x + E[z0 e] solves in closed form;
-    # its right side is positive because x > x0 >= E[z0 (-e)].
-    target = x + float((p * z0_T) @ e)
-    unit_wealth = float((p * z0_T) @ ut.i_eval(spec, z0_T))
-    yhat = float(ut.u_prime(spec, target / unit_wealth))
+    # flat-direction bias that would otherwise leak into it.
+    yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, z0_T)))
     ghat = ut.i_eval(spec, yhat * z0_T) - x - e
     # One max-min LP certifies ghat and builds its strategy: the margin
     # max_u min_leaf (C u - ghat) is minus the superreplication price of ghat,

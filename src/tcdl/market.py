@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import MarketError, TcdlError
 
-# Tolerances for probability bookkeeping: sums to one, and leaf probabilities
-# versus chained conditionals.
+# Tolerances for probability bookkeeping: sums to one, and given conditionals
+# versus those derived from the leaf probabilities.
 PROB_SUM_TOL = 1e-12
 CHAIN_TOL = 1e-10
 
@@ -268,7 +268,6 @@ def build_tree(spec: Mapping) -> ScenarioTree:
         prob=tuple(float(node_prob[k]) for k in leaves),
         node_prob=tuple(float(p) for p in node_prob),
     )
-    _check_chain_consistency(tree)
     return tree
 
 
@@ -278,21 +277,6 @@ def _parse_cond_prob(cond) -> dict[str, dict[str, float]]:
                  for b, p in _mapping(row, f"cond_prob of {a!r}").items()}
         for a, row in _mapping(cond, "cond_prob").items()
     }
-
-
-def _check_chain_consistency(tree: ScenarioTree) -> None:
-    for k, leaf in enumerate(tree.leaves):
-        chained = 1.0
-        for node in tree.path(leaf):
-            par = tree.parent[node]
-            if par >= 0:
-                pos = tree.children[par].index(node)
-                chained *= tree.cond_prob[par][pos]
-        if abs(chained - tree.prob[k]) > CHAIN_TOL:
-            raise MarketError(
-                f"leaf {tree.node_ids[leaf]!r}: chained conditionals {chained}"
-                f" disagree with leaf probability {tree.prob[k]}"
-            )
 
 
 def tree_to_spec(tree: ScenarioTree) -> dict:

@@ -18,17 +18,19 @@ Hessian plus the barrier term,
 
     H = X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G],
 
-is one Gram over the stacked rows, assembled from their nonzero pattern
-(``newton_solver``): a leaf-selector row has one nonzero, a polytope row
-at most two.  K's order n + p selects how it is stored and factored.  Below
-``_SPARSE_KKT_ORDER`` it is a dense array factored by LAPACK's LU; at or
-above it, a CSC matrix factored by SuperLU (``splu``, COLAMD order).
-SuperLU's fixed cost per factorisation makes it the slower choice on small
-matrices.  Timed per Newton step on a 2-vCPU x86 machine, the dense LU
-takes 25-55 us at orders 35-45 against 75-190 us for SuperLU, and the two
-tie at order 107 on the dual.  At order 323 (a 121-node tree, whose dual
-K has 1126 nonzeros) SuperLU takes 0.56 ms against 2.2 ms; the table is
-in BENCH_14.json.  ``A`` must have full row rank; callers drop dependent
+is one Gram over the stacked rows.  K is assembled one way on every step
+(``newton_solver``): its pattern, the Gram pairs of [X; G] (a leaf-selector
+row has one nonzero, a polytope row at most two) plus A's entries, is read
+once per solve, and each step sums its entries into that pattern with one
+``np.bincount``.  K's order n + p picks only the factorisation.  Below
+``_SPARSE_KKT_ORDER`` the entries fill a dense array factored by LAPACK's
+LU; at or above it, a CSC matrix factored by SuperLU (``splu``, COLAMD
+order).  SuperLU's fixed cost per factorisation makes it the slower choice
+on small matrices.  Timed per Newton step on a 2-vCPU x86 machine, the
+dense LU takes 25-55 us at orders 35-45 against 75-190 us for SuperLU, and
+the two tie at order 107 on the dual.  At order 323 (a 121-node tree, whose
+dual K has 1126 nonzeros) SuperLU takes 0.56 ms against 2.2 ms; the table
+is in BENCH_14.json.  ``A`` must have full row rank; callers drop dependent
 rows once when they build the constraints.
 
 The primal step is an Armijo backtracking on the barrier merit
@@ -189,8 +191,9 @@ class ConvexProgram:
     ``value(v)`` returns the per-row values at v = X z, +inf outside its open
     domain; ``slopes(v)`` returns the per-row first and second derivatives.
     The gradient is X' first and each Newton matrix's Hessian block is one
-    Gram over [X; G] with weights [second; lam/s]; the matrix is factored
-    densely or sparsely by its order (see the module docstring).  ``start``
+    Gram over [X; G] with weights [second; lam/s]; the matrix is assembled
+    from one pattern read once per solve, and its order picks only whether
+    it is factored densely or sparsely (see the module docstring).  ``start``
     must be strictly feasible for the inequalities, inside the domain and on
     ``A z = b`` (the barrier-merit line search relies on it).  ``A`` must
     have full row rank (the solver does not drop dependent rows).  The
@@ -236,65 +239,49 @@ def _gram_pairs(X: np.ndarray):
     return rows[first], vals[first] * vals[second], cols[first], cols[second]
 
 
-def gram_assembler(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Return ``w -> X' diag(w) X`` computed from the nonzero pattern of X.
-
-    The pattern is read once (``_gram_pairs``), and each call sums all pairs
-    in a single ``np.bincount`` scatter.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[1]
-    pair_row, pair_coef, j, k = _gram_pairs(X)
-    pair_index = j * n + k
-
-    def gram(w: np.ndarray) -> np.ndarray:
-        return np.bincount(pair_index, weights=pair_coef * w[pair_row],
-                           minlength=n * n).reshape(n, n)
-
-    return gram
-
-
 def newton_solver(XG: np.ndarray, A: np.ndarray
                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Return ``(w, rhs) -> K^-1 rhs`` for K = [[XG' diag(w) XG, A'], [A, 0]].
 
-    K's pattern, the Gram pairs of ``XG`` plus A's entries, is read once.
-    Below ``_SPARSE_KKT_ORDER`` K is a dense array factored by LAPACK's LU;
-    at or above it K is a CSC matrix factored by SuperLU with a COLAMD
-    column order.  Each call factors K once.  A singular K raises
+    K's pattern, the Gram pairs of ``XG`` plus A's entries, is read once,
+    and each call fills K's entries with one ``np.bincount`` into it.  The
+    order of K picks only the factorisation: below ``_SPARSE_KKT_ORDER`` the
+    entries are scattered into a dense array factored by LAPACK's LU; at or
+    above it they are the data of a CSC matrix factored by SuperLU with a
+    COLAMD column order.  Each call factors K once.  A singular K raises
     ``np.linalg.LinAlgError`` on both paths.
     """
     n, p = XG.shape[1], A.shape[0]
     order = n + p
-    if order < _SPARSE_KKT_ORDER:
-        gram = gram_assembler(XG)
-
-        def dense_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-            K = np.zeros((order, order))
-            K[:n, :n] = gram(w)
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-            return np.linalg.solve(K, rhs)
-
-        return dense_solve
-
     pair_row, pair_coef, j, k = _gram_pairs(XG)
     a_row, a_col = np.nonzero(A)
     a_val = A[a_row, a_col]
     # Every contribution to K as (row, column): the Gram pairs, A' in the
     # upper right and A in the lower left.  Keyed column-major and made
-    # unique, they give the CSC pattern and each contribution's slot in it.
+    # unique, they give K's pattern and each contribution's slot in it;
+    # np.bincount sums each slot's contributions in this order.
     rows = np.concatenate([j, a_col, n + a_row])
     cols = np.concatenate([k, n + a_row, a_col])
     keys, slot = np.unique(cols * order + rows, return_inverse=True)
-    indices = keys % order
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // order, minlength=order))])
     constant = np.concatenate([a_val, a_val])
 
-    def sparse_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        data = np.bincount(slot, weights=np.concatenate([pair_coef * w[pair_row], constant]),
+    def entries(w: np.ndarray) -> np.ndarray:
+        return np.bincount(slot, weights=np.concatenate([pair_coef * w[pair_row], constant]),
                            minlength=keys.size)
-        K = csc_array((data, indices, indptr), shape=(order, order))
+
+    if order < _SPARSE_KKT_ORDER:
+        def dense_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+            K = np.zeros(order * order)
+            K[keys] = entries(w)
+            return np.linalg.solve(K.reshape(order, order).T, rhs)
+
+        return dense_solve
+
+    indices = keys % order
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // order, minlength=order))])
+
+    def sparse_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        K = csc_array((entries(w), indices, indptr), shape=(order, order))
         try:
             return splu(K).solve(rhs)
         except RuntimeError as exc:   # SuperLU's "Factor is exactly singular"

@@ -94,6 +94,8 @@ def test_x0_command(market_path, out, capsys):
     from tcdl.market import load_market
     from tcdl import dual as du
     assert payload["x0"] == pytest.approx(du.compute_x0(load_market(market_path)))
+    # x0 writes no file, so an --output naming a file does not matter
+    assert run_cli(capsys, ["x0", "--market", market_path, "--output", market_path])[0] == 0
 
 
 def test_report_command(tmp_path, out, capsys):
@@ -437,6 +439,25 @@ def test_any_document_in_place_of_a_market_exits_2(tmp_path_factory, document):
     (work / "market.json").write_bytes(document)
     code = main(["x0", "--market", str(work / "market.json"), "--output", str(work / "out")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["x0", "--market", "/no/such/file.json"], "cannot read JSON file '/no/such/file.json'"),
+    (["primal", "--market", "MARKET", "--utility", "log", "--x", "2.0"], "cannot write output"),
+    (["report", "--config", "CONFIG"], "cannot write output"),
+], ids=["input-error", "primal", "report"])
+def test_output_naming_a_file_exits_2(tmp_path, market_path, capsys, argv, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"market": market_path, "y_grid": [1.0],
+                                  "x_offsets": [1.0], "check_marginals": False}))
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = [{"MARKET": market_path, "CONFIG": str(config)}.get(a, a) for a in argv]
+    code, _, err = run_cli(capsys, argv + ["--output", str(taken)])
+    assert code == 2
+    assert message in err
+    assert str(taken) in err
+    assert taken.read_text() == "kept\n"
 
 
 def test_missing_file_exits_2(out, capsys):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcdl.errors import MarketError
 from tcdl.market import (
@@ -65,6 +66,56 @@ def test_cond_prob_must_agree_with_leaf_probabilities():
     spec["cond_prob"] = {"root": {"up": 0.6, "down": 0.4}}
     with pytest.raises(MarketError, match="inconsistent with leaf probabilities"):
         build_tree(spec)
+
+
+@st.composite
+def _skewed_tree_specs(draw):
+    """Trees of depth 1 to 6 with leaf probabilities from 1 down to about
+    1e-300 before normalisation."""
+    depth = draw(st.integers(1, 6))
+    nodes = [{"id": "n0", "parent": None, "time": 0}]
+    frontier = ["n0"]
+    for t in range(1, depth + 1):
+        fanout = st.integers(1, 3 if len(frontier) <= 20 else 1)
+        children = []
+        for parent in frontier:
+            for _ in range(draw(fanout)):
+                children.append(f"n{len(nodes)}")
+                nodes.append({"id": children[-1], "parent": parent, "time": t})
+        frontier = children
+    weights = np.array(draw(st.lists(
+        st.one_of(st.floats(1e-300, 1e-280), st.floats(1e-12, 1.0)),
+        min_size=len(frontier), max_size=len(frontier))))
+    return {"nodes": nodes,
+            "probabilities": dict(zip(frontier, (weights / weights.sum()).tolist()))}
+
+
+def _chained(tree, leaf):
+    chained = 1.0
+    for node in tree.path(leaf)[1:]:
+        par = tree.parent[node]
+        chained *= tree.cond_prob[par][tree.children[par].index(node)]
+    return chained
+
+
+@settings(max_examples=300, deadline=None)
+@given(_skewed_tree_specs())
+def test_chained_conditionals_reproduce_leaf_probabilities(spec):
+    # Leaf probabilities given: the chained ratios telescope to p_leaf / total,
+    # with one rounding per ratio and product and at most one per leaf in
+    # each of the two sums to the total, so they agree far inside the 1e-10
+    # a chain check would allow.  Conditionals given: the leaf probabilities
+    # are those same products, so the two agree bit for bit.
+    by_leaf = build_tree(spec)
+    cond = {by_leaf.node_ids[k]: {by_leaf.node_ids[c]: p
+                                  for c, p in zip(by_leaf.children[k], by_leaf.cond_prob[k])}
+            for k in range(by_leaf.n_nodes) if by_leaf.children[k]}
+    by_cond = build_tree({"nodes": spec["nodes"], "cond_prob": cond})
+    roundings = 2 * (by_leaf.horizon + len(by_leaf.leaves))
+    for k, leaf in enumerate(by_leaf.leaves):
+        p = by_leaf.prob[k]
+        assert abs(_chained(by_leaf, leaf) - p) <= roundings * np.finfo(float).eps * p
+        assert _chained(by_cond, leaf) == by_cond.prob[k]
 
 
 def test_tree_spec_round_trip():

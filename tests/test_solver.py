@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse import csc_array
 
 from tcdl import dual as du
 from tcdl import primal as pr
@@ -18,7 +19,6 @@ from tcdl.solver import (
     UNBOUNDED,
     ConvexProgram,
     LinearProgram,
-    gram_assembler,
     require_optimal,
     solve_convex,
     solve_lp,
@@ -254,27 +254,64 @@ _entries = st.one_of(st.just(0.0), st.just(0.0),
 _weights = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
 
 
-def _assert_gram_matches_dense(X, w):
-    got = gram_assembler(X)(w)
-    ref = X.T @ (w[:, None] * X)
-    # relative to the Gram of |X|, which bounds any cancellation in a sum
-    scale = np.abs(X).T @ (w[:, None] * np.abs(X))
-    assert got.shape == (X.shape[1], X.shape[1])
-    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+class _Captured(Exception):
+    def __init__(self, K):
+        super().__init__()
+        self.K = K
+
+
+def _capture(K, rhs=None):
+    raise _Captured(K)
+
+
+def _newton_matrix(XG, A, w, sparse):
+    """K as ``newton_solver`` hands it to ``np.linalg.solve``, or with the
+    constant patched to 0 to ``splu``; neither factors it."""
+    rhs = np.zeros(XG.shape[1] + A.shape[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "solve", _capture)
+        mp.setattr(solver, "splu", _capture)
+        if sparse:
+            mp.setattr(solver, "_SPARSE_KKT_ORDER", 0)
+        with pytest.raises(_Captured) as caught:
+            solver.newton_solver(XG, A)(w, rhs)
+    return caught.value.K
+
+
+def _assert_newton_matrix(XG, A, w):
+    n = XG.shape[1]
+    dense = _newton_matrix(XG, A, w, sparse=False)
+    sparse = _newton_matrix(XG, A, w, sparse=True)
+    assert isinstance(dense, np.ndarray) and isinstance(sparse, csc_array)
+    assert dense.shape == (n + A.shape[0],) * 2
+    ref = XG.T @ (w[:, None] * XG)
+    # relative to the Gram of |XG|, which bounds any cancellation in a sum
+    scale = np.abs(XG).T @ (w[:, None] * np.abs(XG))
+    assert np.all(np.abs(dense[:n, :n] - ref) <= 1e-12 * scale)
+    assert np.array_equal(dense[:n, n:], A.T)
+    assert np.array_equal(dense[n:, :n], A)
+    assert not dense[n:, n:].any()
+    # the two factorisations see the same K, bit for bit
+    assert np.ascontiguousarray(sparse.toarray()).tobytes() == np.ascontiguousarray(dense).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 8), st.integers(1, 6), st.data())
-def test_gram_assembler_matches_dense_product(m, n, data):
-    X = data.draw(hnp.arrays(float, (m, n), elements=_entries))
+@given(st.integers(0, 8), st.integers(1, 6), st.integers(0, 3), st.data())
+def test_newton_matrix_matches_dense_product(m, n, p, data):
+    XG = data.draw(hnp.arrays(float, (m, n), elements=_entries))
+    A = data.draw(hnp.arrays(float, (p, n), elements=_entries))
     w = data.draw(hnp.arrays(float, m, elements=_weights))
-    _assert_gram_matches_dense(X, w)
+    _assert_newton_matrix(XG, A, w)
 
 
-def test_gram_assembler_edge_patterns():
-    _assert_gram_matches_dense(np.zeros((0, 3)), np.zeros(0))
-    _assert_gram_matches_dense(np.array([[2.0], [0.0], [-3.0]]),
-                               np.array([1.0, 5.0, 0.5]))
-    # the primal's bound rows G = -I and an all-zero pattern
-    _assert_gram_matches_dense(-np.eye(4), np.arange(1.0, 5.0))
-    assert not gram_assembler(np.zeros((3, 2)))(np.ones(3)).any()
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("XG, w", [
+    (np.zeros((0, 3)), np.zeros(0)),
+    (np.zeros((3, 2)), np.ones(3)),
+    (np.array([[2.0], [0.0], [-3.0]]), np.array([1.0, 5.0, 0.5])),
+    # the primal's bound rows G = -I
+    (-np.eye(4), np.arange(1.0, 5.0)),
+], ids=["no-rows", "all-zero", "single-column", "minus-identity"])
+def test_newton_matrix_edge_patterns(XG, w, p):
+    A = np.arange(1.0, p * XG.shape[1] + 1).reshape(p, XG.shape[1])
+    _assert_newton_matrix(XG, A, w)
