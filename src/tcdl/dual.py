@@ -3,8 +3,8 @@
 On a finite tree the dual domain is the closed polytope of nonnegative
 martingale pairs (Z0, Z1) with Z0 at the root normalized to one and the
 ratio Z1/Z0 confined to the bid-ask spread (stated multiplicatively, so the
-constraint is linear and valid at Z0 = 0).  Superreplication prices and the
-infeasibility threshold x0 are linear programs over this polytope; the dual
+constraint is linear and valid at Z0 = 0).  Superreplication prices are
+linear programs over this polytope (x0 is solved on the trade side); the dual
 value function v(y) is a smooth convex minimization over it.
 
 On a finite probability space every finitely additive measure in the
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import primal as pr
 from . import utility as ut
 from .errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError
 from .market import MarketModel
@@ -226,8 +227,9 @@ def superreplication_price(model: MarketModel, g, polytope: CpsPolytope | None =
 
 
 def compute_x0(model: MarketModel, polytope: CpsPolytope | None = None) -> float:
-    """Infeasibility threshold x0 = sup E[Z0_T (-e_T)] over the polytope."""
-    return superreplication_price(model, -model.endowment_vector(), polytope)
+    """x0 = sup E[Z0_T (-e_T)] = -max_u min_leaf (C u + e_T) by LP duality, so one trade-side
+    LP (``primal.max_min_wealth``) and no polytope; ``polytope`` is unread (benchmarks pass one)."""
+    return -pr.max_min_wealth(model, 0.0)[0]
 
 
 @dataclass

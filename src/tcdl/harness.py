@@ -102,8 +102,7 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
     if not np.isfinite(x):
         raise DomainError(f"yhat search needs a finite x, got x={x!r}")
     poly = polytope or du.cps_polytope(model)
-    if x0 is None:
-        x0 = du.compute_x0(model, poly)
+    x0 = du.compute_x0(model) if x0 is None else x0
     if x <= x0:
         raise BelowX0Error(f"below-x0: x={x} <= x0={x0}, the infimum of v(y)+xy is -infinity")
     interior = du.require_interior(poly)
@@ -243,8 +242,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     """
     tol = DEFAULT_TOLERANCES
     poly = polytope or du.cps_polytope(model)
-    if x0 is None:
-        x0 = du.compute_x0(model, poly)
+    x0 = du.compute_x0(model) if x0 is None else x0
     p = model.tree.leaf_prob()
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
     report.metadata.setdefault("model_hash", model_hash(model))
@@ -545,7 +543,7 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     meta: dict = {}
     if has_market:
         model = build_market(read_json(_config_typed(config["market"], str, "market")))
-        poly = None   # built once the rest of the config is checked
+        poly = None   # conjugacy_check builds it
         meta["source"] = {"market": config["market"]}
         label = os.path.splitext(os.path.basename(config["market"]))[0]
     else:
@@ -587,8 +585,7 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     check_marginals = _config_typed(config.get("check_marginals", True), bool,
                                     "check_marginals")
 
-    poly = poly or du.cps_polytope(model)
-    x0 = du.compute_x0(model, poly)
+    x0 = du.compute_x0(model)
     if x_grid is None:
         margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
         x_grid = [x0 + margin + float(o) for o in offsets]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import utility as ut
-from .errors import BelowX0Error, DomainError, MarketError
+from .errors import BelowX0Error, DomainError, MarketError, NoConsistentPriceSystemError
 from .market import MarketModel, _mapping, _number
 from .solver import (
     OPTIMAL, UNBOUNDED,
@@ -181,7 +181,8 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
     the worst-case terminal wealth: positive iff x is strictly above x0, which
     is the phase-1 problem for the utility maximization and the below-x0
     infeasibility certificate.  x only shifts the value, so the LP is solved
-    at x = 0 and x added after; the argmax does not depend on x.
+    at x = 0 and x added after; the argmax does not depend on x.  The LP is
+    unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``.
     """
     g = -model.endowment_vector() if g is None else np.asarray(g, dtype=float)
     C, D = _trade_matrices(model)
@@ -197,7 +198,7 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
         lb=lb, sense="max",
     ))
     if res.status == UNBOUNDED:
-        raise MarketError("max-min wealth LP unbounded: the market admits arbitrage")
+        raise NoConsistentPriceSystemError("market admits arbitrage: max-min wealth LP unbounded")
     require_optimal(res, "max-min wealth LP")
     return x + float(res.value), res.z[:nu].copy()
 

@@ -490,14 +490,20 @@ def test_below_x0_exits_1(market_path, out, capsys):
         assert "below-x0" in fh.read()
 
 
-def test_arbitrage_market_exits_3(tmp_path, out, capsys):
+@pytest.mark.parametrize("command", ["x0", "primal", "dual", "price"])
+def test_arbitrage_market_exits_3(tmp_path, out, capsys, command):
+    # both branch prices above the initial ask with no spread: the polytope
+    # paths and the trade-side LP must refuse the market alike
     model = binomial_market(4.0, 8.0, 6.0, lam=0.0)
     mpath = tmp_path / "arb.json"
     save_market(model, str(mpath))
-    code, _, err = run_cli(capsys, ["dual", "--market", str(mpath),
-                                    "--utility", "log", "--y", "1.0",
+    ppath = tmp_path / "payoff.json"
+    ppath.write_text(json.dumps({"up": 1.0, "down": 0.0}))
+    extra = {"x0": [], "primal": ["--utility", "log", "--x", "1.0"],
+             "dual": ["--utility", "log", "--y", "1.0"], "price": ["--payoff", str(ppath)]}
+    code, _, err = run_cli(capsys, [command, "--market", str(mpath), *extra[command],
                                     "--output", out])
-    assert code == 3
+    assert code == 3, err
     with open(f"{out}/checks.csv") as fh:
         assert "solver-indeterminate" in fh.read()
 

@@ -94,18 +94,19 @@ def test_flat_frictionless_polytope_drops_dependent_row():
     assert np.allclose(sol.optimizer.z0, 1.0, atol=1e-8)
 
 
+def _counting(calls, name, fn):
+    """``fn``, adding one to ``calls[name]`` per call."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_rows_are_dropped_only_for_the_frictionless_polytope(monkeypatch):
     calls = {"drop": 0, "qr": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(du, "_drop_dependent_rows",
-                        counting("drop", du._drop_dependent_rows))
-    monkeypatch.setattr(scipy.linalg, "qr", counting("qr", scipy.linalg.qr))
+                        _counting(calls, "drop", du._drop_dependent_rows))
+    monkeypatch.setattr(scipy.linalg, "qr", _counting(calls, "qr", scipy.linalg.qr))
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     du.solve_dual(model, LOG, y=1.0)
     pr.solve_primal(model, LOG, du.compute_x0(model) + 1.0)
@@ -274,6 +275,48 @@ def test_compute_x0():
     c[2] = 0.5 * (-0.25)
     assert du.compute_x0(model) == pytest.approx(
         lp_max_by_vertices(c, A_eq, b_eq, G, h), abs=1e-9)
+
+
+def test_x0_is_the_trade_lp_and_matches_the_polytope_lp(monkeypatch):
+    # criterion 02's fifty instances: the trade-side max-min LP gives the
+    # superreplication price of -e over the polytope, with one LP and no polytope
+    combos = [(0.01, 2, 3), (0.1, 2, 3), (0.3, 3, 2), (0.3, 3, 3)]
+    for k in range(50):
+        lam, depth, branching = combos[k % len(combos)]
+        model = hn.random_instance(2000 + k, depth=depth, branching=branching,
+                                   lam=lam, rho=0.3, max_attempts=600)
+        expected = du.superreplication_price(model, -model.endowment_vector())
+        calls = {"polytope": 0, "lp": 0}
+        with monkeypatch.context() as m:
+            m.setattr(du, "cps_polytope", _counting(calls, "polytope", du.cps_polytope))
+            for module in (du, pr):
+                m.setattr(module, "solve_lp", _counting(calls, "lp", module.solve_lp))
+            x0 = du.compute_x0(model)
+        assert calls == {"polytope": 0, "lp": 1}, f"instance {2000 + k}"
+        assert abs(x0 - expected) <= 1e-10 * abs(expected), f"instance {2000 + k}"
+
+
+def test_trade_lp_refuses_exactly_the_markets_without_cps():
+    # LP duality: the max-min wealth LP is unbounded iff the closed CPS
+    # polytope is empty.  600 draws, 10 per (lam, depth, branching), the first
+    # ten of each group of test_spread_pass_agrees_with_cps_phase1.
+    verdicts = set()
+    for lam in (0.0, 0.01, 0.1, 0.3):
+        for depth in range(1, 6):
+            for branching in range(1, 4):
+                rng = np.random.default_rng([depth, branching, int(lam * 100)])
+                for _ in range(10):
+                    draw = hn._draw_tree(rng, depth, branching, 0.2)
+                    model = build_market(dict(draw, **{"lambda": lam}))
+                    nonempty = du.cps_polytope(model).nonempty
+                    try:
+                        du.compute_x0(model)
+                        refused = False
+                    except NoConsistentPriceSystemError:
+                        refused = True
+                    assert refused is not nonempty, (lam, depth, branching)
+                    verdicts.add(nonempty)
+    assert verdicts == {True, False}
 
 
 def test_dual_solve_frictionless_log_closed_form():
