@@ -23,7 +23,7 @@ from . import utility as ut
 from .errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError
 from .market import MarketModel
 from .solver import (
-    INFEASIBLE,
+    INFEASIBLE, OPTIMAL,
     ConvexProgram, LinearProgram,
     require_optimal, solve_convex, solve_lp,
 )
@@ -257,9 +257,15 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     ``DomainError``.  The tighter re-solve at yhat lives in
     ``harness.recover_primal_from_dual``.
     """
-    if y <= 0:
+    return _solve_duals(model, spec, [y], polytope or cps_polytope(model), start, tol)[0]
+
+
+def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPolytope,
+                 start: np.ndarray | None, tol: float) -> list[DualSolution]:
+    """``solve_dual`` at each y of ``ys`` as one batched interior-point solve;
+    raises the first failure in the order of ``ys``, after the solve."""
+    if ys[0] <= 0:
         raise DomainError("solve_dual requires y > 0")
-    poly = polytope or cps_polytope(model)
     interior = require_interior(poly)
     tree = model.tree
     p = tree.leaf_prob()
@@ -271,51 +277,60 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     curvature = 1.0 if spec.family == "log" else 1.0 - spec.alpha
 
     z_start = interior if start is None else start
+    y = np.array(ys, dtype=float)[:, None]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         yd = y * z_start[leaves]
-        m = y * ut.i_eval(spec, yd) if 0.0 < yd.min() and yd.max() < np.inf else np.nan
-        finite = np.isfinite(m).all() and np.isfinite(ut.v_eval(spec, yd) + y * e).all()
-    if not finite:
-        raise DomainError(f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float")
-    # Normalize by the gradient scale at the start so the solver tolerance
-    # acts relatively; extreme y values otherwise push the objective far
-    # from unit scale and stall the iteration at machine precision.
-    w = p / max(1.0, float(np.abs(p * (y * e - m)).max()))
+        finite = (yd.min(axis=1) > 0) & (yd.max(axis=1) < np.inf)
+        yd[~finite] = 1.0
+        m = y * ut.i_eval(spec, yd)
+        finite &= np.isfinite(m).all(axis=1) & np.isfinite(ut.v_eval(spec, yd) + y * e).all(axis=1)
+        # Normalize by the gradient scale at the start so the solver tolerance
+        # acts relatively; extreme y values otherwise push the objective far
+        # from unit scale and stall the iteration at machine precision.
+        w = p / np.maximum(1.0, np.abs(p * (y * e - m)).max(axis=1, keepdims=True))
 
-    def value(d: np.ndarray) -> np.ndarray:
-        if d.min() <= 0:
-            return np.inf
+    def value(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+        y, w = q[:, :1], q[:, 1:]
         return w * (ut.v_eval(spec, y * d) + y * e * d)
 
-    def slopes(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def slopes(d: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y, w = q[:, :1], q[:, 1:]
         m = y * ut.i_eval(spec, y * d)
         return w * (y * e - m), w * m / (curvature * d)
 
-    selector = np.eye(poly.n_vars)[leaves]
-    cp = ConvexProgram(selector, value, slopes,
-                       G=poly.G, h=poly.h, A=poly.A, b=poly.b, start=z_start)
-    res = solve_convex(cp, tol=tol)
-    require_optimal(res, f"dual solve at y={y}")
-    d = poly.leaf_density(res.z)
-    return DualSolution(
-        y=float(y), z=res.z, z0_T=d, optimizer=poly.element(res.z),
-        value=float(p @ ut.v_eval(spec, y * d)) + float(y * (p * d) @ e),
-        derivative=-float((p * d) @ ut.i_eval(spec, y * d)) + float((p * d) @ e),
-        singular_mass=float(1.0 - p @ d),
-        kkt_residual=float(res.kkt_residual),
-        iterations=res.iterations,
-    )
+    if finite.any():
+        res = solve_convex(ConvexProgram(
+            np.eye(poly.n_vars)[leaves], value, slopes, G=poly.G, h=poly.h, A=poly.A, b=poly.b,
+            start=z_start, params=np.hstack([y, w])[finite]), tol=tol)
+    out = []
+    for k, y in enumerate(ys):   # every y before the first failure was solved, row k
+        if not finite[k]:
+            raise DomainError("solve_dual requires y > 0" if y <= 0 else
+                              f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float")
+        if res.statuses[k] != OPTIMAL:
+            raise SolverIndeterminateError(f"dual solve at y={y}: solver status {res.statuses[k]}")
+        z = res.z[k]
+        d = poly.leaf_density(z)
+        out.append(DualSolution(
+            y=float(y), z=z, z0_T=d, optimizer=poly.element(z),
+            value=float(p @ ut.v_eval(spec, y * d)) + float(y * (p * d) @ e),
+            derivative=-float((p * d) @ ut.i_eval(spec, y * d)) + float((p * d) @ e),
+            singular_mass=float(1.0 - p @ d),
+            kkt_residual=float(res.kkt_residual[k]),
+            iterations=int(res.problem_iterations[k]),
+        ))
+    return out
 
 
 def dual_grid(model: MarketModel, spec: ut.UtilitySpec, y_grid,
               polytope: CpsPolytope | None = None) -> list[DualSolution]:
-    """Solve the dual at each y of a positive grid, each from the polytope's interior point."""
+    """``solve_dual`` at each y of a positive grid, from the polytope's interior
+    point, as one batched interior-point solve; each y gets the result and
+    iteration count of its own solve, and the first failure in grid order raises."""
     poly = polytope or cps_polytope(model)
     _require_nonempty(poly)
-    out: list[DualSolution] = []
-    for y in y_grid:
-        out.append(solve_dual(model, spec, float(y), polytope=poly))
-    return out
+    ys = [float(y) for y in y_grid]
+    return _solve_duals(model, spec, ys, poly, None, 1e-9) if ys else []
 
 
 def default_y_grid() -> np.ndarray:

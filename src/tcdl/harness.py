@@ -30,7 +30,8 @@ from .market import (
 DEFAULT_X_OFFSETS = (0.5, 1.0, 2.0)
 # Margin above x0 for automatic x grids; keeps yhat away from the blow-up.
 X0_MARGIN_COEFF = 0.05
-# Largest y grid a report config may ask for by count; each point is a dual solve.
+# Largest y grid a report config may ask for by count; the grid is one
+# batched dual solve, run in slices of bounded memory.
 MAX_Y_GRID = 10_000
 # The report config of each selftest seed, which fills in seed.seed.
 SELFTEST_CONFIG = {"seed": {"depth": 3, "branching": 2, "lambda": 0.3, "rho": 0.2},
@@ -234,15 +235,17 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                     check_marginals: bool = True,
                     metadata: dict | None = None,
                     polytope: du.CpsPolytope | None = None,
-                    x0: float | None = None) -> DualityReport:
+                    phase1: tuple[float, np.ndarray] | None = None) -> DualityReport:
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
-    monotonicity and large-y slope checks read it in that order.
+    monotonicity and large-y slope checks read it in that order.  x0 is minus
+    the value of ``phase1`` = ``primal.max_min_wealth(model, 0)`` (run when None).
     """
     tol = DEFAULT_TOLERANCES
     poly = polytope or du.cps_polytope(model)
-    x0 = du.compute_x0(model) if x0 is None else x0
+    phase1 = pr.max_min_wealth(model, 0.0) if phase1 is None else phase1
+    x0 = -phase1[0]
     p = model.tree.leaf_prob()
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
     report.metadata.setdefault("model_hash", model_hash(model))
@@ -282,7 +285,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})
             continue
         try:
-            psol = pr.solve_primal(model, spec, x)
+            psol = pr.solve_primal(model, spec, x, phase1=phase1)
             rec = recover_primal_from_dual(model, spec, x, polytope=poly, x0=x0)
         except (BelowX0Error, SolverIndeterminateError) as exc:
             report.add_check("pipeline", False, float("nan"), 0.0,
@@ -585,13 +588,14 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     check_marginals = _config_typed(config.get("check_marginals", True), bool,
                                     "check_marginals")
 
-    x0 = du.compute_x0(model)
+    phase1 = pr.max_min_wealth(model, 0.0)
+    x0 = -phase1[0]
     if x_grid is None:
         margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
         x_grid = [x0 + margin + float(o) for o in offsets]
     report = conjugacy_check(model, spec, x_grid, y_grid,
                              check_marginals=check_marginals, metadata=meta,
-                             polytope=poly, x0=x0)
+                             polytope=poly, phase1=phase1)
     if output_dir is not None:
         sub = os.path.join(output_dir, f"{report.metadata['model_hash'][:12]}-{label}")
         write_report_files(report, sub)

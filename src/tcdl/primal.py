@@ -16,7 +16,7 @@ imposes a bound on liquidation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,8 +204,10 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
 
 
 def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
-                 tie_break: bool = False) -> PrimalSolution:
-    """Maximize expected utility of terminal liquidation wealth from capital x."""
+                 tie_break: bool = False,
+                 phase1: tuple[float, np.ndarray] | None = None) -> PrimalSolution:
+    """Maximize expected utility of terminal liquidation wealth from capital x,
+    from the argmax of ``phase1`` = ``max_min_wealth(model, 0)`` (run when None)."""
     if not np.isfinite(x):
         raise DomainError(f"primal solve needs a finite x, got x={x!r}")
     tree = model.tree
@@ -217,16 +219,17 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     C, D = _trade_matrices(model)
     nu = 2 * n
 
-    t_star, u_feas = max_min_wealth(model, x)
+    t_zero, u_feas = max_min_wealth(model, 0.0) if phase1 is None else phase1
+    t_star = x + t_zero
     if t_star <= 1e-12:
         raise BelowX0Error(
             f"infeasible-below-x0: no strategy keeps terminal wealth positive from x={x}"
             f" (max-min wealth {t_star:.3e})")
 
-    def value(v: np.ndarray) -> np.ndarray:
+    def value(v: np.ndarray, _) -> np.ndarray:
         return -p * ut.u_eval(spec, x + e + v)
 
-    def slopes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def slopes(v: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
         w = x + e + v
         return -p * ut.u_prime(spec, w), -p * ut.u_double_prime(spec, w)
 
@@ -251,12 +254,10 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     # inside the tolerances anything downstream relies on: near-degenerate
     # instances (offsetting trades blowing up while a leaf wealth approaches
     # zero) leave the KKT residual on a rounding floor above tol.
-    stall_accepted = res.status != OPTIMAL and res.kkt_residual <= 1e-6 * (1.0 + abs(res.value))
-    if stall_accepted:
-        res = replace(res, status=OPTIMAL)
-    require_optimal(res, f"primal solve at x={x}")
-    u_opt = res.z
-    kkt = float(res.kkt_residual)
+    u_opt, kkt = res.z[0], float(res.kkt_residual[0])
+    stall_accepted = res.status != OPTIMAL and kkt <= 1e-6 * (1.0 + abs(float(res.value[0])))
+    if not stall_accepted:
+        require_optimal(res, f"primal solve at x={x}")
 
     if tie_break:
         # Minimal turnover among strategies dominating the optimal payoff;

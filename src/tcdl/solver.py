@@ -5,48 +5,47 @@ re-certifies feasibility, complementary slackness, and the duality gap before
 reporting "optimal"; anything less becomes "numerically-indeterminate" rather
 than a wrong answer.
 
-``solve_convex`` is a primal-dual interior-point method for
+``solve_convex`` is a primal-dual interior-point method for a batch of B
+programs that share X, G, h, A, b and the start and differ only in a
+parameter row q each:
 
-    minimize sum(value(X z))  subject to  G z <= h,  A z = b,
+    minimize sum(value(X z, q))  subject to  G z <= h,  A z = b,
 
 with ``value`` a smooth convex function applied row by row to the linear
 image X z (+inf outside its open domain; the line search backtracks into
-the domain).  Both duality problems have this form: the primal's X is the
-trade-to-wealth map, the dual's the leaf selector.  Each step factors one
-reduced KKT matrix K = [[H, A'], [A, 0]] once; its upper-left block, the
-Hessian plus the barrier term,
+the domain).  The primal's X is the trade-to-wealth map, the dual's the
+leaf selector; the dual grid is one batch, q holding y.  The state has one
+row per problem and every product is taken row by row (``np.matvec``,
+``np.vecmat``, ``np.vecdot``), so a problem's iterates do not depend on
+its batch.  Each step factors one reduced KKT matrix K = [[H, A'], [A, 0]]
+per problem, whose upper-left block is one Gram over the stacked rows:
 
-    H = X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G],
+    H = X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G].
 
-is one Gram over the stacked rows.  K is assembled one way on every step
-(``newton_solver``): its pattern, the Gram pairs of [X; G] (a leaf-selector
-row has one nonzero, a polytope row at most two) plus A's entries, is read
-once per solve, and each step sums its entries into that pattern with one
-``np.bincount``.  K's order n + p picks only the factorisation.  Below
-``_SPARSE_KKT_ORDER`` the entries fill a dense array factored by LAPACK's
-LU; at or above it, a CSC matrix factored by SuperLU (``splu``, COLAMD
-order).  SuperLU's fixed cost per factorisation makes it the slower choice
-on small matrices.  Timed per Newton step on a 2-vCPU x86 machine, the
-dense LU takes 25-55 us at orders 35-45 against 75-190 us for SuperLU, and
-the two tie at order 107 on the dual.  At order 323 (a 121-node tree, whose
-dual K has 1126 nonzeros) SuperLU takes 0.56 ms against 2.2 ms; the table
-is in BENCH_14.json.  ``A`` must have full row rank; callers drop dependent
-rows once when they build the constraints.
+``newton_solver`` reads K's pattern once per solve and sums each step's
+entries for the whole batch with one ``np.bincount``.  K's order n + p picks
+only the factorisation: below ``_SPARSE_KKT_ORDER`` one batched LAPACK LU
+of the stacked dense matrices, at or above it SuperLU (``splu``, COLAMD
+order) per problem, whose fixed cost loses on small matrices (timings in
+BENCH_14.json).  A batch whose stacked K would pass ``_BATCH_BYTES`` runs
+in slices.  ``A`` must have full row rank; callers drop dependent rows once
+when they build the constraints.
 
-The primal step is an Armijo backtracking on the barrier merit
-phi(z) = sum(value(X z)) - tau * sum(log s(z)), tau = eta / (10 m) the current
-centering target, from 0.99 of the longest step that keeps s > 0; the
-Newton direction is a descent direction for phi wherever A z = b holds,
-which every start satisfies.  The multipliers take their own
-fraction-to-boundary step on lam > 0, independent of the primal one
-(Wächter & Biegler, Math. Program. 106, 2006).  A solve is optimal once the
+Each problem takes its own steps.  The primal step is an Armijo
+backtracking on the barrier merit phi(z) = sum(value(X z)) - tau * sum(log
+s(z)), tau = eta / (10 m) the current centering target, from 0.99 of the
+longest step that keeps s > 0; the Newton direction is a descent direction
+for phi wherever A z = b holds, which every start satisfies.  The
+multipliers take their own fraction-to-boundary step on lam > 0 (Wächter &
+Biegler, Math. Program. 106, 2006).  A problem is optimal once the
 complementarity eta and the dual and primal residuals are all <= tol; the
 method polishes to KKT residuals around 1e-9, which the duality checks
-downstream rely on.  Once eta <= tol, a solve whose residuals make no new
+downstream rely on.  Once eta <= tol, a problem whose residuals make no new
 low for 20 iterations sits on a rounding floor and stops as
-"numerically-indeterminate" with its residual, as does one in which no
-step decreases the merit or whose KKT matrix is singular (dependent rows
-in ``A``, say); there is no least-squares fallback.
+"numerically-indeterminate" with its residual, as does one in which no step
+decreases the merit or whose KKT matrix is singular (dependent rows in
+``A``, say); there is no least-squares fallback.  A problem that stops
+leaves the batch.
 """
 
 from __future__ import annotations
@@ -76,6 +75,9 @@ _STALL_ITERS = 20
 # KKT order n + p from which each Newton step is factored sparsely; below
 # it the dense LU is as fast or faster (see the module docstring).
 _SPARSE_KKT_ORDER = 200
+# Bytes of stacked dense KKT matrices (8 order^2 per problem) a slice of a
+# batch may hold; longer batches are solved slice by slice.
+_BATCH_BYTES = 64 << 20
 
 
 @dataclass
@@ -186,38 +188,39 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
 @dataclass
 class ConvexProgram:
-    """minimize sum(value(X z)) s.t. G z <= h, A z = b, from a strict start.
+    """A batch of programs minimize sum(value(X z, q)) s.t. G z <= h, A z = b,
+    one per row q of ``params`` (one problem when None).
 
-    ``value(v)`` returns the per-row values at v = X z, +inf outside its open
-    domain; ``slopes(v)`` returns the per-row first and second derivatives.
-    The gradient is X' first and each Newton matrix's Hessian block is one
-    Gram over [X; G] with weights [second; lam/s]; the matrix is assembled
-    from one pattern read once per solve, and its order picks only whether
-    it is factored densely or sparsely (see the module docstring).  ``start``
-    must be strictly feasible for the inequalities, inside the domain and on
-    ``A z = b`` (the barrier-merit line search relies on it).  ``A`` must
-    have full row rank (the solver does not drop dependent rows).  The
-    solver reports a stall as "numerically-indeterminate" with its KKT
-    residual; it never restarts.
+    ``value(V, Q)`` takes the images V = X z of the problems in the batch,
+    one row each, with their rows Q of ``params``, and returns the per-entry
+    values, +inf outside the open domain; ``slopes(V, Q)`` the first and
+    second derivatives.  ``start`` must be strictly feasible, inside every
+    problem's domain and on ``A z = b``; ``A`` must have full row rank.
     """
 
     X: np.ndarray
-    value: Callable[[np.ndarray], np.ndarray]
-    slopes: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    slopes: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     G: np.ndarray | None = None
     h: np.ndarray | None = None
     A: np.ndarray | None = None
     b: np.ndarray | None = None
     start: np.ndarray | None = None
+    params: np.ndarray | None = None
 
 
 @dataclass
 class ConvexResult:
+    """``status`` is OPTIMAL iff every problem's is, and ``iterations`` sums
+    theirs; the other fields hold one entry (a row of ``z``) per problem."""
+
     status: str
-    z: np.ndarray | None = None
-    value: float | None = None
-    kkt_residual: float | None = None
-    iterations: int = 0
+    z: np.ndarray
+    value: np.ndarray
+    kkt_residual: np.ndarray
+    iterations: int
+    statuses: tuple[str, ...]
+    problem_iterations: np.ndarray
 
 
 def _gram_pairs(X: np.ndarray):
@@ -239,17 +242,12 @@ def _gram_pairs(X: np.ndarray):
     return rows[first], vals[first] * vals[second], cols[first], cols[second]
 
 
-def newton_solver(XG: np.ndarray, A: np.ndarray
-                  ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Return ``(w, rhs) -> K^-1 rhs`` for K = [[XG' diag(w) XG, A'], [A, 0]].
-
-    K's pattern, the Gram pairs of ``XG`` plus A's entries, is read once,
-    and each call fills K's entries with one ``np.bincount`` into it.  The
-    order of K picks only the factorisation: below ``_SPARSE_KKT_ORDER`` the
-    entries are scattered into a dense array factored by LAPACK's LU; at or
-    above it they are the data of a CSC matrix factored by SuperLU with a
-    COLAMD column order.  Each call factors K once.  A singular K raises
-    ``np.linalg.LinAlgError`` on both paths.
+def newton_solver(XG: np.ndarray, A: np.ndarray):
+    """Return ``(W, RHS) -> (SOL, singular)``: row k of SOL is K_k^-1 RHS[k]
+    for K_k = [[XG' diag(W[k]) XG, A'], [A, 0]], and ``singular`` is None or
+    marks the problems whose K is singular (their rows of SOL are 0).  The
+    stacked dense K are factored by one batched LU, solved one by one when
+    one is singular; at or above ``_SPARSE_KKT_ORDER`` each K by SuperLU.
     """
     n, p = XG.shape[1], A.shape[0]
     order = n + p
@@ -257,41 +255,59 @@ def newton_solver(XG: np.ndarray, A: np.ndarray
     a_row, a_col = np.nonzero(A)
     a_val = A[a_row, a_col]
     # Every contribution to K as (row, column): the Gram pairs, A' in the
-    # upper right and A in the lower left.  Keyed column-major and made
-    # unique, they give K's pattern and each contribution's slot in it;
-    # np.bincount sums each slot's contributions in this order.
+    # upper right and A in the lower left.  Its slot, its column-major place
+    # in a dense K or in K's pattern (the unique places) for a sparse one,
+    # is read once; np.bincount sums each slot's contributions in order.
     rows = np.concatenate([j, a_col, n + a_row])
     cols = np.concatenate([k, n + a_row, a_col])
-    keys, slot = np.unique(cols * order + rows, return_inverse=True)
-    constant = np.concatenate([a_val, a_val])
+    dense = order < _SPARSE_KKT_ORDER
+    slot, width = cols * order + rows, order * order
+    if not dense:
+        keys, slot = np.unique(slot, return_inverse=True)
+        width, indices = keys.size, keys % order
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // order, minlength=order))])
+    pairs, constant = pair_row.size, np.concatenate([a_val, a_val])
+    # Buffers for the batch size of the last call: the flat places of the
+    # pairs' weights in W, the slots, and the weights.
+    size, gather, slots, weights = 0, None, None, None
 
-    def entries(w: np.ndarray) -> np.ndarray:
-        return np.bincount(slot, weights=np.concatenate([pair_coef * w[pair_row], constant]),
-                           minlength=keys.size)
+    def solve(W: np.ndarray, RHS: np.ndarray):
+        nonlocal size, gather, slots, weights
+        if len(W) != size:
+            size, offsets = len(W), np.arange(len(W))[:, None]
+            gather = (pair_row + W.shape[1] * offsets).ravel()
+            slots = (slot + width * offsets).ravel()
+            weights = np.empty((size, slot.size))
+            weights[:, pairs:] = constant
+        np.multiply(pair_coef, W.ravel()[gather].reshape(size, pairs), out=weights[:, :pairs])
+        E = np.bincount(slots, weights=weights.ravel(), minlength=size * width).reshape(size, width)
+        if dense:
+            K = E.reshape(-1, order, order).transpose(0, 2, 1)
+            try:
+                return np.linalg.solve(K, RHS[..., None])[..., 0], None
+            except np.linalg.LinAlgError:
+                pass   # solved one by one below, to find the singular problems
+        SOL, singular = np.zeros_like(RHS), np.zeros(size, dtype=bool)
+        for i in range(size):
+            try:
+                SOL[i] = (np.linalg.solve(K[i], RHS[i]) if dense else
+                          splu(csc_array((E[i], indices, indptr), shape=(order, order))).solve(RHS[i]))
+            except (np.linalg.LinAlgError, RuntimeError):   # SuperLU: "Factor is exactly singular"
+                singular[i] = True
+        return SOL, singular if singular.any() else None
 
-    if order < _SPARSE_KKT_ORDER:
-        def dense_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-            K = np.zeros(order * order)
-            K[keys] = entries(w)
-            return np.linalg.solve(K.reshape(order, order).T, rhs)
+    return solve
 
-        return dense_solve
 
-    indices = keys % order
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // order, minlength=order))])
-
-    def sparse_solve(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        K = csc_array((entries(w), indices, indptr), shape=(order, order))
-        try:
-            return splu(K).solve(rhs)
-        except RuntimeError as exc:   # SuperLU's "Factor is exactly singular"
-            raise np.linalg.LinAlgError(str(exc)) from None
-
-    return sparse_solve
+def _to_boundary(v: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Per row, 0.99 of the longest step keeping v - step * rate > 0, at most 1
+    (v / nan is nan, which fmin skips)."""
+    limit = np.fmin.reduce(v / np.where(rate > 0, rate, np.nan), axis=1, initial=np.inf)
+    return np.minimum(1.0, 0.99 * limit)
 
 
 def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
-    """Primal-dual interior-point solve; see module docstring for the problem form."""
+    """Primal-dual interior-point solve of a batch; see the module docstring."""
     X = np.asarray(cp.X, dtype=float)
     n = X.shape[1]
     G = np.zeros((0, n)) if cp.G is None else np.asarray(cp.G, dtype=float)
@@ -299,102 +315,137 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     A = np.zeros((0, n)) if cp.A is None else np.asarray(cp.A, dtype=float)
     b = np.zeros(0) if cp.b is None else np.asarray(cp.b, dtype=float)
     m, p = G.shape[0], A.shape[0]
+    params = np.zeros((1, 0)) if cp.params is None else np.asarray(cp.params, dtype=float)
     newton = newton_solver(np.vstack([X, G]), A)
-
-    def objective(z: np.ndarray) -> float:
-        return float(np.sum(cp.value(X @ z)))
-
-    def derivatives(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        first, second = cp.slopes(X @ z)
-        return X.T @ first, second
-
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
-    z = np.asarray(cp.start, dtype=float).copy()
-    s = h - G @ z
-    if m and s.min() <= 0:
+    start = np.asarray(cp.start, dtype=float)
+    s0 = h - G @ start
+    if m and s0.min() <= 0:
         raise DomainError("start point is not strictly feasible for the inequalities")
-    f = objective(z)
-    if not np.isfinite(f):
-        raise DomainError("start point is outside the objective domain")
+    centering = _MU * max(m, 1)
 
-    lam = 1.0 / np.maximum(s, 1e-12)
-    nu = np.zeros(p)
-    # f, its gradient and the per-row second derivatives at the current
-    # iterate; each accepted line-search point hands its own over to the
-    # next iteration.
-    grad, second = derivatives(z)
-    best_res, best_it = np.inf, 0
+    total = len(params)
+    z_out, f_out, kkt_out = np.empty((total, n)), np.empty(total), np.empty(total)
+    it_out, status_out = np.zeros(total, dtype=int), np.full(total, INDETERMINATE, dtype=object)
 
-    def result(status, kkt, it):
-        return ConvexResult(status=status, z=z, value=f, kkt_residual=kkt,
-                            iterations=it)
+    def run(rows: np.ndarray):
+        P, B = params[rows], len(rows)   # a slice of the batch
+        Z, S = np.repeat(start[None], B, axis=0), np.repeat(s0[None], B, axis=0)
+        V = np.matvec(X, Z)
+        F, L = cp.value(V, P).sum(axis=1), np.log(S).sum(axis=1)
+        if not np.isfinite(F).all():
+            raise DomainError("start point is outside the objective domain")
+        lam = np.repeat(1.0 / np.maximum(s0, 1e-12)[None], B, axis=0)
+        nu = np.zeros((B, p))
+        # V = X z, F, sum(log s) and the derivatives at the current iterates;
+        # each accepted line-search point hands its own to the next iteration.
+        first, second = cp.slopes(V, P)
+        grad = np.vecmat(first, X)
+        history = []               # each iteration's residuals, for the stall rule
+        gone = None                # rows stopped mid-iteration, dropped at the next
 
-    for it in range(1, _MAX_ITER + 1):
-        r_dual = grad + G.T @ lam + A.T @ nu
-        r_pri = A @ z - b
-        eta = float(s @ lam)
-        tau = eta / (_MU * m) if m else 0.0
-        res_inf = max(float(np.abs(r_dual).max(initial=0.0)),
-                      float(np.abs(r_pri).max(initial=0.0)))
-        if eta <= tol and res_inf <= tol:
-            return result(OPTIMAL, max(res_inf, float(np.abs(lam * s).max(initial=0.0))), it)
-        if res_inf < best_res:
-            best_res, best_it = res_inf, it
-        elif eta <= tol and it - best_it >= _STALL_ITERS:
-            # Complementarity is within tol, but the residuals sit on a
-            # rounding floor above it.
-            return result(INDETERMINATE, max(res_inf, eta), it)
+        def stop(mask, status, kkt, it):
+            if mask.any():
+                k = rows[mask]
+                z_out[k], f_out[k], kkt_out[k], it_out[k], status_out[k] = (
+                    Z[mask], F[mask], kkt[mask], it, status)
 
-        # Newton step on the barrier merit phi = f - tau * sum(log s): the
-        # right-hand side -grad(phi) - A'nu makes dz a descent direction for
-        # phi wherever A z = b holds.
-        grad_phi = grad + G.T @ (tau / s)
-        rhs = np.concatenate([-(grad_phi + A.T @ nu), -r_pri])
-        try:
-            sol = newton(np.concatenate([second, lam / s]), rhs)
-        except np.linalg.LinAlgError:
-            return result(INDETERMINATE, max(res_inf, eta), it)
-        dz, dnu = sol[:n], sol[n:]
-        Gdz = G @ dz
-        # d(lam*s): s dlam + lam ds = tau - lam*s with ds = -G dz.
-        dlam = (tau - lam * s + lam * Gdz) / s
+        for it in range(1, _MAX_ITER + 2):
+            Anu = np.vecmat(nu, A)
+            r_dual = grad + np.vecmat(lam, G) + Anu
+            r_pri = np.matvec(A, Z) - b
+            eta = np.vecdot(S, lam)
+            res_inf = np.abs(np.concatenate([r_dual, r_pri], axis=1)).max(axis=1)
+            if it > _MAX_ITER:
+                stop(np.ones(len(Z), bool) if gone is None else ~gone, INDETERMINATE,
+                     np.maximum(res_inf, eta), _MAX_ITER)
+                break
+            history.append(res_inf)
+            small = eta <= tol
+            if gone is not None or np.count_nonzero(small):
+                leave = np.zeros(len(Z), dtype=bool) if gone is None else gone
+                done = small & (res_inf <= tol) & ~leave
+                # Complementarity is within tol, but the residuals have made
+                # no new low for _STALL_ITERS iterations: a rounding floor.
+                stalled = small & ~done & ~leave
+                stalled &= it > _STALL_ITERS and (np.fmin.reduce(history[-_STALL_ITERS:])
+                                                  >= np.fmin.reduce(history[:-_STALL_ITERS]))
+                stop(done, OPTIMAL, np.maximum(res_inf, np.abs(lam * S).max(axis=1, initial=0.0)), it)
+                stop(stalled, INDETERMINATE, np.maximum(res_inf, eta), it)
+                keep, gone = ~(leave | done | stalled), None
+                if not keep.all():
+                    if not keep.any():
+                        break
+                    Z, S, F, L, lam, nu, grad, second, P, rows, Anu, r_pri, eta, res_inf = (
+                        v[keep] for v in (Z, S, F, L, lam, nu, grad, second, P, rows,
+                                          Anu, r_pri, eta, res_inf))
+                    history = [r[keep] for r in history]
 
-        # Primal step: Armijo backtracking on phi from 0.99 of the longest
-        # step keeping s > 0.
-        alpha = 1.0
-        pos = Gdz > 0
-        if pos.any():
-            alpha = min(alpha, 0.99 * float((s[pos] / Gdz[pos]).min()))
-        phi = f - tau * float(np.log(s).sum())
-        slope = float(grad_phi @ dz)
-        for _ in range(60):
-            z_n = z + alpha * dz
-            s_n = h - G @ z_n
-            if not m or s_n.min() > 0:
-                f_n = objective(z_n)
-                if f_n - tau * float(np.log(s_n).sum()) <= phi + 1e-4 * alpha * slope:
+            # Newton step on the barrier merit phi = f - tau * sum(log s): the
+            # right-hand side -grad(phi) - A'nu makes dz a descent direction for
+            # phi wherever A z = b holds.
+            tau = eta / centering
+            tcol = tau[:, None]
+            grad_phi = grad + np.vecmat(tcol / S, G)
+            rhs = -np.concatenate([grad_phi + Anu, r_pri], axis=1)
+            sol, singular = newton(np.concatenate([second, lam / S], axis=1), rhs)
+            if singular is not None:
+                # No Newton step: stop with the residual.  The zero step
+                # below keeps the row's state until it leaves.
+                stop(singular, INDETERMINATE, np.maximum(res_inf, eta), it)
+                gone = singular
+                if gone.all():
                     break
-            alpha *= 0.5
-        else:
-            # No step decreases the merit: report the stall with its residual.
-            return result(INDETERMINATE, max(res_inf, eta), it)
+            dZ, dnu = sol[:, :n], sol[:, n:]
+            GdZ = np.matvec(G, dZ)
+            # d(lam*s): s dlam + lam ds = tau - lam*s with ds = -G dz.
+            dlam = (tcol - lam * S + lam * GdZ) / S
 
-        # Multiplier step: its own fraction-to-boundary rule on lam > 0.
-        beta = 1.0
-        neg = dlam < 0
-        if neg.any():
-            beta = min(beta, 0.99 * float((-lam[neg] / dlam[neg]).min()))
-        lam = lam + beta * dlam
-        nu = nu + beta * dnu
-        z, s, f = z_n, s_n, f_n
-        grad, second = derivatives(z)
+            # Primal step: Armijo backtracking on phi from 0.99 of the longest
+            # step keeping s > 0, per problem.
+            alpha = _to_boundary(S, GdZ)
+            phi = F - tau * L
+            slope = np.vecdot(grad_phi, dZ)
+            for _ in range(60):
+                Zn = Z + alpha[:, None] * dZ
+                Sn = h - np.matvec(G, Zn)
+                out = None
+                if m and Sn.min() <= 0:
+                    # Rounding put a slack at zero: that trial is rejected,
+                    # and its row is evaluated at the current iterate.
+                    out = Sn.min(axis=1) <= 0
+                    Zn[out], Sn[out] = Z[out], S[out]
+                Vn = np.matvec(X, Zn)
+                Fn, Ln = cp.value(Vn, P).sum(axis=1), np.log(Sn).sum(axis=1)
+                accept = Fn - tau * Ln <= phi + 1e-4 * alpha * slope
+                if out is not None:
+                    accept &= ~out
+                if np.count_nonzero(accept) == len(accept):
+                    break
+                alpha = np.where(accept, alpha, 0.5 * alpha)
+            else:
+                # No step decreases the merit: stop with the residual.
+                stop(~accept, INDETERMINATE, np.maximum(res_inf, eta), it)
+                gone = ~accept if gone is None else gone | ~accept
+                if gone.all():
+                    break
 
-    r_dual = grad + G.T @ lam + A.T @ nu
-    kkt = max(float(s @ lam),
-              float(np.abs(r_dual).max(initial=0.0)),
-              float(np.abs(A @ z - b).max(initial=0.0)))
-    return result(INDETERMINATE, kkt, _MAX_ITER)
+            # Multiplier step: its own fraction-to-boundary rule on lam > 0.
+            beta = _to_boundary(lam, -dlam)[:, None]
+            lam = lam + beta * dlam
+            nu = nu + beta * dnu
+            Z, S, V, F, L = Zn, Sn, Vn, Fn, Ln
+            first, second = cp.slopes(V, P)
+            grad = np.vecmat(first, X)
+
+    # Long batches run in slices whose stacked dense K stays within the budget.
+    size = max(1, _BATCH_BYTES // (8 * (n + p) ** 2))
+    for first in range(0, total, size):
+        run(np.arange(first, min(first + size, total)))
+    return ConvexResult(status=next((s for s in status_out if s != OPTIMAL), OPTIMAL),
+                        z=z_out, value=f_out, kkt_residual=kkt_out, iterations=int(it_out.sum()),
+                        statuses=tuple(status_out), problem_iterations=it_out)
 
 
 def require_optimal(result, what: str):

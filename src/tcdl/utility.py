@@ -64,7 +64,7 @@ def u_eval(spec: UtilitySpec, x) -> float | np.ndarray:
     out = np.full(x.shape, -np.inf)
     pos = x > 0
     if spec.family == "log":
-        out[pos] = np.log(x[pos])
+        np.log(x, out=out, where=pos)
     else:
         a = spec.alpha
         out[pos] = x[pos] ** a / a + spec.shift
@@ -73,7 +73,7 @@ def u_eval(spec: UtilitySpec, x) -> float | np.ndarray:
 
 def u_prime(spec: UtilitySpec, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if np.count_nonzero(x <= 0):
         raise DomainError("u_prime requires x > 0")
     out = 1.0 / x if spec.family == "log" else x ** (spec.alpha - 1.0)
     return out if out.shape else float(out)
@@ -81,7 +81,7 @@ def u_prime(spec: UtilitySpec, x) -> float | np.ndarray:
 
 def u_double_prime(spec: UtilitySpec, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if np.count_nonzero(x <= 0):
         raise DomainError("u_double_prime requires x > 0")
     if spec.family == "log":
         out = -1.0 / x ** 2
@@ -94,10 +94,10 @@ def u_double_prime(spec: UtilitySpec, x) -> float | np.ndarray:
 def v_eval(spec: UtilitySpec, y) -> float | np.ndarray:
     """Convex conjugate V(y) = sup_{x>0} {U(x) - x y}, closed form."""
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
+    if np.count_nonzero(y <= 0):
         raise DomainError("v_eval requires y > 0")
     if spec.family == "log":
-        out = -np.log(y) - 1.0
+        out = -1.0 - np.log(y)
     else:
         a = spec.alpha
         out = (1.0 / a - 1.0) * y ** (a / (a - 1.0)) + spec.shift
@@ -107,7 +107,7 @@ def v_eval(spec: UtilitySpec, y) -> float | np.ndarray:
 def i_eval(spec: UtilitySpec, y) -> float | np.ndarray:
     """Inverse marginal utility I = (U')^{-1} = -V'."""
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0):
+    if np.count_nonzero(y <= 0):
         raise DomainError("i_eval requires y > 0")
     out = 1.0 / y if spec.family == "log" else y ** (1.0 / (spec.alpha - 1.0))
     return out if out.shape else float(out)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tcdl.errors import DomainError, NoConsistentPriceSystemError
+from tcdl.errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError
 from tcdl.market import binomial_market, build_market
 from tcdl import dual as du
 from tcdl import harness as hn
 from tcdl import primal as pr
+from tcdl import solver
 from tcdl import utility as ut
 
 from oracles import (
@@ -408,9 +409,9 @@ def test_ipm_evaluates_slopes_once_per_iterate(monkeypatch):
         calls = {"value": 0, "slopes": 0}
 
         def counted(name, fn):
-            def wrapper(v):
+            def wrapper(*args):
                 calls[name] += 1
-                return fn(v)
+                return fn(*args)
             return wrapper
 
         res = solve(dataclasses.replace(
@@ -479,3 +480,87 @@ def test_cold_dual_at_large_y_is_one_ipm_solve(monkeypatch):
     monkeypatch.setattr(du, "solve_convex", counting)
     du.solve_dual(model, LOG, 100.0)
     assert len(iterations) == 1
+
+
+POWER = ut.make_utility("power", 0.5)
+_CRITERION_02_COMBOS = [(0.01, 2, 3), (0.1, 2, 3), (0.3, 3, 2), (0.3, 3, 3)]
+
+
+def _criterion_02_instance(k):
+    lam, depth, branching = _CRITERION_02_COMBOS[k % 4]
+    return hn.random_instance(2000 + k, depth=depth, branching=branching,
+                              lam=lam, rho=0.3, max_attempts=600)
+
+
+def _outcome(solve):
+    """``solve()``, or the type and message of the typed error it raised."""
+    try:
+        return solve()
+    except (DomainError, SolverIndeterminateError) as exc:
+        return type(exc), str(exc)
+
+
+def _per_y(model, spec, grid, poly):
+    return [du.solve_dual(model, spec, float(y), polytope=poly) for y in grid]
+
+
+@pytest.mark.parametrize("spec", [LOG, POWER], ids=lambda s: s.label())
+def test_grid_is_one_batch_of_the_per_y_solves(spec, monkeypatch):
+    # criterion 02's fifty instances on the default grid: the one batched
+    # solve gives each y what its own solve_dual gives, iteration for
+    # iteration, and fails where the per-y loop fails
+    grid = du.default_y_grid()
+    for k in range(50):
+        model = _criterion_02_instance(k)
+        poly = du.cps_polytope(model)
+        calls = {"ipm": 0}
+        with monkeypatch.context() as m:
+            m.setattr(du, "solve_convex", _counting(calls, "ipm", du.solve_convex))
+            batched = _outcome(lambda: du.dual_grid(model, spec, grid, polytope=poly))
+        assert calls == {"ipm": 1}
+        sequential = _outcome(lambda: _per_y(model, spec, grid, poly))
+        if isinstance(sequential, tuple):
+            assert batched == sequential, f"instance {2000 + k}"
+            continue
+        for one, alone in zip(batched, sequential):
+            where = f"instance {2000 + k} at y={alone.y}"
+            assert one.y == alone.y and one.iterations == alone.iterations, where
+            assert one.value == pytest.approx(alone.value, rel=1e-10), where
+            assert one.derivative == pytest.approx(alone.derivative, rel=1e-10), where
+            scale = np.abs(alone.z0_T).max()
+            assert np.abs(one.z0_T - alone.z0_T).max() <= 1e-10 * scale, where
+
+
+def test_grid_raises_the_first_failure_of_the_per_y_loop():
+    # instance 2009 with power:0.5 stalls at y = 354.8, and y = 1e-160
+    # overflows y I(y z) at the start: the grid raises what the per-y loop
+    # raises first, with its message, in grid order
+    model = _criterion_02_instance(9)
+    poly = du.cps_polytope(model)
+    stall, overflow = du.default_y_grid()[37], 1e-160
+    stalled = (SolverIndeterminateError,
+               f"dual solve at y={stall}: solver status {solver.INDETERMINATE}")
+    overflowed = (DomainError, f"dual at y={overflow!r}: y I(y z) or V(y z) is not a finite float")
+    for grid, first in (([1.0, stall, overflow], stalled), ([1.0, overflow, stall], overflowed),
+                        ([stall, 2.0], stalled)):
+        batched = _outcome(lambda: du.dual_grid(model, POWER, grid, polytope=poly))
+        assert batched == _outcome(lambda: _per_y(model, POWER, grid, poly)) == first
+
+
+def test_sliced_grid_equals_the_unsliced_solve(monkeypatch):
+    # with the byte budget cut to six problems, the 41-point grid runs in
+    # seven slices and gives what one slice gives
+    model, _, poly = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    grid = du.default_y_grid()
+    whole = du.dual_grid(model, LOG, grid, polytope=poly)
+    order = poly.n_vars + poly.A.shape[0]
+    monkeypatch.setattr(solver, "_BATCH_BYTES", 6 * 8 * order ** 2)
+    batches = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda K, rhs: batches.append(len(K)) or solve(K, rhs))
+    sliced = du.dual_grid(model, LOG, grid, polytope=poly)
+    assert max(batches) == 6 and batches.count(6) >= 6
+    for one, other in zip(whole, sliced):
+        assert one.iterations == other.iterations
+        assert one.value == pytest.approx(other.value, rel=1e-12)
+        assert np.allclose(one.z, other.z, rtol=1e-12, atol=1e-14)

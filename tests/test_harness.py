@@ -79,7 +79,8 @@ def test_yhat_agrees_with_brentq_oracle():
         model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
                                    rho=0.3, max_attempts=600)
         poly = du.cps_polytope(model)
-        x0 = du.compute_x0(model, poly)
+        phase1 = pr.max_min_wealth(model, 0.0)
+        x0 = -phase1[0]
         x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
         for spec in (LOG, ut.make_utility("power", 0.5)):
             yhat = hn.find_yhat(model, spec, x, polytope=poly, x0=x0)
@@ -250,10 +251,12 @@ def test_envelope_marginal_agrees_with_finite_difference():
         model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
                                    rho=0.3, max_attempts=600)
         poly = du.cps_polytope(model)
-        x0 = du.compute_x0(model, poly)
+        phase1 = pr.max_min_wealth(model, 0.0)
+        x0 = -phase1[0]
         x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
         for spec in (LOG, ut.make_utility("power", 0.5)):
-            report = hn.conjugacy_check(model, spec, [x], [1.0], polytope=poly, x0=x0)
+            report = hn.conjugacy_check(model, spec, [x], [1.0], polytope=poly,
+                                        phase1=phase1)
             record = report.x_records[0]
             budget = hn.DEFAULT_TOLERANCES["marginal"] * (1.0 + record["yhat"])
             fd = pr.primal_marginal(model, spec, x)
@@ -418,7 +421,8 @@ def test_report_records_the_yhat_search(monkeypatch):
     fields = ("yhat_ipm_iterations", "refine_ipm_iterations", "primal_ipm_iterations")
     assert sum(iterations) == (sum(rec["ipm_iterations"] for rec in report.y_records)
                                + sum(rec[f] for rec in report.x_records for f in fields))
-    assert len(iterations) == 3 + sum(rec["yhat_dual_solves"] + 2 for rec in report.x_records)
+    # the three-point y grid is one batched interior-point call
+    assert len(iterations) == 1 + sum(rec["yhat_dual_solves"] + 2 for rec in report.x_records)
 
 
 def test_run_experiment_output_deterministic(tmp_path):
@@ -490,3 +494,20 @@ def test_attainability_row_lists_the_tolerance_that_decides_it():
     assert len(rows) == 3
     assert all(row["passed"] == (row["value"] <= row["tolerance"]) for row in rows)
     assert all(row["tolerance"] == hn.ATTAINABILITY_TOL for row in rows)
+
+
+def test_report_solves_the_trade_lp_once(monkeypatch):
+    # x0 and every primal solve's phase 1 come from one max-min wealth LP
+    # with the default claim; the recoveries' certificates are the others
+    claims = []
+    max_min = pr.max_min_wealth
+
+    def recording(model, x, g=None):
+        claims.append("default" if g is None else "ghat")
+        return max_min(model, x, g)
+
+    monkeypatch.setattr(pr, "max_min_wealth", recording)
+    report = hn.run_experiment({"seed": {"seed": 1, "depth": 3, "branching": 2,
+                                         "lambda": 0.3, "rho": 0.2}})
+    assert report.passed and len(report.x_records) == 3
+    assert claims == ["default", "ghat", "ghat", "ghat"]

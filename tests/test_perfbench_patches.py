@@ -70,3 +70,29 @@ def test_workload_call_binds(module_name, attr, shape):
     if shape is not None:
         n_args, keywords = shape
         inspect.signature(target).bind(*[None] * n_args, **dict.fromkeys(keywords))
+
+
+def test_solve_convex_results_fit_the_tracer(monkeypatch):
+    # the tracer records a solve_convex span's ``status`` only when it is a
+    # str and sums its ``iterations`` as a number: a batched solve (the dual
+    # grid) and a one-problem solve (solve_dual) must both return an
+    # OPTIMAL-or-not str and an int
+    from tcdl import dual, harness, solver, utility
+    results = []
+    solve = dual.solve_convex
+
+    def recording(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(dual, "solve_convex", recording)
+    model, _, poly = harness._generate_instance(1, 3, 2, 0.3, 0.2)
+    log = utility.make_utility("log")
+    grid = dual.dual_grid(model, log, dual.default_y_grid(), polytope=poly)
+    dual.solve_dual(model, log, 1.0, polytope=poly)
+    assert [len(r.statuses) for r in results] == [len(grid), 1]
+    for res in results:
+        assert type(res.status) is str and res.status == solver.OPTIMAL
+        assert type(res.iterations) is int
+        assert res.iterations == sum(int(i) for i in res.problem_iterations)
+    assert results[0].iterations == sum(sol.iterations for sol in grid)

@@ -227,3 +227,21 @@ def test_primal_solve_is_one_ipm_solve(monkeypatch):
     pr.solve_primal(model, ut.make_utility("power", 0.5), x)
     assert len(iterations) == 1
     assert iterations[0] <= 100
+
+
+def test_solve_primal_takes_the_phase1_result(monkeypatch):
+    # the phase-1 LP does not depend on x: handed its result, the solve
+    # runs no LP and gives the same optimum bit for bit
+    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
+    phase1 = pr.max_min_wealth(model, 0.0)
+    x = -phase1[0] + 1.0
+    own = pr.solve_primal(model, LOG, x)
+    calls = []
+    solve_lp = pr.solve_lp
+    monkeypatch.setattr(pr, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+    given = pr.solve_primal(model, LOG, x, phase1=phase1)
+    assert calls == []
+    assert given.value == own.value and given.iterations == own.iterations
+    assert np.array_equal(given.wealth, own.wealth)
+    with pytest.raises(BelowX0Error):
+        pr.solve_primal(model, LOG, -phase1[0] - 1e-3, phase1=phase1)

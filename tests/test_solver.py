@@ -122,15 +122,15 @@ def test_convex_quadratic_with_equality():
     t = np.array([0.3, 0.9, -0.1])
     cp = ConvexProgram(
         X=np.eye(3),
-        value=lambda v: (v - t) ** 2,
-        slopes=lambda v: (2.0 * (v - t), np.full(3, 2.0)),
+        value=lambda v, _: (v - t) ** 2,
+        slopes=lambda v, _: (2.0 * (v - t), np.full(v.shape, 2.0)),
         A=np.ones((1, 3)), b=np.array([1.0]),
         start=np.full(3, 1.0 / 3.0),
     )
     res = solve_convex(cp, tol=1e-10)
     assert res.status == OPTIMAL
     expected = t + (1.0 - t.sum()) / 3.0
-    assert np.allclose(res.z, expected, atol=1e-8)
+    assert np.allclose(res.z[0], expected, atol=1e-8)
 
 
 def test_convex_entropy_on_simplex_matches_golden_section():
@@ -139,32 +139,32 @@ def test_convex_entropy_on_simplex_matches_golden_section():
     q = np.array([p, 1 - p])
     cp = ConvexProgram(
         X=np.eye(2),
-        value=lambda v: -q * np.log(v) if np.all(v > 0) else np.inf,
-        slopes=lambda v: (-q / v, q / v ** 2),
+        value=lambda v, _: -q * np.log(v),
+        slopes=lambda v, _: (-q / v, q / v ** 2),
         G=-np.eye(2), h=np.zeros(2),
         A=np.ones((1, 2)), b=np.array([1.0]),
         start=np.array([0.5, 0.5]),
     )
     res = solve_convex(cp, tol=1e-10)
     assert res.status == OPTIMAL
-    assert res.z[0] == pytest.approx(p, abs=1e-7)
+    assert res.z[0, 0] == pytest.approx(p, abs=1e-7)
     t_star, f_star = golden_section_max(
         lambda t: p * np.log(t) + (1 - p) * np.log(1 - t), 1e-9, 1 - 1e-9)
-    assert -res.value == pytest.approx(f_star, abs=1e-9)
-    assert res.z[0] == pytest.approx(t_star, abs=1e-6)
+    assert -res.value[0] == pytest.approx(f_star, abs=1e-9)
+    assert res.z[0, 0] == pytest.approx(t_star, abs=1e-6)
 
 
 def test_convex_barrier_domain_respected():
     # objective undefined for z <= 0.5; solver must never step out
     cp = ConvexProgram(
         X=np.eye(1),
-        value=lambda v: -np.log(v - 0.5) + v if v[0] > 0.5 else np.inf,
-        slopes=lambda v: (-1.0 / (v - 0.5) + 1.0, 1.0 / (v - 0.5) ** 2),
+        value=lambda v, _: -np.log(v - 0.5) + v if v.min() > 0.5 else np.full(v.shape, np.inf),
+        slopes=lambda v, _: (-1.0 / (v - 0.5) + 1.0, 1.0 / (v - 0.5) ** 2),
         start=np.array([1.0]),
     )
     res = solve_convex(cp, tol=1e-10)
     assert res.status == OPTIMAL
-    assert res.z[0] == pytest.approx(1.5, abs=1e-8)
+    assert res.z[0, 0] == pytest.approx(1.5, abs=1e-8)
 
 
 def _counting_splu(monkeypatch):
@@ -189,8 +189,8 @@ def test_rank_deficient_kkt_is_indeterminate(monkeypatch):
         start[:2] = [0.9, 0.1]
         cp = ConvexProgram(
             X=np.eye(n),
-            value=lambda v: 0.5 * v ** 2,
-            slopes=lambda v, n=n: (v.copy(), np.ones(n)),
+            value=lambda v, _: 0.5 * v ** 2,
+            slopes=lambda v, _: (v.copy(), np.ones(v.shape)),
             A=np.ones((2, n)), b=np.ones(2),
             start=start,
         )
@@ -274,8 +274,8 @@ def _newton_matrix(XG, A, w, sparse):
         if sparse:
             mp.setattr(solver, "_SPARSE_KKT_ORDER", 0)
         with pytest.raises(_Captured) as caught:
-            solver.newton_solver(XG, A)(w, rhs)
-    return caught.value.K
+            solver.newton_solver(XG, A)(w[None], rhs[None])
+    return caught.value.K if sparse else caught.value.K[0]
 
 
 def _assert_newton_matrix(XG, A, w):
@@ -315,3 +315,55 @@ def test_newton_matrix_matches_dense_product(m, n, p, data):
 def test_newton_matrix_edge_patterns(XG, w, p):
     A = np.arange(1.0, p * XG.shape[1] + 1).reshape(p, XG.shape[1])
     _assert_newton_matrix(XG, A, w)
+
+
+def _tilted_quadratic(params):
+    # row k: minimize sum(c_k / 2 (z - t)^2 + g_k z) on sum(z) = 1, from the
+    # centre; c_k = 0 leaves the Hessian and so the KKT matrix singular
+    t = np.array([0.3, 0.9, -0.1])
+    return ConvexProgram(
+        X=np.eye(3),
+        value=lambda v, q: 0.5 * q[:, :1] * (v - t) ** 2 + q[:, 1:] * v,
+        slopes=lambda v, q: (q[:, :1] * (v - t) + q[:, 1:], q[:, :1] * np.ones(v.shape)),
+        A=np.ones((1, 3)), b=np.array([1.0]),
+        start=np.full(3, 1.0 / 3.0), params=np.asarray(params, dtype=float),
+    )
+
+
+def test_batch_solves_each_problem_as_alone():
+    # each problem of a batch takes its own steps and stops on its own
+    # rules: a singular KKT matrix stops only its problem, at iteration 1
+    params = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -1.0], [2.0, 0.5, 0.0, 0.0]]
+    batch = solve_convex(_tilted_quadratic(params), tol=1e-10)
+    assert batch.statuses == (OPTIMAL, INDETERMINATE, OPTIMAL)
+    assert batch.status == INDETERMINATE
+    assert batch.problem_iterations[1] == 1
+    assert batch.iterations == int(batch.problem_iterations.sum())
+    for k, row in enumerate(params):
+        alone = solve_convex(_tilted_quadratic([row]), tol=1e-10)
+        assert alone.statuses == (batch.statuses[k],) and alone.status == batch.statuses[k]
+        assert alone.iterations == batch.problem_iterations[k]
+        assert np.array_equal(alone.z[0], batch.z[k])
+        assert alone.value[0] == batch.value[k]
+        assert alone.kkt_residual[0] == batch.kkt_residual[k]
+    c, g = params[2][0], np.array(params[2][1:])
+    expected = np.array([0.3, 0.9, -0.1]) - g / c
+    assert np.allclose(batch.z[2], expected + (1.0 - expected.sum()) / 3.0, atol=1e-8)
+
+
+# solve_primal on random_instance(1, 3, 2, lam=0.3, rho=0.2) at x0 + 1 with
+# log utility, as solved before the batch axis
+PINNED_PRIMAL = {"iterations": 18, "value": 1.4496642701260225,
+                 "wealth_sum": 53.822850045020175, "wealth_min": 0.15476842762936993}
+
+
+def test_single_problem_primal_solve_is_pinned():
+    # a one-problem solve_convex, as the primal runs it, gives the results
+    # it gave before the batch axis, to 1e-12
+    model = random_instance(1, 3, 2, lam=0.3, rho=0.2)
+    sol = pr.solve_primal(model, ut.make_utility("log"), du.compute_x0(model) + 1.0)
+    assert sol.iterations == PINNED_PRIMAL["iterations"]
+    assert sol.value == pytest.approx(PINNED_PRIMAL["value"], rel=1e-12)
+    assert sol.wealth.sum() == pytest.approx(PINNED_PRIMAL["wealth_sum"], rel=1e-12)
+    assert sol.wealth.min() == pytest.approx(PINNED_PRIMAL["wealth_min"], rel=1e-12)
+    assert sol.kkt_residual <= 1e-9
