@@ -202,7 +202,7 @@ def _require_nonempty(poly: CpsPolytope):
 
 
 def require_interior(poly: CpsPolytope) -> np.ndarray:
-    """The polytope's strictly interior point, where every dual solve starts."""
+    """The polytope's strictly interior point, where a dual solve starts by default."""
     _require_nonempty(poly)
     if poly.interior is None:
         raise SolverIndeterminateError(
@@ -254,8 +254,8 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     One interior-point solve from ``start`` or, by default, the polytope's
     interior point; a stall raises ``SolverIndeterminateError``, and a y at
     which y I(y z) or V(y z) at the start is no finite float a
-    ``DomainError``.  The tighter re-solve at yhat lives in
-    ``harness.recover_primal_from_dual``.
+    ``DomainError``.  The yhat search of ``harness.find_yhat`` calls it
+    warm started at tolerance 1e-10.
     """
     return _solve_duals(model, spec, [y], polytope or cps_polytope(model), start, tol)[0]
 

@@ -3,10 +3,10 @@
 Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 in the
 optimal wealth t = I(y), where the equation is affine up to the drift of the
 optimal density, by fixed-point and secant steps (at most YHAT_MAX_SOLVES
-dual solves, then SolverIndeterminateError); recovers the primal optimizer
-from the dual density, checks complementary slackness, and assembles a full
-report (value grids, gaps, residuals) for a market instance.  Also provides
-the seeded random-instance generator and the selftest driver used by the CLI.
+warm-started dual solves, then SolverIndeterminateError); recovers the primal
+optimizer from the root solve's density, checks complementary slackness, and
+assembles a full report (value grids, gaps, residuals) for a market instance.
+Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     U'(t).  Were z fixed, the root would be T(z) = (x + E[z e]) / E[z I(z)].
     The search starts at T of the polytope's interior density, then takes
     secant steps on its last two (t, g) pairs, falling back to T of the
-    latest density when the secant step is not positive.  It stops at
-    |g| <= 1e-9 (1 + |x|) and raises ``SolverIndeterminateError`` past
-    ``YHAT_MAX_SOLVES`` dual solves.  Returns the y of the dual solve at the
-    root; ``recover_primal_from_dual`` refines that solve and reports the
-    closed-form yhat on the refined density, which differs in the last digits.
+    latest density when the secant step is not positive.  Every dual solve
+    runs at tolerance 1e-10, each after the first from 0.9 times the previous
+    optimum plus 0.1 times the interior point.  It stops at |g| <= 1e-9
+    (1 + |x|) and raises ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES``
+    dual solves.  Returns U'(T(z)) on the root solve's density z, the yhat
+    ``recover_primal_from_dual`` reports.
     """
-    return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)[0].y
+    return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)[0]
 
 
 def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
@@ -97,9 +98,9 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
 
 def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
                         polytope: du.CpsPolytope | None = None,
-                        x0: float | None = None) -> tuple[du.DualSolution, int, int]:
-    """The dual solve at the root of ``find_yhat``'s search, and the solves
-    and interior-point iterations it took."""
+                        x0: float | None = None) -> tuple[float, du.DualSolution, int, int]:
+    """``find_yhat``'s yhat, the dual solve at the root of its search, and the
+    solves and interior-point iterations the search took."""
     if not np.isfinite(x):
         raise DomainError(f"yhat search needs a finite x, got x={x!r}")
     poly = polytope or du.cps_polytope(model)
@@ -111,13 +112,22 @@ def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
     e = model.endowment_vector()
 
     stop = YHAT_STOP * (1.0 + abs(x))
-    t, last, iterations = _optimal_wealth(spec, x, p, e, poly.leaf_density(interior)), None, 0
+    t = _optimal_wealth(spec, x, p, e, poly.leaf_density(interior))
+    last, start, iterations = None, None, 0
     for solves in range(1, YHAT_MAX_SOLVES + 1):
-        sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly)
+        sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly, start=start,
+                            tol=1e-10)
         iterations += sol.iterations
         g = sol.derivative + x
         if abs(g) <= stop:
-            return sol, solves, iterations
+            # Correct yhat holding the leaf densities fixed, so that the
+            # recovered payoff has E[z0 ghat] = 0: the dual derivative carries
+            # a small flat-direction bias that would otherwise leak into it.
+            yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, sol.z0_T)))
+            return yhat, sol, solves, iterations
+        # Near-degenerate polytopes leave flat directions in the dual objective;
+        # a cold start pins the leaf densities only loosely along them.
+        start = 0.9 * sol.z + 0.1 * interior
         secant = last is not None and g != last[1]
         step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
         last = (t, g)
@@ -134,7 +144,7 @@ class RecoveryResult:
     primal: pr.PrimalSolution
     attainable: bool
     attainability_slack: float   # superreplication price of ghat (<= 0 up to tol)
-    yhat_dual_solves: int        # dual solves of the yhat search, before the refinement
+    yhat_dual_solves: int        # dual solves of the yhat search, the root solve included
     yhat_ipm_iterations: int     # their interior-point iterations, summed
 
 
@@ -143,26 +153,14 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
                              x0: float | None = None) -> RecoveryResult:
     """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual.
 
-    The dual solve at the root of the yhat search is refined once, warm
-    started at tolerance 1e-10; if that solve fails the recovery raises
-    ``SolverIndeterminateError``.
+    yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
+    search, so the recovery makes no dual solve of its own.
     """
-    poly = polytope or du.cps_polytope(model)
-    coarse, solves, iterations = _find_yhat_solution(model, spec, x, polytope=poly, x0=x0)
-    yhat = coarse.y
-    # Near-degenerate polytopes leave flat directions in the dual objective;
-    # the search tolerance pins the leaf densities only loosely along them.
-    dsol = du.solve_dual(model, spec, yhat, polytope=poly,
-                         start=0.9 * coarse.z + 0.1 * poly.interior, tol=1e-10)
+    yhat, dsol, solves, iterations = _find_yhat_solution(model, spec, x, polytope, x0)
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
-    z0_T = dsol.z0_T
-    # Correct yhat holding the leaf densities fixed, so that the recovered
-    # payoff has E[z0 ghat] = 0: the dual derivative carries a small
-    # flat-direction bias that would otherwise leak into it.
-    yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, z0_T)))
-    ghat = ut.i_eval(spec, yhat * z0_T) - x - e
+    ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
     # One max-min LP certifies ghat and builds its strategy: the margin
     # max_u min_leaf (C u - ghat) is minus the superreplication price of ghat,
     # and the argmax u generates a payoff dominating ghat up to that margin.
@@ -308,8 +306,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
             "recovery_attainable": rec.attainable,
             "yhat_dual_solves": rec.yhat_dual_solves,
             "yhat_ipm_iterations": rec.yhat_ipm_iterations,
-            "refine_kkt_residual": dsol.kkt_residual,
-            "refine_ipm_iterations": dsol.iterations,
+            "yhat_kkt_residual": dsol.kkt_residual,
             "slackness": {"r1": slack.r1, "r2": slack.r2, "r3": slack.r3},
         }
         report.add_check("strong_duality", rel_gap <= tol["strong_duality"],

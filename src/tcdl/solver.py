@@ -107,13 +107,10 @@ class LpResult:
 
 
 def _bounds_list(lp: LinearProgram, n: int):
-    def expand(v, default):
-        if v is None:
-            return [default] * n
-        arr = np.broadcast_to(np.asarray(v, dtype=float), (n,))
-        return list(arr)
-    lbs = expand(lp.lb, -np.inf) if lp.lb is not None else [-np.inf] * n
-    ubs = expand(lp.ub, np.inf) if lp.ub is not None else [np.inf] * n
+    def expand(v):
+        return list(np.broadcast_to(np.asarray(v, dtype=float), (n,)))
+    lbs = expand(lp.lb) if lp.lb is not None else [-np.inf] * n
+    ubs = expand(lp.ub) if lp.ub is not None else [np.inf] * n
     return list(zip(lbs, ubs))
 
 
@@ -123,11 +120,12 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if not np.all(np.isfinite(c)):
         raise DomainError("LP objective has non-finite entries")
     sign = -1.0 if lp.sense == "max" else 1.0
+    bounds = _bounds_list(lp, n)
     res = linprog(
         sign * c,
         A_ub=lp.A_ub, b_ub=lp.b_ub,
         A_eq=lp.A_eq, b_eq=lp.b_eq,
-        bounds=_bounds_list(lp, n),
+        bounds=bounds,
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10},
@@ -164,12 +162,12 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         dual_obj -= float(nu @ np.asarray(lp.b_eq))
     lower = res.lower
     if lower is not None and lower.marginals is not None:
-        bl = np.array([b[0] for b in _bounds_list(lp, n)])
+        bl = np.array([b[0] for b in bounds])
         finite = np.isfinite(bl)
         dual_obj += float(np.asarray(lower.marginals)[finite] @ bl[finite])
     upper = res.upper
     if upper is not None and upper.marginals is not None:
-        bu = np.array([b[1] for b in _bounds_list(lp, n)])
+        bu = np.array([b[1] for b in bounds])
         finite = np.isfinite(bu)
         dual_obj += float(np.asarray(upper.marginals)[finite] @ bu[finite])
     gap = abs(sign * value - dual_obj) / (1.0 + abs(value))

@@ -193,13 +193,18 @@ def find_yhat_by_brentq(model, spec, x, polytope, x0):
 
     The reference for ``harness.find_yhat``: the bracket starts at y in
     [1e-2, 1e2] and widens tenfold, to at most [1e-8, 1e8], until v'(y) + x
-    changes sign on it; each evaluation is a dual solve at y = U'(t) from the
-    polytope's interior point.  Returns the y of the solve at brentq's root.
+    changes sign on it.  Each evaluation solves the dual at y = U'(t) twice:
+    from the polytope's interior point at the default tolerance, then at
+    tolerance 1e-10 from 0.9 times that solve's point plus 0.1 times the
+    interior point, whose v'(y) it reads.  Returns the y at brentq's root.
     """
     assert x > x0
 
     def g(t):
-        return du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=polytope).derivative + x
+        y = ut.u_prime(spec, t)
+        cold = du.solve_dual(model, spec, y, polytope=polytope)
+        return du.solve_dual(model, spec, y, polytope=polytope, tol=1e-10,
+                             start=0.9 * cold.z + 0.1 * polytope.interior).derivative + x
 
     lo, hi = 1e-2, 1e2
     while g(ut.i_eval(spec, lo)) >= 0.0:

@@ -51,8 +51,7 @@ def test_yhat_frictionless_power(alpha):
 
 @pytest.mark.parametrize("family,alpha", [("log", None), ("power", 0.5)])
 def test_yhat_search_dual_solve_count(monkeypatch, family, alpha):
-    # bracket and root search together stay within ten dual solves (the
-    # refinement at the root runs in recover_primal_from_dual)
+    # bracket and root search together stay within ten dual solves
     spec = ut.make_utility(family, alpha)
     model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
                                max_attempts=600)
@@ -68,6 +67,30 @@ def test_yhat_search_dual_solve_count(monkeypatch, family, alpha):
     monkeypatch.setattr(du, "solve_dual", counting)
     hn.find_yhat(model, spec, x)
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("family,alpha", [("log", None), ("power", 0.5)])
+def test_recovery_reuses_the_root_solve_of_the_yhat_search(monkeypatch, family, alpha):
+    # the recovery makes exactly the search's dual solves, and find_yhat
+    # returns the yhat it reports, bit for bit
+    spec = ut.make_utility(family, alpha)
+    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    poly = du.cps_polytope(model)
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
+    calls = []
+    solve = du.solve_dual
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(du, "solve_dual", counting)
+    rec = hn.recover_primal_from_dual(model, spec, x, polytope=poly, x0=x0)
+    assert rec.attainable
+    assert len(calls) == rec.yhat_dual_solves
+    assert hn.find_yhat(model, spec, x, polytope=poly, x0=x0) == rec.yhat
 
 
 def test_yhat_agrees_with_brentq_oracle():
@@ -415,14 +438,16 @@ def test_report_records_the_yhat_search(monkeypatch):
     for rec in report.x_records:
         assert 1 <= rec["yhat_dual_solves"] <= rec["yhat_ipm_iterations"]
         assert rec["yhat_dual_solves"] <= hn.YHAT_MAX_SOLVES
-        assert 0.0 <= rec["refine_kkt_residual"] <= 1e-10
-        assert rec["refine_ipm_iterations"] >= 1 and rec["primal_ipm_iterations"] >= 1
+        assert 0.0 <= rec["yhat_kkt_residual"] <= 1e-10
+        assert rec["primal_ipm_iterations"] >= 1
+        assert "refine_kkt_residual" not in rec and "refine_ipm_iterations" not in rec
     assert all(rec["ipm_iterations"] >= 1 for rec in report.y_records)
-    fields = ("yhat_ipm_iterations", "refine_ipm_iterations", "primal_ipm_iterations")
+    fields = ("yhat_ipm_iterations", "primal_ipm_iterations")
     assert sum(iterations) == (sum(rec["ipm_iterations"] for rec in report.y_records)
                                + sum(rec[f] for rec in report.x_records for f in fields))
-    # the three-point y grid is one batched interior-point call
-    assert len(iterations) == 1 + sum(rec["yhat_dual_solves"] + 2 for rec in report.x_records)
+    # the three-point y grid is one batched interior-point call, and each x
+    # adds its yhat search's dual solves and one primal solve
+    assert len(iterations) == 1 + sum(rec["yhat_dual_solves"] + 1 for rec in report.x_records)
 
 
 def test_run_experiment_output_deterministic(tmp_path):
