@@ -274,7 +274,7 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
     # y^2 V''(y d) = y I(y d) / ((1 - a) d) for both families (a = 0 for
     # log), so the second derivative reuses the first's m = y I(y d) and
     # neither underflows nor overflows where m does not.
-    curvature = 1.0 if spec.family == "log" else 1.0 - spec.alpha
+    curvature = 1.0 - spec.alpha
 
     z_start = interior if start is None else start
     y = np.array(ys, dtype=float)[:, None]
@@ -284,10 +284,12 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
         yd[~finite] = 1.0
         m = y * ut.i_eval(spec, yd)
         finite &= np.isfinite(m).all(axis=1) & np.isfinite(ut.v_eval(spec, yd) + y * e).all(axis=1)
-        # Normalize by the gradient scale at the start so the solver tolerance
-        # acts relatively; extreme y values otherwise push the objective far
-        # from unit scale and stall the iteration at machine precision.
-        w = p / np.maximum(1.0, np.abs(p * (y * e - m)).max(axis=1, keepdims=True))
+        # Scale each objective up or down to a unit gradient at the start so
+        # the solver tolerance acts relatively: far above unit scale the
+        # iteration stalls at machine precision, far below it the tolerance
+        # never pins the density.  A zero start gradient keeps scale 1.
+        g = np.abs(p * (y * e - m)).max(axis=1, keepdims=True)
+        w = p / np.where(g > 0, g, 1.0)
 
     def value(d: np.ndarray, q: np.ndarray) -> np.ndarray:
         y, w = q[:, :1], q[:, 1:]

@@ -156,17 +156,11 @@ def build_tree(spec: Mapping) -> ScenarioTree:
                 " children must be one step after their parent"
             )
 
-    # Time strictly increases along parent links, so reachability from the
-    # root is the only remaining connectivity concern.
+    # Every parent exists and sits one date before its child, so each parent
+    # chain is finite and ends at a node without a parent: the one root.  The
+    # tree is connected, and the root comes first in (time, id) order.
     order = sorted(ids, key=lambda nid: (time_of[nid], nid))
     index = {nid: k for k, nid in enumerate(order)}
-    reachable = {roots[0]}
-    for nid in order:
-        par = parent_of[nid]
-        if par is not None:
-            if par not in reachable:
-                raise MarketError(f"node {nid!r} is not connected to the root")
-            reachable.add(nid)
 
     n = len(order)
     parent = [-1] * n

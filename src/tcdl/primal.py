@@ -230,8 +230,10 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
         return -p * ut.u_eval(spec, x + e + v)
 
     def slopes(v: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
+        # -p U''(w) = (1 - a) p U'(w) / w, from the U' of the gradient
         w = x + e + v
-        return -p * ut.u_prime(spec, w), -p * ut.u_double_prime(spec, w)
+        pu = p * ut.u_prime(spec, w)
+        return -pu, (1.0 - spec.alpha) * pu / w
 
     # Shift the phase-1 vertex into the strict interior of u >= 0 by delta
     # in every coordinate.  Equal buy/sell increments keep D u = 0 (D 1 = 0)

@@ -6,6 +6,11 @@ U = -inf on the nonpositive half line, satisfy the Inada conditions, and have
 asymptotic elasticity strictly below one, so the duality machinery applies
 without extra hypotheses.
 
+Both have U'(x) = x^(a-1) for one exponent a, ``UtilitySpec.alpha``, with
+a = 0 for ``log``.  So I(y) = y^(1/(a-1)), U''(x) = (a - 1) U'(x) / x, and
+the asymptotic elasticity is a; only U and V keep a ``log`` branch, since
+ln x is the a -> 0 limit of x^a / a only up to an additive constant.
+
 For a < 0 the raw power utility is negative everywhere; an additive constant
 is chosen so that U(2) = 1 > 0 (the analysis assumes a utility positive at
 infinity).  The constant shifts U and its conjugate V equally and changes
@@ -27,7 +32,7 @@ _RAE_GRID = [1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8]
 @dataclass(frozen=True)
 class UtilitySpec:
     family: str                # "log" | "power"
-    alpha: float | None = None
+    alpha: float = 0.0         # exponent a of U'(x) = x^(a-1); 0 for log
     shift: float = 0.0         # additive normalization constant
 
     def label(self) -> str:
@@ -75,19 +80,7 @@ def u_prime(spec: UtilitySpec, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.count_nonzero(x <= 0):
         raise DomainError("u_prime requires x > 0")
-    out = 1.0 / x if spec.family == "log" else x ** (spec.alpha - 1.0)
-    return out if out.shape else float(out)
-
-
-def u_double_prime(spec: UtilitySpec, x) -> float | np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.count_nonzero(x <= 0):
-        raise DomainError("u_double_prime requires x > 0")
-    if spec.family == "log":
-        out = -1.0 / x ** 2
-    else:
-        a = spec.alpha
-        out = (a - 1.0) * x ** (a - 2.0)
+    out = x ** (spec.alpha - 1.0)
     return out if out.shape else float(out)
 
 
@@ -109,17 +102,17 @@ def i_eval(spec: UtilitySpec, y) -> float | np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.count_nonzero(y <= 0):
         raise DomainError("i_eval requires y > 0")
-    out = 1.0 / y if spec.family == "log" else y ** (1.0 / (spec.alpha - 1.0))
+    out = y ** (1.0 / (spec.alpha - 1.0))
     return out if out.shape else float(out)
 
 
 def check_rae(spec: UtilitySpec) -> dict:
     """Asymptotic elasticity AE(U) = limsup x U'(x)/U(x), plus a numeric check.
 
-    Returns the closed-form family value (0 for log, alpha for power) and the
+    Returns the closed-form value, the exponent a (0 for log), and the
     elasticity ratio sampled on a wide grid; ``pass`` requires both below 1.
     """
-    value = 0.0 if spec.family == "log" else float(spec.alpha)
+    value = float(spec.alpha)
     ratios = []
     for x in _RAE_GRID:
         u = u_eval(spec, x)

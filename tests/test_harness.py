@@ -167,6 +167,17 @@ def test_recovery_matches_primal():
     assert psol.value == pytest.approx(rec.dual.value + x * rec.yhat, abs=1e-6)
 
 
+def test_recovery_pins_the_density_at_a_tiny_yhat():
+    # power:-50 puts yhat near 1e-16 here, where the dual gradients are of
+    # the same size: only a dual objective scaled up to a unit gradient lets
+    # the solver tolerance pin the density, and with it the recovered payoff
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    rec = hn.recover_primal_from_dual(model, ut.parse_utility("power:-50"), 2.365)
+    assert rec.yhat < 1e-15
+    assert rec.attainable
+    assert rec.attainability_slack <= 1e-9
+
+
 def test_recovered_strategy_generates_ghat():
     # ghat sits on the attainability boundary here; the strategy stored with
     # the recovery must still dominate it leaf by leaf and end flat in stock.

@@ -118,6 +118,51 @@ def test_chained_conditionals_reproduce_leaf_probabilities(spec):
         assert _chained(by_cond, leaf) == by_cond.prob[k]
 
 
+@st.composite
+def _shuffled_tree_specs(draw):
+    """Random trees whose dates step by one, every non-terminal node with a
+    child, listed in shuffled order under shuffled ids."""
+    sizes = [1]
+    for _ in range(draw(st.integers(1, 5))):
+        sizes.append(sizes[-1] + draw(st.integers(0, 3)))
+    labels = draw(st.permutations(range(sum(sizes))))
+    levels, nodes = [], []
+    for t, size in enumerate(sizes):
+        ids = [f"v{labels[len(nodes) + k]}" for k in range(size)]
+        if t == 0:
+            parents = [None]
+        else:
+            # each node of the date before gets one child, the rest any parent
+            above = levels[-1]
+            parents = draw(st.permutations(above)) + [
+                draw(st.sampled_from(above)) for _ in range(size - len(above))]
+        nodes += [{"id": nid, "parent": par, "time": t} for nid, par in zip(ids, parents)]
+        levels.append(ids)
+    return {"nodes": draw(st.permutations(nodes)),
+            "probabilities": {nid: 1.0 / sizes[-1] for nid in levels[-1]}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffled_tree_specs(), st.data())
+def test_dated_parent_links_connect_every_node_to_the_root(spec, data):
+    # parents that exist one date earlier, with one root, leave nothing to
+    # check for connectivity: every path starts at the root
+    tree = build_tree(spec)
+    assert tree.n_nodes == len(spec["nodes"])
+    for k in range(tree.n_nodes):
+        path = tree.path(k)
+        assert path[0] == tree.root
+        assert len(path) == tree.time[k] + 1
+    # a self-parent, a skipped date or an orphan is still rejected
+    k = data.draw(st.sampled_from([k for k, rec in enumerate(spec["nodes"])
+                                   if rec["parent"] is not None]))
+    rec = spec["nodes"][k]
+    for bad in ({**rec, "parent": rec["id"]}, {**rec, "time": rec["time"] + 1},
+                {**rec, "parent": "ghost"}):
+        with pytest.raises(MarketError):
+            build_tree({**spec, "nodes": spec["nodes"][:k] + [bad] + spec["nodes"][k + 1:]})
+
+
 def test_tree_spec_round_trip():
     tree = build_tree(binomial_spec())
     again = build_tree(tree_to_spec(tree))

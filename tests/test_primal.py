@@ -189,6 +189,30 @@ def test_primal_marginal_matches_log_closed_form():
     assert pr.primal_marginal(model, LOG, 2.0) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_primal_curvature_is_the_derivative_of_its_gradient(monkeypatch):
+    # the Hessian the primal program hands the solver, (1 - a) p U'(w) / w,
+    # against a central difference of its gradient -p U'(w), at the leaf
+    # wealths I(y) of a y grid
+    programs = []
+    solve = pr.solve_convex
+    monkeypatch.setattr(pr, "solve_convex",
+                        lambda cp, **kwargs: programs.append(cp) or solve(cp, **kwargs))
+    model = with_costs(endowment=(0.25, -0.5))
+    e = model.endowment_vector()
+    x = 2.0
+    for text in ("log", "power:0.5", "power:-2"):
+        spec = ut.parse_utility(text)
+        programs.clear()
+        pr.solve_primal(model, spec, x)
+        (cp,) = programs
+        for y in (0.1, 1.0, 7.0):
+            w = ut.i_eval(spec, y * np.array([0.5, 2.0]))
+            h = 1e-5 * w
+            v = w - x - e
+            fd = (cp.slopes(v + h, None)[0] - cp.slopes(v - h, None)[0]) / (2.0 * h)
+            assert cp.slopes(v, None)[1] == pytest.approx(fd, rel=1e-7)
+
+
 def test_primal_ipm_starts_inside_the_bounds(monkeypatch):
     # the interior-point start sits half the worst-case wealth margin inside
     # every bound u >= 0, so the 3 x 3 tree solves in few iterations

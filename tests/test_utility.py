@@ -94,16 +94,16 @@ def test_i_inverts_marginal_utility(spec, y):
     assert ut.u_prime(spec, ut.i_eval(spec, y)) == pytest.approx(y, rel=1e-12)
 
 
-def test_u_double_prime_is_the_derivative_of_u_prime():
-    # the primal Hessian's U'' against a central difference of U', on the
-    # wealths I(y) of a y grid
-    for text in FAMILIES:
-        spec = ut.parse_utility(text)
-        for y in (0.1, 1.0, 7.0):
-            x = ut.i_eval(spec, y)
-            h = 1e-5 * x
-            fd = (ut.u_prime(spec, x + h) - ut.u_prime(spec, x - h)) / (2.0 * h)
-            assert ut.u_double_prime(spec, x) == pytest.approx(fd, rel=1e-7)
+def test_log_marginals_are_the_reciprocal_bit_for_bit():
+    # log is the exponent a = 0, and x ** -1 must round as 1 / x does: the
+    # dual under log then computes the same numbers as a reciprocal would
+    spec = ut.make_utility("log")
+    x = np.logspace(-300, 300, 6001)
+    assert np.array_equal(ut.u_prime(spec, x), 1.0 / x)
+    assert np.array_equal(ut.i_eval(spec, x), 1.0 / x)
+    for scalar in (3.0, 0.1, 7e-300, 1.7e300):
+        assert ut.u_prime(spec, scalar) == 1.0 / scalar
+        assert ut.i_eval(spec, scalar) == 1.0 / scalar
 
 
 def test_asymptotic_elasticity():
