@@ -303,7 +303,8 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
     if finite.any():
         res = solve_convex(ConvexProgram(
             np.eye(poly.n_vars)[leaves], value, slopes, G=poly.G, h=poly.h, A=poly.A, b=poly.b,
-            start=z_start, params=np.hstack([y, w])[finite]), tol=tol)
+            start=z_start, params=np.hstack([y, w])[finite],
+            order=tree.children_first(poly.n_vars)), tol=tol)
     out = []
     for k, y in enumerate(ys):   # every y before the first failure was solved, row k
         if not finite[k]:

@@ -105,6 +105,12 @@ class ScenarioTree:
     def leaf_prob(self) -> np.ndarray:
         return np.array(self.prob)
 
+    def children_first(self, n_vars: int) -> np.ndarray:
+        """An elimination order for variables in node-indexed blocks (column
+        c belongs to node c mod n): one row per node, holding its columns,
+        from the last index to the root, so children precede their parents."""
+        return np.arange(n_vars).reshape(-1, self.n_nodes).T[::-1]
+
 
 def build_tree(spec: Mapping) -> ScenarioTree:
     """Build and validate a scenario tree from a plain-dict description.

@@ -250,7 +250,8 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
 
     cp = ConvexProgram(C, value, slopes,
                        G=-np.eye(nu), h=np.zeros(nu),
-                       A=D, b=np.zeros(D.shape[0]), start=u_feas + delta)
+                       A=D, b=np.zeros(D.shape[0]), start=u_feas + delta,
+                       order=tree.children_first(nu))
     res = solve_convex(cp, tol=1e-9)
     # Accept a stalled iterate when the certified suboptimality is still far
     # inside the tolerances anything downstream relies on: near-degenerate

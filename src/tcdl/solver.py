@@ -25,17 +25,25 @@ per problem, whose upper-left block is one Gram over the stacked rows:
 ``newton_solver`` reads K's pattern once per solve and sums each step's
 entries for the whole batch with one ``np.bincount``.  K's order n + p picks
 only the factorisation: below ``_SPARSE_KKT_ORDER`` one batched LAPACK LU
-of the stacked dense matrices, at or above it SuperLU (``splu``, COLAMD
-order) per problem, whose fixed cost loses on small matrices (timings in
-BENCH_14.json).  A batch whose stacked K would pass ``_BATCH_BYTES`` runs
-in slices.  ``A`` must have full row rank; callers drop dependent rows once
-when they build the constraints.
+of the stacked dense matrices, at or above it SuperLU (``splu``) per
+problem, whose fixed cost loses on small matrices (timings in BENCH_14.json
+and BENCH_20.json).  SuperLU reorders no column of its own: it eliminates
+the variables group by group in the caller's order (``ConvexProgram.order``),
+each group followed by the equality rows whose first variable it holds.  On
+a tree, whose constraints link a node to its parent and children (the
+primal's trade map to its ancestors), the groups are the nodes, children
+before their parents; the factors measured
+in BENCH_20.json hold at most 2.5 times K's nonzeros.  A batch whose stacked
+K would pass ``_BATCH_BYTES`` runs in slices.  ``A`` must have full row
+rank; callers drop dependent rows once when they build the constraints.
 
 Each problem takes its own steps.  The primal step is an Armijo
 backtracking on the barrier merit phi(z) = sum(value(X z)) - tau * sum(log
 s(z)), tau = eta / (10 m) the current centering target, from 0.99 of the
 longest step that keeps s > 0; the Newton direction is a descent direction
-for phi wherever A z = b holds, which every start satisfies.  The
+for phi wherever A z = b holds, which every start satisfies.  A first
+trial that leaves z bit for bit where it is cannot decrease the merit; it
+is taken, and the multipliers still move.  The
 multipliers take their own fraction-to-boundary step on lam > 0 (Wächter &
 Biegler, Math. Program. 106, 2006).  A problem is optimal once the
 complementarity eta and the dual and primal residuals are all <= tol; the
@@ -194,6 +202,11 @@ class ConvexProgram:
     values, +inf outside the open domain; ``slopes(V, Q)`` the first and
     second derivatives.  ``start`` must be strictly feasible, inside every
     problem's domain and on ``A z = b``; ``A`` must have full row rank.
+    ``order`` lists the variables in elimination order for a sparse KKT
+    factorisation, one row per group (a tree node's variables, say); each
+    equality row follows the group holding the first of its variables.
+    None means index order, one variable per group.  It changes results
+    only by rounding.
     """
 
     X: np.ndarray
@@ -205,6 +218,7 @@ class ConvexProgram:
     b: np.ndarray | None = None
     start: np.ndarray | None = None
     params: np.ndarray | None = None
+    order: np.ndarray | None = None
 
 
 @dataclass
@@ -240,15 +254,16 @@ def _gram_pairs(X: np.ndarray):
     return rows[first], vals[first] * vals[second], cols[first], cols[second]
 
 
-def newton_solver(XG: np.ndarray, A: np.ndarray):
+def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None):
     """Return ``(W, RHS) -> (SOL, singular)``: row k of SOL is K_k^-1 RHS[k]
     for K_k = [[XG' diag(W[k]) XG, A'], [A, 0]], and ``singular`` is None or
     marks the problems whose K is singular (their rows of SOL are 0).  The
     stacked dense K are factored by one batched LU, solved one by one when
-    one is singular; at or above ``_SPARSE_KKT_ORDER`` each K by SuperLU.
+    one is singular; at or above ``_SPARSE_KKT_ORDER`` each K by SuperLU,
+    in the elimination order ``order`` of ``ConvexProgram``.
     """
     n, p = XG.shape[1], A.shape[0]
-    order = n + p
+    dim = n + p
     pair_row, pair_coef, j, k = _gram_pairs(XG)
     a_row, a_col = np.nonzero(A)
     a_val = A[a_row, a_col]
@@ -258,12 +273,29 @@ def newton_solver(XG: np.ndarray, A: np.ndarray):
     # is read once; np.bincount sums each slot's contributions in order.
     rows = np.concatenate([j, a_col, n + a_row])
     cols = np.concatenate([k, n + a_row, a_col])
-    dense = order < _SPARSE_KKT_ORDER
-    slot, width = cols * order + rows, order * order
+    dense = dim < _SPARSE_KKT_ORDER
+    if not dense:
+        # perm lists K's indices in elimination order: the groups of ``order``
+        # in turn, each followed by the equality rows whose first variable it
+        # holds (a row without entries goes last); place inverts it, so the
+        # sparse K is K[perm][:, perm].
+        groups = np.arange(n)[:, None] if order is None else np.reshape(order, (len(order), -1))
+        group = np.empty(n, dtype=int)
+        group[groups] = np.arange(len(groups))[:, None]
+        first = np.full(p, len(groups))
+        np.minimum.at(first, a_row, group[a_col])
+        ranks = np.concatenate([2 * (np.arange(n) // groups.shape[1]), 2 * first + 1])
+        perm = np.concatenate([groups.ravel(), n + np.arange(p)])[np.argsort(ranks, kind="stable")]
+        place = np.empty_like(perm)
+        place[perm] = np.arange(dim)
+        rows, cols = place[rows], place[cols]
+    slot, width = cols * dim + rows, dim * dim
     if not dense:
         keys, slot = np.unique(slot, return_inverse=True)
-        width, indices = keys.size, keys % order
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // order, minlength=order))])
+        width = keys.size
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // dim, minlength=dim))])
+        # One matrix per solve; each factorisation overwrites its entries.
+        K_sparse = csc_array((np.zeros(width), keys % dim, indptr), shape=(dim, dim))
     pairs, constant = pair_row.size, np.concatenate([a_val, a_val])
     # Buffers for the batch size of the last call: the flat places of the
     # pairs' weights in W, the slots, and the weights.
@@ -280,7 +312,7 @@ def newton_solver(XG: np.ndarray, A: np.ndarray):
         np.multiply(pair_coef, W.ravel()[gather].reshape(size, pairs), out=weights[:, :pairs])
         E = np.bincount(slots, weights=weights.ravel(), minlength=size * width).reshape(size, width)
         if dense:
-            K = E.reshape(-1, order, order).transpose(0, 2, 1)
+            K = E.reshape(-1, dim, dim).transpose(0, 2, 1)
             try:
                 return np.linalg.solve(K, RHS[..., None])[..., 0], None
             except np.linalg.LinAlgError:
@@ -288,8 +320,11 @@ def newton_solver(XG: np.ndarray, A: np.ndarray):
         SOL, singular = np.zeros_like(RHS), np.zeros(size, dtype=bool)
         for i in range(size):
             try:
-                SOL[i] = (np.linalg.solve(K[i], RHS[i]) if dense else
-                          splu(csc_array((E[i], indices, indptr), shape=(order, order))).solve(RHS[i]))
+                if dense:
+                    SOL[i] = np.linalg.solve(K[i], RHS[i])
+                else:
+                    K_sparse.data[:] = E[i]
+                    SOL[i, perm] = splu(K_sparse, permc_spec="NATURAL").solve(RHS[i, perm])
             except (np.linalg.LinAlgError, RuntimeError):   # SuperLU: "Factor is exactly singular"
                 singular[i] = True
         return SOL, singular if singular.any() else None
@@ -314,7 +349,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     b = np.zeros(0) if cp.b is None else np.asarray(cp.b, dtype=float)
     m, p = G.shape[0], A.shape[0]
     params = np.zeros((1, 0)) if cp.params is None else np.asarray(cp.params, dtype=float)
-    newton = newton_solver(np.vstack([X, G]), A)
+    newton = newton_solver(np.vstack([X, G]), A, cp.order)
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
     start = np.asarray(cp.start, dtype=float)
@@ -405,7 +440,8 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
             alpha = _to_boundary(S, GdZ)
             phi = F - tau * L
             slope = np.vecdot(grad_phi, dZ)
-            for _ in range(60):
+            still = False   # the rows whose first trial leaves z as it is
+            for trial in range(60):
                 Zn = Z + alpha[:, None] * dZ
                 Sn = h - np.matvec(G, Zn)
                 out = None
@@ -419,6 +455,13 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
                 accept = Fn - tau * Ln <= phi + 1e-4 * alpha * slope
                 if out is not None:
                     accept &= ~out
+                if not trial and np.count_nonzero(accept) < len(accept):
+                    # A step that rounds to nothing cannot decrease the merit:
+                    # its row takes it and moves its multipliers.
+                    still = np.all(Zn == Z, axis=1)
+                    if out is not None:
+                        still &= ~out
+                accept |= still
                 if np.count_nonzero(accept) == len(accept):
                     break
                 alpha = np.where(accept, alpha, 0.5 * alpha)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from tcdl.errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError
-from tcdl.market import binomial_market, build_market
+from tcdl.market import binomial_market, build_market, single_node_market
 from tcdl import dual as du
 from tcdl import harness as hn
 from tcdl import primal as pr
@@ -564,3 +564,13 @@ def test_sliced_grid_equals_the_unsliced_solve(monkeypatch):
         assert one.iterations == other.iterations
         assert one.value == pytest.approx(other.value, rel=1e-12)
         assert np.allclose(one.z, other.z, rtol=1e-12, atol=1e-14)
+
+
+def test_dual_certifies_a_start_that_is_already_optimal():
+    # one node, no friction, endowment 1: at y = 1 the only density z = 1
+    # has zero gradient, so the second Newton step rounds to nothing; that
+    # step is taken and the multipliers converge
+    model = single_node_market(lam=0.0, endowment=1.0)
+    sol = du.solve_dual(model, ut.make_utility("log"), 1.0)
+    assert sol.value == 0.0 and sol.derivative == 0.0
+    assert sol.kkt_residual <= 1e-9

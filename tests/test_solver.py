@@ -170,9 +170,9 @@ def test_convex_barrier_domain_respected():
 def _counting_splu(monkeypatch):
     calls, splu = [], solver.splu
 
-    def counting(K):
+    def counting(K, **options):
         calls.append(K.shape[0])
-        return splu(K)
+        return splu(K, **options)
 
     monkeypatch.setattr(solver, "splu", counting)
     return calls
@@ -226,9 +226,32 @@ def test_sparse_and_dense_newton_steps_agree_on_deep_trees(monkeypatch, seed):
     assert sparse_primal.value == pytest.approx(dense_primal.value, rel=1e-10)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_children_first_factors_stay_sparse_on_deep_trees(monkeypatch, seed):
+    # eliminated leaf to root, a tree's KKT matrix fills little: every
+    # SuperLU factor of the 121-node dual and primal steps holds at most
+    # three times K's nonzeros (a fill-reducing column order read 6 to 8)
+    model = random_instance(seed, 4, 3, lam=0.3, rho=0.2)
+    poly = du.cps_polytope(model)
+    log = ut.make_utility("log")
+    fill, splu = [], solver.splu
+
+    def measuring(K, **options):
+        lu = splu(K, **options)
+        fill.append((lu.L.nnz + lu.U.nnz) / K.nnz)
+        return lu
+
+    monkeypatch.setattr(solver, "splu", measuring)
+    du.solve_dual(model, log, 1.0, polytope=poly)
+    steps = len(fill)
+    pr.solve_primal(model, log, du.compute_x0(model) + 1.0)
+    assert 0 < steps < len(fill)
+    assert max(fill) <= 3.0
+
+
 def test_selftest_size_solves_never_factor_sparsely(monkeypatch):
     # depth 3 x branching 2 (selftest's trees): KKT orders 38 to 45 stay dense
-    def refuse(K):
+    def refuse(K, **options):
         raise AssertionError(f"splu called at order {K.shape[0]}")
 
     monkeypatch.setattr(solver, "splu", refuse)
@@ -260,13 +283,27 @@ class _Captured(Exception):
         self.K = K
 
 
-def _capture(K, rhs=None):
+def _capture(K, *args, **options):
     raise _Captured(K)
+
+
+def _elimination_order(A):
+    """K's indices as the sparse path orders them at index order: each
+    variable, then the equality rows whose first entry is in its column;
+    rows without entries last."""
+    p, n = A.shape
+    lead = [int(np.flatnonzero(row)[0]) if row.any() else n for row in A]
+
+    def rows_after(v):
+        return [n + r for r in range(p) if lead[r] == v]
+
+    return [i for v in range(n) for i in [v] + rows_after(v)] + rows_after(n)
 
 
 def _newton_matrix(XG, A, w, sparse):
     """K as ``newton_solver`` hands it to ``np.linalg.solve``, or with the
-    constant patched to 0 to ``splu``; neither factors it."""
+    constant patched to 0 to ``splu``, there put back in index order;
+    neither factors it."""
     rhs = np.zeros(XG.shape[1] + A.shape[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", _capture)
@@ -275,7 +312,10 @@ def _newton_matrix(XG, A, w, sparse):
             mp.setattr(solver, "_SPARSE_KKT_ORDER", 0)
         with pytest.raises(_Captured) as caught:
             solver.newton_solver(XG, A)(w[None], rhs[None])
-    return caught.value.K if sparse else caught.value.K[0]
+    if not sparse:
+        return caught.value.K[0]
+    place = np.argsort(_elimination_order(A))
+    return csc_array(caught.value.K.toarray()[np.ix_(place, place)])
 
 
 def _assert_newton_matrix(XG, A, w):
@@ -293,6 +333,22 @@ def _assert_newton_matrix(XG, A, w):
     assert not dense[n:, n:].any()
     # the two factorisations see the same K, bit for bit
     assert np.ascontiguousarray(sparse.toarray()).tobytes() == np.ascontiguousarray(dense).tobytes()
+
+
+def test_sparse_kkt_eliminates_the_groups_of_the_order_in_turn():
+    # groups [3, 1] then [0, 2]: row 0 (columns 0 and 1) first meets the
+    # group [3, 1] and follows it, row 1 (column 2) follows [0, 2]
+    XG = np.arange(1.0, 13.0).reshape(3, 4)
+    A = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]])
+    w = np.array([1.0, 0.5, 2.0])
+    K = _newton_matrix(XG, A, w, sparse=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "splu", _capture)
+        mp.setattr(solver, "_SPARSE_KKT_ORDER", 0)
+        with pytest.raises(_Captured) as caught:
+            solver.newton_solver(XG, A, np.array([[3, 1], [0, 2]]))(w[None], np.zeros((1, 6)))
+    perm = [3, 1, 4, 0, 2, 5]
+    assert np.array_equal(caught.value.K.toarray(), K[np.ix_(perm, perm)])
 
 
 @settings(max_examples=200, deadline=None)
