@@ -8,8 +8,9 @@ linear programs over this polytope (x0 is solved on the trade side); the dual
 value function v(y) is a smooth convex minimization over it.
 
 On a finite probability space every finitely additive measure in the
-abstract dual domain is countably additive, so the singular mass is a
-reported diagnostic that always comes out zero.
+abstract dual domain is countably additive, so the singular mass is zero in
+exact arithmetic; the reported diagnostic 1 - E[Z0_T] is zero up to the
+solve's residual in the martingale rows.
 """
 
 from __future__ import annotations
@@ -106,29 +107,6 @@ class CpsPolytope:
         return CpsElement(tuple(float(v) for v in z0), tuple(float(v) for v in z1))
 
 
-def _drop_dependent_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove equality rows that the others imply (QR with column pivoting on A').
-
-    A row that depends on the kept rows but contradicts their right side
-    stays, so that a system with no solution keeps none and the phase-1 LP
-    reports it infeasible.
-    """
-    if A.shape[0] <= 1:
-        return A, b
-    from scipy.linalg import qr
-    _, r, piv = qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(A.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    rank = int((diag > tol).sum())
-    keep, drop = list(piv[:rank]), piv[rank:]
-    if drop.size:
-        w = np.linalg.lstsq(A[keep].T, A[drop].T, rcond=None)[0]
-        clash = np.abs(b[keep] @ w - b[drop]) > 1e-9 * (1.0 + np.abs(w).sum(axis=0))
-        keep += list(drop[clash])
-    keep = sorted(keep)
-    return A[keep], b[keep]
-
-
 def cps_polytope(model: MarketModel) -> CpsPolytope:
     """Build the polytope and probe it: emptiness flag plus a strict interior point."""
     tree = model.tree
@@ -146,21 +124,26 @@ def cps_polytope(model: MarketModel) -> CpsPolytope:
     cp[[c for ch in tree.children for c in ch]] = [q for qs in tree.cond_prob for q in qs]
     M = np.zeros((row_of[-1] + 1, n))
     M[row_of[internal], np.flatnonzero(internal)] = 1.0
-    M[row_of[list(tree.parent[1:])], np.arange(1, n)] = -cp[1:]
+    parent = np.array(tree.parent[1:], dtype=int)
+    M[row_of[parent], np.arange(1, n)] = -cp[1:]
     # After the root normalisation, each internal node has its z0 row and
     # then its z1 row, or at lam = 0 the shadow-price martingale
-    # S_k z0_k = sum_c cp_c S_c z0_c.
+    # S_k z0_k = sum_c cp_c S_c z0_c.  That row is S_k times the z0 row
+    # exactly when every child trades at S_k (the degenerate case of Jouini
+    # & Kallal, J. Econ. Theory 66, 1995), and is left out there.  Any other
+    # dependence forces some z0 to 0: then no interior point exists, and
+    # only the LPs, whose HiGHS handles the rank, read A.  With z1 free
+    # (lam > 0) the rows have full rank by induction from the leaves: a
+    # leaf's column appears only in its parent's martingale row.
     Z = np.zeros_like(M)
     pairs = (M, M * s) if reduced else (np.hstack([M, Z]), np.hstack([Z, M]))
-    A = np.vstack([np.eye(1, nv, tree.root), np.stack(pairs, axis=1).reshape(-1, nv)])
+    keep = np.ones((len(M), 2), dtype=bool)
+    if reduced:
+        keep[:, 1] = False
+        keep[row_of[parent[s[1:] != s[parent]]], 1] = True
+    A = np.vstack([np.eye(1, nv, tree.root), np.stack(pairs, axis=1)[keep]])
     b = np.zeros(A.shape[0])
     b[0] = 1.0
-    if reduced:
-        # A single child, or siblings sharing a price, can make a node's two
-        # martingale rows dependent.  With z1 free (lam > 0) the rows have
-        # full rank by induction from the leaves: a leaf's column appears
-        # only in its parent's martingale row.
-        A, b = _drop_dependent_rows(A, b)
 
     # Per node: z0 >= 0, and for lam > 0 also z1 >= 0 and the two spread
     # rows (1 - lam) S z0 <= z1 <= S z0.  Each row is given by its z0 and z1
@@ -240,7 +223,7 @@ class DualSolution:
     optimizer: CpsElement
     value: float             # E[V(y z0_T)] + y E[z0_T e_T]
     derivative: float        # v'(y) = -E[z0_T I(y z0_T)] + E[z0_T e_T]
-    singular_mass: float     # 1 - E[z0_T]; identically 0 at finite scale
+    singular_mass: float     # 1 - E[z0_T]; 0 up to rounding at finite scale
     kkt_residual: float
     iterations: int          # interior-point iterations of the solve
 
@@ -254,8 +237,8 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     One interior-point solve from ``start`` or, by default, the polytope's
     interior point; a stall raises ``SolverIndeterminateError``, and a y at
     which y I(y z) or V(y z) at the start is no finite float a
-    ``DomainError``.  The yhat search of ``harness.find_yhat`` calls it
-    warm started at tolerance 1e-10.
+    ``DomainError``.  The yhat search of ``harness.find_yhat`` calls it at
+    tolerance 1e-10, first from the interior point, then warm started.
     """
     return _solve_duals(model, spec, [y], polytope or cps_polytope(model), start, tol)[0]
 

@@ -3,9 +3,10 @@
 Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 in the
 optimal wealth t = I(y), where the equation is affine up to the drift of the
 optimal density, by fixed-point and secant steps (at most YHAT_MAX_SOLVES
-warm-started dual solves, then SolverIndeterminateError); recovers the primal
-optimizer from the root solve's density, checks complementary slackness, and
-assembles a full report (value grids, gaps, residuals) for a market instance.
+dual solves, all but the first warm-started, then SolverIndeterminateError);
+recovers the primal optimizer from the root solve's density, checks
+complementary slackness, and assembles a full report (value grids, gaps,
+residuals) for a market instance.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -182,7 +183,7 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
 class SlacknessResiduals:
     r1: float   # |E[z0_T ghat]|
     r2: float   # |E[z0_T (x + ghat)] - x|
-    r3: float   # singular terms; identically zero on finite trees
+    r3: float   # singular terms; zero up to rounding on finite trees
     passed: bool
 
 

@@ -34,8 +34,8 @@ a tree, whose constraints link a node to its parent and children (the
 primal's trade map to its ancestors), the groups are the nodes, children
 before their parents; the factors measured
 in BENCH_20.json hold at most 2.5 times K's nonzeros.  A batch whose stacked
-K would pass ``_BATCH_BYTES`` runs in slices.  ``A`` must have full row
-rank; callers drop dependent rows once when they build the constraints.
+K would pass ``_BATCH_BYTES`` runs in slices.  Callers build ``A`` with
+full row rank.
 
 Each problem takes its own steps.  The primal step is an Armijo
 backtracking on the barrier merit phi(z) = sum(value(X z)) - tau * sum(log
@@ -114,21 +114,15 @@ class LpResult:
     residuals: dict = field(default_factory=dict)
 
 
-def _bounds_list(lp: LinearProgram, n: int):
-    def expand(v):
-        return list(np.broadcast_to(np.asarray(v, dtype=float), (n,)))
-    lbs = expand(lp.lb) if lp.lb is not None else [-np.inf] * n
-    ubs = expand(lp.ub) if lp.ub is not None else [np.inf] * n
-    return list(zip(lbs, ubs))
-
-
 def solve_lp(lp: LinearProgram) -> LpResult:
     c = np.asarray(lp.c, dtype=float)
     n = c.size
     if not np.all(np.isfinite(c)):
         raise DomainError("LP objective has non-finite entries")
     sign = -1.0 if lp.sense == "max" else 1.0
-    bounds = _bounds_list(lp, n)
+    bounds = np.empty((n, 2))   # (lower, upper) per variable; None is unbounded
+    bounds[:, 0] = -np.inf if lp.lb is None else lp.lb
+    bounds[:, 1] = np.inf if lp.ub is None else lp.ub
     res = linprog(
         sign * c,
         A_ub=lp.A_ub, b_ub=lp.b_ub,
@@ -170,12 +164,12 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         dual_obj -= float(nu @ np.asarray(lp.b_eq))
     lower = res.lower
     if lower is not None and lower.marginals is not None:
-        bl = np.array([b[0] for b in bounds])
+        bl = bounds[:, 0]
         finite = np.isfinite(bl)
         dual_obj += float(np.asarray(lower.marginals)[finite] @ bl[finite])
     upper = res.upper
     if upper is not None and upper.marginals is not None:
-        bu = np.array([b[1] for b in bounds])
+        bu = bounds[:, 1]
         finite = np.isfinite(bu)
         dual_obj += float(np.asarray(upper.marginals)[finite] @ bu[finite])
     gap = abs(sign * value - dual_obj) / (1.0 + abs(value))
@@ -375,7 +369,9 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         # each accepted line-search point hands its own to the next iteration.
         first, second = cp.slopes(V, P)
         grad = np.vecmat(first, X)
-        history = []               # each iteration's residuals, for the stall rule
+        # Stall state: each problem's lowest residual so far and the
+        # iterations since it was first reached.
+        best, since = np.full(B, np.inf), np.zeros(B, dtype=int)
         gone = None                # rows stopped mid-iteration, dropped at the next
 
         def stop(mask, status, kkt, it):
@@ -394,26 +390,25 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
                 stop(np.ones(len(Z), bool) if gone is None else ~gone, INDETERMINATE,
                      np.maximum(res_inf, eta), _MAX_ITER)
                 break
-            history.append(res_inf)
+            low = res_inf < best
+            best, since = np.where(low, res_inf, best), np.where(low, 0, since + 1)
             small = eta <= tol
             if gone is not None or np.count_nonzero(small):
                 leave = np.zeros(len(Z), dtype=bool) if gone is None else gone
                 done = small & (res_inf <= tol) & ~leave
                 # Complementarity is within tol, but the residuals have made
                 # no new low for _STALL_ITERS iterations: a rounding floor.
-                stalled = small & ~done & ~leave
-                stalled &= it > _STALL_ITERS and (np.fmin.reduce(history[-_STALL_ITERS:])
-                                                  >= np.fmin.reduce(history[:-_STALL_ITERS]))
+                stalled = small & ~done & ~leave & (since >= _STALL_ITERS)
                 stop(done, OPTIMAL, np.maximum(res_inf, np.abs(lam * S).max(axis=1, initial=0.0)), it)
                 stop(stalled, INDETERMINATE, np.maximum(res_inf, eta), it)
                 keep, gone = ~(leave | done | stalled), None
                 if not keep.all():
                     if not keep.any():
                         break
-                    Z, S, F, L, lam, nu, grad, second, P, rows, Anu, r_pri, eta, res_inf = (
-                        v[keep] for v in (Z, S, F, L, lam, nu, grad, second, P, rows,
-                                          Anu, r_pri, eta, res_inf))
-                    history = [r[keep] for r in history]
+                    (Z, S, F, L, lam, nu, grad, second, P, rows, Anu, r_pri, eta, res_inf,
+                     best, since) = (v[keep] for v in (Z, S, F, L, lam, nu, grad, second, P,
+                                                       rows, Anu, r_pri, eta, res_inf, best,
+                                                       since))
 
             # Newton step on the barrier merit phi = f - tau * sum(log s): the
             # right-hand side -grad(phi) - A'nu makes dz a descent direction for

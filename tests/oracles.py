@@ -108,12 +108,12 @@ def binomial_cps_polytope_matrices(s0, s_up, s_down, lam, p_up=0.5):
 def tree_matrices_by_rows(model):
     """CPS polytope rows (A, b, G, h) and trade maps (C, D) built one row at a time.
 
-    The reference for ``dual.cps_polytope`` (before its frictionless
-    dependent-row drop) and ``primal._trade_matrices``: equality rows are the
-    root normalisation, then per internal node its z0 and z1 martingale rows
-    (z0 and S z0 at lam = 0); inequality rows are per node z0 >= 0 and, for
-    lam > 0, z1 >= 0, (1 - lam) S z0 <= z1 and z1 <= S z0; leaf rows of C and
-    D walk the path from the root.
+    The reference for ``dual.cps_polytope`` and ``primal._trade_matrices``:
+    equality rows are the root normalisation, then per internal node its z0
+    and z1 martingale rows (z0 and S z0 at lam = 0, the second only where
+    some child's price differs from the node's); inequality rows are per
+    node z0 >= 0 and, for lam > 0, z1 >= 0, (1 - lam) S z0 <= z1 and
+    z1 <= S z0; leaf rows of C and D walk the path from the root.
     """
     tree, s, lam = model.tree, model.ask(), model.lam
     n = tree.n_nodes
@@ -129,7 +129,7 @@ def tree_matrices_by_rows(model):
                 r1[k], r1[ch] = s[k], -cp * s[ch]
             else:
                 r1[k + n], r1[np.array(ch) + n] = 1.0, -cp
-            A += [r0, r1]
+            A += [r0] if lam == 0.0 and all(s[ch] == s[k]) else [r0, r1]
         rows = [{k: -1.0}]
         if lam > 0.0:
             rows += [{k + n: -1.0}, {k: (1.0 - lam) * s[k], k + n: -1.0},

@@ -153,9 +153,13 @@ _SMALL_REPORT = {"seed": {"seed": 1, "depth": 1, "branching": 2, "lambda": 0.1, 
      "config field 'y_grid.n' must be at most 10000, got 1000"),
     ({"y_grid": {"min": 0.1, "max": 10.0, "n": 2 ** 63}},
      "config field 'y_grid.n' must be at most 10000, got 9223372036854775808"),
+    ({"y_grid": {"min": 0.1, "max": 10.0, "n": 0}},
+     "config field 'y_grid.n' must be at least 1, got 0"),
+    ({"x_grid": [1.0], "x_offsets": [0.5]},
+     "config must name at most one of 'x_grid' or 'x_offsets'"),
 ], ids=["seed-abc", "x-grid-q", "seed-5", "x-offsets-scalar", "utility-5", "y-min-0",
         "check-marginals-string", "unknown-key", "x-grid-huge-integer", "branching-0",
-        "rho-negative", "y-grid-n-huge", "y-grid-n-2-63"])
+        "rho-negative", "y-grid-n-huge", "y-grid-n-2-63", "y-grid-n-0", "x-grid-and-offsets"])
 def test_malformed_report_config_exits_2(tmp_path, out, capsys, change, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL_REPORT, **change)))
@@ -490,11 +494,23 @@ def test_below_x0_exits_1(market_path, out, capsys):
         assert "below-x0" in fh.read()
 
 
-@pytest.mark.parametrize("command", ["x0", "primal", "dual", "price"])
-def test_arbitrage_market_exits_3(tmp_path, out, capsys, command):
+def _near_flat(eps):
+    return binomial_market(1.0, 1.0 + eps, 1.0 + eps, lam=0.0, endowment=(0.1, -0.1))
+
+
+_COMMANDS = ("x0", "primal", "dual", "price")
+
+
+@pytest.mark.parametrize("model, command", [
+    *(pytest.param(binomial_market(4.0, 8.0, 6.0, lam=0.0), c, id=c) for c in _COMMANDS),
+    *(pytest.param(_near_flat(1e-10), c, id=f"near-flat-{c}") for c in _COMMANDS),
+    pytest.param(_near_flat(2.0 ** -52), "dual", id="ulp-above-flat-dual"),
+])
+def test_arbitrage_market_exits_3(tmp_path, out, capsys, model, command):
     # both branch prices above the initial ask with no spread: the polytope
-    # paths and the trade-side LP must refuse the market alike
-    model = binomial_market(4.0, 8.0, 6.0, lam=0.0)
+    # paths and the trade-side LP must refuse the market alike, also with
+    # the children 1e-10 above it.  At one ulp above, below the LPs'
+    # feasibility tolerance, the dual solve still ends in a typed error.
     mpath = tmp_path / "arb.json"
     save_market(model, str(mpath))
     ppath = tmp_path / "payoff.json"

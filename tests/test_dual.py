@@ -50,6 +50,14 @@ def test_cps_check_flags_violations():
     bad_spread = du.CpsElement((1.0, 4.0 / 3.0, 2.0 / 3.0),
                                (4.0, 4.0, 16.0 / 3.0))
     assert any("spread" in m for m in du.cps_check(model, bad_spread))
+    # on a flat market every martingale z0 with z1 = S z0 is consistent, so
+    # the sign and strictness rules are the only ones that can fail
+    flat = binomial_market(4.0, 4.0, 4.0, lam=0.1)
+    negative = du.CpsElement((1.0, 2.5, -0.5), (4.0, 10.0, -2.0))
+    assert "negative component in (z0, z1)" in du.cps_check(flat, negative)
+    boundary = du.CpsElement((1.0, 2.0, 0.0), (4.0, 8.0, 0.0))
+    assert du.cps_check(flat, boundary) == []
+    assert du.cps_check(flat, boundary, strict=True) == ["not strictly positive (z0 hits 0)"]
 
 
 def test_polytope_shape_and_interior():
@@ -103,17 +111,41 @@ def _counting(calls, name, fn):
     return wrapped
 
 
+def _mixed_flat_market(lam):
+    # r -> {a, b} and b -> b0 keep the parent's price (flat); a -> {a0, a1} moves
+    return build_market({
+        "nodes": [{"id": "r", "parent": None, "time": 0},
+                  {"id": "a", "parent": "r", "time": 1}, {"id": "b", "parent": "r", "time": 1},
+                  {"id": "a0", "parent": "a", "time": 2}, {"id": "a1", "parent": "a", "time": 2},
+                  {"id": "b0", "parent": "b", "time": 2}],
+        "cond_prob": {"r": {"a": 0.25, "b": 0.75}, "a": {"a0": 0.5, "a1": 0.5}, "b": {"b0": 1.0}},
+        "prices": {"r": 2.0, "a": 2.0, "b": 2.0, "a0": 4.0, "a1": 1.0, "b0": 2.0},
+        "lambda": lam,
+    })
+
+
 def test_rows_are_dropped_only_for_the_frictionless_polytope(monkeypatch):
-    calls = {"drop": 0, "qr": 0}
-    monkeypatch.setattr(du, "_drop_dependent_rows",
-                        _counting(calls, "drop", du._drop_dependent_rows))
+    # the tree's prices decide the rank: no polytope runs a QR
+    calls = {"qr": 0}
     monkeypatch.setattr(scipy.linalg, "qr", _counting(calls, "qr", scipy.linalg.qr))
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     du.solve_dual(model, LOG, y=1.0)
     pr.solve_primal(model, LOG, du.compute_x0(model) + 1.0)
-    assert calls == {"drop": 0, "qr": 0}
-    du.cps_polytope(binomial_market(4.0, 8.0, 2.0, lam=0.0))
-    assert calls == {"drop": 1, "qr": 1}
+    assert du.cps_polytope(_mixed_flat_market(0.1)).A.shape == (7, 12)
+    poly = du.cps_polytope(_mixed_flat_market(0.0))
+    # at lam = 0 the flat nodes r and b lose their shadow-price rows; the
+    # moving node a keeps S_a z0_a = sum_c cp_c S_c z0_c
+    assert np.array_equal(poly.A, [
+        [1, 0, 0, 0, 0, 0],                # z0 at the root is 1
+        [1, -.25, -.75, 0, 0, 0],          # r: z0 martingale
+        [0, 1, 0, -.5, -.5, 0],            # a: z0 martingale
+        [0, 2, 0, -2, -.5, 0],             # a: shadow-price martingale
+        [0, 0, 1, 0, 0, -1],               # b: z0 martingale
+    ])
+    assert np.array_equal(poly.b, [1, 0, 0, 0, 0])
+    assert poly.interior is not None
+    du.solve_dual(_mixed_flat_market(0.0), LOG, y=1.0, polytope=poly)
+    assert calls == {"qr": 0}
 
 
 def test_two_period_matrices_match_literal():
@@ -192,8 +224,6 @@ def test_block_matrices_equal_row_by_row_reference(seed, depth, branching, lam):
     model = hn.random_instance(seed, depth=depth, branching=branching, lam=lam,
                                rho=0.3, max_attempts=600)
     A, b, G, h, C, D = tree_matrices_by_rows(model)
-    if lam == 0.0:
-        A, b = du._drop_dependent_rows(A, b)
     poly = du.cps_polytope(model)
     got = (poly.A, poly.b, poly.G, poly.h) + pr._trade_matrices(model)
     for name, ref, arr in zip("AbGhCD", (A, b, G, h, C, D), got):
@@ -207,6 +237,19 @@ def test_arbitrage_market_has_no_cps():
     assert not poly.nonempty
     with pytest.raises(NoConsistentPriceSystemError):
         du.superreplication_price(model, np.zeros(2), poly)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9])
+def test_near_flat_arbitrage_is_refused_on_every_path(eps):
+    # both children a hair above the root price: the shadow-price row stays,
+    # so the polytope paths refuse the market as the trade-side LP does
+    model = binomial_market(1.0, 1.0 + eps, 1.0 + eps, lam=0.0, endowment=(0.1, -0.1))
+    assert not du.cps_polytope(model).nonempty
+    for call in (lambda: du.compute_x0(model), lambda: du.solve_dual(model, LOG, 1.0),
+                 lambda: du.superreplication_price(model, np.array([1.0, 0.0])),
+                 lambda: pr.solve_primal(model, LOG, 1.0)):
+        with pytest.raises(NoConsistentPriceSystemError):
+            call()
 
 
 @pytest.mark.parametrize("child_price, nonempty", [(2.0, False), (1.0, True)])

@@ -277,6 +277,30 @@ def test_conjugacy_check_solves_each_x_once(monkeypatch):
     assert calls == [x0 + 0.5, x0 + 1.5]
 
 
+def test_conjugacy_check_reports_a_failed_x(monkeypatch):
+    # a typed solver failure at one x becomes that x's failed record and a
+    # failed pipeline check; the other x are still solved
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x0 = du.compute_x0(model)
+    xs = [x0 + 0.5, x0 + 1.0, x0 + 1.5]
+    solve = pr.solve_primal
+
+    def failing(model, spec, x, **kwargs):
+        if x == xs[1]:
+            raise SolverIndeterminateError("primal solve: solver status numerically-indeterminate")
+        return solve(model, spec, x, **kwargs)
+
+    monkeypatch.setattr(pr, "solve_primal", failing)
+    report = hn.conjugacy_check(model, LOG, xs, [0.5, 1.0, 2.0])
+    assert [r["status"] for r in report.x_records] == ["ok", "failed", "ok"]
+    assert "numerically-indeterminate" in report.x_records[1]["error"]
+    pipeline = [c for c in report.checks if c["name"] == "pipeline"]
+    assert len(pipeline) == 1 and not pipeline[0]["passed"]
+    assert pipeline[0]["location"].startswith(f"x={xs[1]:g}: ")
+    assert not report.passed
+    assert all(c["passed"] for c in report.checks if c["name"] != "pipeline")
+
+
 def test_envelope_marginal_agrees_with_finite_difference():
     # criterion 02's first ten instances: the report's u'(x) = E[U'(w*)]
     # against a central difference of the primal value, within the check's budget
