@@ -21,7 +21,7 @@ import numpy as np
 
 from . import primal as pr
 from . import utility as ut
-from .errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError
+from .errors import DomainError, NoConsistentPriceSystemError, SolverIndeterminateError, unwrap
 from .market import MarketModel
 from .solver import (
     INFEASIBLE, OPTIMAL,
@@ -237,18 +237,21 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     One interior-point solve from ``start`` or, by default, the polytope's
     interior point; a stall raises ``SolverIndeterminateError``, and a y at
     which y I(y z) or V(y z) at the start is no finite float a
-    ``DomainError``.  The yhat search of ``harness.find_yhat`` calls it at
-    tolerance 1e-10, first from the interior point, then warm started.
+    ``DomainError``.  It is the one-problem case of ``_solve_duals``, whose
+    batches the dual grid and each step of ``harness``'s yhat searches are.
     """
-    return _solve_duals(model, spec, [y], polytope or cps_polytope(model), start, tol)[0]
+    poly = polytope or cps_polytope(model)
+    if y <= 0:
+        raise DomainError("solve_dual requires y > 0")
+    starts = None if start is None else np.atleast_2d(start)
+    return unwrap(_solve_duals(model, spec, [y], poly, starts, tol))[0]
 
 
 def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPolytope,
-                 start: np.ndarray | None, tol: float) -> list[DualSolution]:
-    """``solve_dual`` at each y of ``ys`` as one batched interior-point solve;
-    raises the first failure in the order of ``ys``, after the solve."""
-    if ys[0] <= 0:
-        raise DomainError("solve_dual requires y > 0")
+                 starts: np.ndarray | None, tol: float) -> list:
+    """``solve_dual`` at each y of ``ys`` as one batched interior-point solve,
+    problem k from row k of ``starts`` (from the interior point when None).
+    Returns per y its ``DualSolution``, or the error its own solve raises."""
     interior = require_interior(poly)
     tree = model.tree
     p = tree.leaf_prob()
@@ -259,10 +262,10 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
     # neither underflows nor overflows where m does not.
     curvature = 1.0 - spec.alpha
 
-    z_start = interior if start is None else start
+    z_start = interior[None] if starts is None else np.asarray(starts, dtype=float)
     y = np.array(ys, dtype=float)[:, None]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        yd = y * z_start[leaves]
+        yd = y * z_start[:, leaves]
         finite = (yd.min(axis=1) > 0) & (yd.max(axis=1) < np.inf)
         yd[~finite] = 1.0
         m = y * ut.i_eval(spec, yd)
@@ -286,24 +289,28 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
     if finite.any():
         res = solve_convex(ConvexProgram(
             np.eye(poly.n_vars)[leaves], value, slopes, G=poly.G, h=poly.h, A=poly.A, b=poly.b,
-            start=z_start, params=np.hstack([y, w])[finite],
+            start=interior if starts is None else z_start[finite],
+            params=np.hstack([y, w])[finite],
             order=tree.children_first(poly.n_vars)), tol=tol)
-    out = []
-    for k, y in enumerate(ys):   # every y before the first failure was solved, row k
+    out, row = [], np.cumsum(finite) - 1   # y k is problem row[k] of the batch
+    for k, y in enumerate(ys):
         if not finite[k]:
-            raise DomainError("solve_dual requires y > 0" if y <= 0 else
-                              f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float")
-        if res.statuses[k] != OPTIMAL:
-            raise SolverIndeterminateError(f"dual solve at y={y}: solver status {res.statuses[k]}")
-        z = res.z[k]
+            out.append(DomainError("solve_dual requires y > 0" if y <= 0 else
+                                   f"dual at y={y!r}: y I(y z) or V(y z) is not a finite float"))
+            continue
+        status = res.statuses[row[k]]
+        if status != OPTIMAL:
+            out.append(SolverIndeterminateError(f"dual solve at y={y}: solver status {status}"))
+            continue
+        z = res.z[row[k]]
         d = poly.leaf_density(z)
         out.append(DualSolution(
             y=float(y), z=z, z0_T=d, optimizer=poly.element(z),
             value=float(p @ ut.v_eval(spec, y * d)) + float(y * (p * d) @ e),
             derivative=-float((p * d) @ ut.i_eval(spec, y * d)) + float((p * d) @ e),
             singular_mass=float(1.0 - p @ d),
-            kkt_residual=float(res.kkt_residual[k]),
-            iterations=int(res.problem_iterations[k]),
+            kkt_residual=float(res.kkt_residual[row[k]]),
+            iterations=int(res.problem_iterations[row[k]]),
         ))
     return out
 
@@ -316,7 +323,11 @@ def dual_grid(model: MarketModel, spec: ut.UtilitySpec, y_grid,
     poly = polytope or cps_polytope(model)
     _require_nonempty(poly)
     ys = [float(y) for y in y_grid]
-    return _solve_duals(model, spec, ys, poly, None, 1e-9) if ys else []
+    if not ys:
+        return []
+    if ys[0] <= 0:
+        raise DomainError("solve_dual requires y > 0")
+    return unwrap(_solve_duals(model, spec, ys, poly, None, 1e-9))
 
 
 def default_y_grid() -> np.ndarray:

@@ -27,3 +27,12 @@ class SolverIndeterminateError(TcdlError):
 
 class ConfigError(TcdlError):
     """Invalid CLI or experiment configuration."""
+
+
+def unwrap(outcomes: list) -> list:
+    """``outcomes``, a batch's per-problem results, unless one is an error:
+    then the first error is raised, as a loop over the problems would."""
+    for out in outcomes:
+        if isinstance(out, Exception):
+            raise out
+    return outcomes

@@ -6,7 +6,10 @@ optimal density, by fixed-point and secant steps (at most YHAT_MAX_SOLVES
 dual solves, all but the first warm-started, then SolverIndeterminateError);
 recovers the primal optimizer from the root solve's density, checks
 complementary slackness, and assembles a full report (value grids, gaps,
-residuals) for a market instance.
+residuals) for a market instance.  A report makes three kinds of batched
+interior-point call: its dual grid, its primal solves over the x grid, and
+its yhat searches, which run in lockstep, one batched dual solve per search
+step over the x still searching.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -23,7 +26,9 @@ import numpy as np
 from . import dual as du
 from . import primal as pr
 from . import utility as ut
-from .errors import BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError
+from .errors import (
+    BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError, unwrap,
+)
 from .market import (
     MarketModel, _integer, _mapping, _number, build_market, market_to_dict, read_json,
 )
@@ -80,9 +85,10 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     optimum plus 0.1 times the interior point.  It stops at |g| <= 1e-9
     (1 + |x|) and raises ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES``
     dual solves.  Returns U'(T(z)) on the root solve's density z, the yhat
-    ``recover_primal_from_dual`` reports.
+    ``recover_primal_from_dual`` reports.  It is the one-x case of
+    ``_yhat_searches``, which runs the searches of many x in lockstep.
     """
-    return _find_yhat_solution(model, spec, x, polytope=polytope, x0=x0)[0]
+    return unwrap(_yhat_searches(model, spec, [x], polytope, x0))[0][0]
 
 
 def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
@@ -97,45 +103,71 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
     return float((x + pd @ e) / (pd @ ut.i_eval(spec, d)))
 
 
-def _find_yhat_solution(model: MarketModel, spec: ut.UtilitySpec, x: float,
-                        polytope: du.CpsPolytope | None = None,
-                        x0: float | None = None) -> tuple[float, du.DualSolution, int, int]:
-    """``find_yhat``'s yhat, the dual solve at the root of its search, and the
-    solves and interior-point iterations the search took."""
-    if not np.isfinite(x):
-        raise DomainError(f"yhat search needs a finite x, got x={x!r}")
+def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
+                   polytope: du.CpsPolytope | None = None,
+                   x0: float | None = None) -> list:
+    """``find_yhat``'s search at each x of ``xs``, in lockstep: each search
+    step is one batched dual solve (``dual._solve_duals``) over the x still
+    searching, and an x leaves the batch when its search stops.  Each x keeps
+    its own t, secant pair, warm start and stop test, so it takes the steps
+    its own search takes.  Returns per x its yhat, the dual solve at the root
+    of its search and the solves and interior-point iterations the search
+    took, or the error its own search raises."""
+    out = [None if np.isfinite(x) else DomainError(f"yhat search needs a finite x, got x={x!r}")
+           for x in xs]
+    if None not in out:
+        return out
     poly = polytope or du.cps_polytope(model)
     x0 = du.compute_x0(model) if x0 is None else x0
-    if x <= x0:
-        raise BelowX0Error(f"below-x0: x={x} <= x0={x0}, the infimum of v(y)+xy is -infinity")
+    for k, x in enumerate(xs):
+        if out[k] is None and x <= x0:
+            out[k] = BelowX0Error(
+                f"below-x0: x={x} <= x0={x0}, the infimum of v(y)+xy is -infinity")
+    if None not in out:
+        return out
     interior = du.require_interior(poly)
     p = model.tree.leaf_prob()
     e = model.endowment_vector()
 
-    stop = YHAT_STOP * (1.0 + abs(x))
-    t = _optimal_wealth(spec, x, p, e, poly.leaf_density(interior))
-    last, start, iterations = None, None, 0
+    # Per searching x: its t, its last (t, g) pair, its start and its iterations so far.
+    searching = {k: (_optimal_wealth(spec, xs[k], p, e, poly.leaf_density(interior)),
+                     None, interior, 0)
+                 for k, o in enumerate(out) if o is None}
     for solves in range(1, YHAT_MAX_SOLVES + 1):
-        sol = du.solve_dual(model, spec, ut.u_prime(spec, t), polytope=poly, start=start,
-                            tol=1e-10)
-        iterations += sol.iterations
-        g = sol.derivative + x
-        if abs(g) <= stop:
-            # Correct yhat holding the leaf densities fixed, so that the
-            # recovered payoff has E[z0 ghat] = 0: the dual derivative carries
-            # a small flat-direction bias that would otherwise leak into it.
-            yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, sol.z0_T)))
-            return yhat, sol, solves, iterations
-        # Near-degenerate polytopes leave flat directions in the dual objective;
-        # a cold start pins the leaf densities only loosely along them.
-        start = 0.9 * sol.z + 0.1 * interior
-        secant = last is not None and g != last[1]
-        step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
-        last = (t, g)
-        t = step if 0.0 < step < np.inf else _optimal_wealth(spec, x, p, e, sol.z0_T)
-    raise SolverIndeterminateError(
-        f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
-        f"after {YHAT_MAX_SOLVES} dual solves")
+        ks = list(searching)
+        sols = du._solve_duals(model, spec, [ut.u_prime(spec, searching[k][0]) for k in ks],
+                               poly, np.array([searching[k][2] for k in ks]), 1e-10)
+        for k, sol in zip(ks, sols):
+            t, last, _, iterations = searching.pop(k)
+            if isinstance(sol, Exception):
+                out[k] = sol
+                continue
+            x = xs[k]
+            iterations += sol.iterations
+            g = sol.derivative + x
+            if abs(g) <= YHAT_STOP * (1.0 + abs(x)):
+                # Correct yhat holding the leaf densities fixed, so that the
+                # recovered payoff has E[z0 ghat] = 0: the dual derivative
+                # carries a small flat-direction bias that would otherwise
+                # leak into it.
+                yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, sol.z0_T)))
+                out[k] = (yhat, sol, solves, iterations)
+                continue
+            secant = last is not None and g != last[1]
+            step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
+            if not 0.0 < step < np.inf:
+                step = _optimal_wealth(spec, x, p, e, sol.z0_T)
+            # Near-degenerate polytopes leave flat directions in the dual
+            # objective; a cold start pins the leaf densities only loosely
+            # along them.
+            searching[k] = (step, (t, g), 0.9 * sol.z + 0.1 * interior, iterations)
+        if not searching:
+            break
+    for k, (_, (_, g), _, _) in searching.items():
+        out[k] = SolverIndeterminateError(
+            f"yhat search: |v'(y) + x| = {abs(g):.3e} above {YHAT_STOP * (1.0 + abs(xs[k])):.3e} "
+            f"after {YHAT_MAX_SOLVES} dual solves")
+    return out
 
 
 @dataclass
@@ -155,28 +187,44 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual.
 
     yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
-    search, so the recovery makes no dual solve of its own.
+    search, so the recovery makes no dual solve of its own.  It is the one-x
+    case of ``_recoveries``.
     """
-    yhat, dsol, solves, iterations = _find_yhat_solution(model, spec, x, polytope, x0)
+    return unwrap(_recoveries(model, spec, [x], polytope, x0))[0]
+
+
+def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
+                polytope: du.CpsPolytope | None = None,
+                x0: float | None = None) -> list:
+    """``recover_primal_from_dual`` at each x of ``xs``, the yhat searches in
+    lockstep; per x its ``RecoveryResult`` or the error its own recovery raises."""
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
-    ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
-    # One max-min LP certifies ghat and builds its strategy: the margin
-    # max_u min_leaf (C u - ghat) is minus the superreplication price of ghat,
-    # and the argmax u generates a payoff dominating ghat up to that margin.
-    margin, u = pr.max_min_wealth(model, 0.0, ghat)
-    attainable = margin >= -ATTAINABILITY_TOL
     n = tree.n_nodes
-    strategy = pr.strategy_from_trades(model, x, u[:n], u[n:])
-    wealth = x + ghat + e
-    psol = pr.PrimalSolution(
-        x=float(x), strategy=strategy, ghat=ghat, wealth=wealth,
-        value=float(p @ ut.u_eval(spec, wealth)), kkt_residual=float("nan"), iterations=0,
-    )
-    return RecoveryResult(yhat=yhat, dual=dsol, primal=psol, attainable=attainable,
-                          attainability_slack=-margin, yhat_dual_solves=solves,
-                          yhat_ipm_iterations=iterations)
+    out = []
+    for x, found in zip(xs, _yhat_searches(model, spec, xs, polytope, x0)):
+        if isinstance(found, Exception):
+            out.append(found)
+            continue
+        yhat, dsol, solves, iterations = found
+        ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
+        # One max-min LP certifies ghat and builds its strategy: the margin
+        # max_u min_leaf (C u - ghat) is minus the superreplication price of
+        # ghat, and the argmax u generates a payoff dominating ghat up to that
+        # margin.
+        margin, u = pr.max_min_wealth(model, 0.0, ghat)
+        wealth = x + ghat + e
+        psol = pr.PrimalSolution(
+            x=float(x), strategy=pr.strategy_from_trades(model, x, u[:n], u[n:]), ghat=ghat,
+            wealth=wealth, value=float(p @ ut.u_eval(spec, wealth)),
+            kkt_residual=float("nan"), iterations=0,
+        )
+        out.append(RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
+                                  attainable=margin >= -ATTAINABILITY_TOL,
+                                  attainability_slack=-margin, yhat_dual_solves=solves,
+                                  yhat_ipm_iterations=iterations))
+    return out
 
 
 @dataclass
@@ -278,14 +326,22 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
         report.add_check("x0_matches_large_y_slope", err <= tol["x0_slope"], err,
                          tol["x0_slope"], location=f"y={ys[-1]:g}")
 
-    for x in x_grid:
-        x = float(x)
-        if x <= x0 + 1e-12:
+    # One batched primal solve over the x above x0, then the recoveries of
+    # the x it solved, their yhat searches in lockstep.  Each x meets its own
+    # failure where its own solves would have raised it.
+    xs = [float(x) for x in x_grid]
+    above = [k for k, x in enumerate(xs) if x > x0 + 1e-12]
+    primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above],
+                                                phase1=phase1)))
+    solved = [k for k in above if not isinstance(primals[k], Exception)]
+    recoveries = dict(zip(solved, _recoveries(model, spec, [xs[k] for k in solved],
+                                              polytope=poly, x0=x0)))
+    for k, x in enumerate(xs):
+        if k not in primals:
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})
             continue
         try:
-            psol = pr.solve_primal(model, spec, x, phase1=phase1)
-            rec = recover_primal_from_dual(model, spec, x, polytope=poly, x0=x0)
+            psol, rec = unwrap([primals[k], recoveries.get(k)])
         except (BelowX0Error, SolverIndeterminateError) as exc:
             report.add_check("pipeline", False, float("nan"), 0.0,
                              location=f"x={x:g}: {exc}")
@@ -608,11 +664,17 @@ def _selftest_one(args) -> tuple[int, bool]:
 
 
 def selftest(seeds, output_dir: str, jobs: int = 1) -> dict:
-    """Run the experiment pipeline over a seed range; returns per-seed pass flags."""
+    """Run the experiment pipeline over a seed range; returns per-seed pass flags.
+
+    ``jobs`` (at least 1) caps the worker processes; at most one per seed is
+    started, and one job runs the seeds in this process.
+    """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     tasks = [(int(s), output_dir) for s in seeds]
-    results: list[tuple[int, bool]] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_selftest_one, tasks))
     else:
         results = [_selftest_one(t) for t in tasks]

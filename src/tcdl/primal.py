@@ -21,7 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as ut
-from .errors import BelowX0Error, DomainError, MarketError, NoConsistentPriceSystemError
+from .errors import (
+    BelowX0Error, DomainError, MarketError, NoConsistentPriceSystemError,
+    SolverIndeterminateError, unwrap,
+)
 from .market import MarketModel, _mapping, _number
 from .solver import (
     OPTIMAL, UNBOUNDED,
@@ -207,9 +210,21 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
                  tie_break: bool = False,
                  phase1: tuple[float, np.ndarray] | None = None) -> PrimalSolution:
     """Maximize expected utility of terminal liquidation wealth from capital x,
-    from the argmax of ``phase1`` = ``max_min_wealth(model, 0)`` (run when None)."""
-    if not np.isfinite(x):
-        raise DomainError(f"primal solve needs a finite x, got x={x!r}")
+    from the argmax of ``phase1`` = ``max_min_wealth(model, 0)`` (run when None);
+    the one-problem case of ``_solve_primals``."""
+    return unwrap(_solve_primals(model, spec, [x], tie_break, phase1))[0]
+
+
+def _solve_primals(model: MarketModel, spec: ut.UtilitySpec, xs: list,
+                   tie_break: bool = False,
+                   phase1: tuple[float, np.ndarray] | None = None) -> list:
+    """``solve_primal`` at each x of ``xs`` as one batched interior-point solve,
+    x in the parameter row and each x from its own start.  Returns per x its
+    ``PrimalSolution``, or the error its own solve raises."""
+    out = [None if np.isfinite(x) else DomainError(f"primal solve needs a finite x, got x={x!r}")
+           for x in xs]
+    if None not in out:
+        return out
     tree = model.tree
     n = tree.n_nodes
     p = tree.leaf_prob()
@@ -220,16 +235,19 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     nu = 2 * n
 
     t_zero, u_feas = max_min_wealth(model, 0.0) if phase1 is None else phase1
-    t_star = x + t_zero
-    if t_star <= 1e-12:
-        raise BelowX0Error(
-            f"infeasible-below-x0: no strategy keeps terminal wealth positive from x={x}"
-            f" (max-min wealth {t_star:.3e})")
+    for k, x in enumerate(xs):
+        if out[k] is None and x + t_zero <= 1e-12:
+            out[k] = BelowX0Error(
+                f"infeasible-below-x0: no strategy keeps terminal wealth positive from x={x}"
+                f" (max-min wealth {x + t_zero:.3e})")
+    solve = [k for k, o in enumerate(out) if o is None]
+    if not solve:
+        return out
 
-    def value(v: np.ndarray, _) -> np.ndarray:
+    def value(v: np.ndarray, x: np.ndarray) -> np.ndarray:
         return -p * ut.u_eval(spec, x + e + v)
 
-    def slopes(v: np.ndarray, _) -> tuple[np.ndarray, np.ndarray]:
+    def slopes(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # -p U''(w) = (1 - a) p U'(w) / w, from the U' of the gradient
         w = x + e + v
         pu = p * ut.u_prime(spec, w)
@@ -246,47 +264,51 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     # iterations.  The asks along each path are summed root to leaf, the
     # order cumsum keeps, from C's buy block (minus the asks).
     max_path_cost = model.lam * -float(C[:, :n].cumsum(axis=1)[:, -1].min())
-    delta = t_star / (2.0 * (max_path_cost + 1.0))
+    params = np.array([[xs[k]] for k in solve], dtype=float)
+    delta = (params + t_zero) / (2.0 * (max_path_cost + 1.0))
 
     cp = ConvexProgram(C, value, slopes,
                        G=-np.eye(nu), h=np.zeros(nu),
-                       A=D, b=np.zeros(D.shape[0]), start=u_feas + delta,
+                       A=D, b=np.zeros(D.shape[0]), start=u_feas + delta, params=params,
                        order=tree.children_first(nu))
     res = solve_convex(cp, tol=1e-9)
-    # Accept a stalled iterate when the certified suboptimality is still far
-    # inside the tolerances anything downstream relies on: near-degenerate
-    # instances (offsetting trades blowing up while a leaf wealth approaches
-    # zero) leave the KKT residual on a rounding floor above tol.
-    u_opt, kkt = res.z[0], float(res.kkt_residual[0])
-    stall_accepted = res.status != OPTIMAL and kkt <= 1e-6 * (1.0 + abs(float(res.value[0])))
-    if not stall_accepted:
-        require_optimal(res, f"primal solve at x={x}")
+    for row, k in enumerate(solve):
+        x, status = xs[k], res.statuses[row]
+        # Accept a stalled iterate when the certified suboptimality is still
+        # far inside the tolerances anything downstream relies on:
+        # near-degenerate instances (offsetting trades blowing up while a
+        # leaf wealth approaches zero) leave the KKT residual on a rounding
+        # floor above tol.
+        u_opt, kkt = res.z[row], float(res.kkt_residual[row])
+        stall_accepted = status != OPTIMAL and kkt <= 1e-6 * (1.0 + abs(float(res.value[row])))
+        if status != OPTIMAL and not stall_accepted:
+            out[k] = SolverIndeterminateError(f"primal solve at x={x}: solver status {status}")
+            continue
+        if tie_break:
+            # Minimal turnover among strategies dominating the optimal payoff;
+            # u_opt itself is feasible, so anything but optimal is a solver fault.
+            ghat = C @ u_opt
+            lp = solve_lp(LinearProgram(
+                c=np.ones(nu),
+                A_ub=-C, b_ub=-ghat + 1e-10,
+                A_eq=D, b_eq=np.zeros(D.shape[0]),
+                lb=0.0,
+            ))
+            u_opt = require_optimal(lp, f"minimal-turnover LP at x={x}").z
 
-    if tie_break:
-        # Minimal turnover among strategies dominating the optimal payoff;
-        # u_opt itself is feasible, so anything but optimal is a solver fault.
         ghat = C @ u_opt
-        lp = solve_lp(LinearProgram(
-            c=np.ones(nu),
-            A_ub=-C, b_ub=-ghat + 1e-10,
-            A_eq=D, b_eq=np.zeros(D.shape[0]),
-            lb=0.0,
-        ))
-        u_opt = require_optimal(lp, f"minimal-turnover LP at x={x}").z
-
-    ghat = C @ u_opt
-    w = x + e + ghat
-    strategy = strategy_from_trades(model, x, u_opt[:n], u_opt[n:])
-    return PrimalSolution(
-        x=float(x),
-        strategy=strategy,
-        ghat=ghat,
-        wealth=w,
-        value=float(p @ ut.u_eval(spec, w)),
-        kkt_residual=kkt,
-        iterations=res.iterations,
-        stall_accepted=stall_accepted,
-    )
+        w = x + e + ghat
+        out[k] = PrimalSolution(
+            x=float(x),
+            strategy=strategy_from_trades(model, x, u_opt[:n], u_opt[n:]),
+            ghat=ghat,
+            wealth=w,
+            value=float(p @ ut.u_eval(spec, w)),
+            kkt_residual=kkt,
+            iterations=int(res.problem_iterations[row]),
+            stall_accepted=stall_accepted,
+        )
+    return out
 
 
 def primal_marginal(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:

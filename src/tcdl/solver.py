@@ -6,19 +6,21 @@ reporting "optimal"; anything less becomes "numerically-indeterminate" rather
 than a wrong answer.
 
 ``solve_convex`` is a primal-dual interior-point method for a batch of B
-programs that share X, G, h, A, b and the start and differ only in a
-parameter row q each:
+programs that share X, G, h, A and b and differ only in a parameter row q
+each and, optionally, in their start points:
 
     minimize sum(value(X z, q))  subject to  G z <= h,  A z = b,
 
 with ``value`` a smooth convex function applied row by row to the linear
 image X z (+inf outside its open domain; the line search backtracks into
 the domain).  The primal's X is the trade-to-wealth map, the dual's the
-leaf selector; the dual grid is one batch, q holding y.  The state has one
-row per problem and every product is taken row by row (``np.matvec``,
-``np.vecmat``, ``np.vecdot``), so a problem's iterates do not depend on
-its batch.  Each step factors one reduced KKT matrix K = [[H, A'], [A, 0]]
-per problem, whose upper-left block is one Gram over the stacked rows:
+leaf selector.  A report's dual grid is one batch (q holding y), its primal
+solves another (q holding x, a start per x) and each step of its yhat
+searches a third (a warm start per x).  The state has one row per problem
+and every product is taken row by row (``np.matvec``, ``np.vecmat``,
+``np.vecdot``), so a problem's iterates do not depend on its batch.  Each
+step factors one reduced KKT matrix K = [[H, A'], [A, 0]] per problem,
+whose upper-left block is one Gram over the stacked rows:
 
     H = X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G].
 
@@ -194,7 +196,9 @@ class ConvexProgram:
     ``value(V, Q)`` takes the images V = X z of the problems in the batch,
     one row each, with their rows Q of ``params``, and returns the per-entry
     values, +inf outside the open domain; ``slopes(V, Q)`` the first and
-    second derivatives.  ``start`` must be strictly feasible, inside every
+    second derivatives.  ``start`` is one point for every problem or one row
+    per problem; each problem's slacks and its first multipliers 1/s come
+    from its own start.  Starts must be strictly feasible, inside their
     problem's domain and on ``A z = b``; ``A`` must have full row rank.
     ``order`` lists the variables in elimination order for a sparse KKT
     factorisation, one row per group (a tree node's variables, say); each
@@ -347,7 +351,9 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
     start = np.asarray(cp.start, dtype=float)
-    s0 = h - G @ start
+    start = start if start.ndim == 2 else start[None]
+    # Each start's slacks, one product per start as for a lone problem.
+    s0 = np.array([h - G @ z for z in start])
     if m and s0.min() <= 0:
         raise DomainError("start point is not strictly feasible for the inequalities")
     centering = _MU * max(m, 1)
@@ -358,12 +364,13 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
 
     def run(rows: np.ndarray):
         P, B = params[rows], len(rows)   # a slice of the batch
-        Z, S = np.repeat(start[None], B, axis=0), np.repeat(s0[None], B, axis=0)
+        own = rows if len(start) > 1 else np.zeros(B, dtype=int)
+        Z, S = start[own], s0[own]
         V = np.matvec(X, Z)
         F, L = cp.value(V, P).sum(axis=1), np.log(S).sum(axis=1)
         if not np.isfinite(F).all():
             raise DomainError("start point is outside the objective domain")
-        lam = np.repeat(1.0 / np.maximum(s0, 1e-12)[None], B, axis=0)
+        lam = 1.0 / np.maximum(S, 1e-12)
         nu = np.zeros((B, p))
         # V = X z, F, sum(log s) and the derivatives at the current iterates;
         # each accepted line-search point hands its own to the next iteration.

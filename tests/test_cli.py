@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tcdl import harness as hn
 from tcdl.cli import main
 from tcdl.market import binomial_market, market_to_dict, save_market
 
@@ -190,6 +191,21 @@ def test_malformed_seeds_exit_2(out, capsys, seeds, message):
     assert code == 2
     assert out_text == ""
     assert message in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_selftest_jobs_below_one_exits_2(out, capsys, monkeypatch, jobs):
+    # rejected before any seed runs or any worker process starts
+    def no_pool(**kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(hn, "_selftest_one", no_pool)
+    code, out_text, err = run_cli(capsys, ["selftest", "--seeds", "1..2",
+                                           "--jobs", jobs, "--output", out])
+    assert code == 2
+    assert out_text == ""
+    assert f"--jobs must be at least 1, got {jobs}" in err
 
 
 def test_invalid_market_exits_2(tmp_path, out, capsys):

@@ -13,7 +13,9 @@ from tcdl.market import binomial_market, build_market, market_to_dict
 from tcdl import dual as du
 from tcdl import harness as hn
 from tcdl import primal as pr
+from tcdl import solver
 from tcdl import utility as ut
+from tcdl.solver import INDETERMINATE
 
 from oracles import find_yhat_by_brentq, random_instance_by_lp
 
@@ -58,13 +60,13 @@ def test_yhat_search_dual_solve_count(monkeypatch, family, alpha):
     x0 = du.compute_x0(model)
     x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
     calls = []
-    solve = du.solve_dual
+    solve = du._solve_duals
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counting(model, spec, ys, *args):
+        calls.extend(ys)
+        return solve(model, spec, ys, *args)
 
-    monkeypatch.setattr(du, "solve_dual", counting)
+    monkeypatch.setattr(du, "_solve_duals", counting)
     hn.find_yhat(model, spec, x)
     assert len(calls) <= 10
 
@@ -80,13 +82,13 @@ def test_recovery_reuses_the_root_solve_of_the_yhat_search(monkeypatch, family, 
     x0 = du.compute_x0(model)
     x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
     calls = []
-    solve = du.solve_dual
+    solve = du._solve_duals
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counting(model, spec, ys, *args):
+        calls.extend(ys)
+        return solve(model, spec, ys, *args)
 
-    monkeypatch.setattr(du, "solve_dual", counting)
+    monkeypatch.setattr(du, "_solve_duals", counting)
     rec = hn.recover_primal_from_dual(model, spec, x, polytope=poly, x0=x0)
     assert rec.attainable
     assert len(calls) == rec.yhat_dual_solves
@@ -120,14 +122,14 @@ def test_yhat_search_gives_up_after_the_cap(monkeypatch, residual):
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     x = 2.0
     calls = []
-    solve = du.solve_dual
+    solve = du._solve_duals
 
-    def stuck(*args, **kwargs):
-        calls.append(args[2])
-        sol = solve(*args, **kwargs)
-        return dataclasses.replace(sol, derivative=residual(len(calls)) - x)
+    def stuck(model, spec, ys, *args):
+        calls.extend(ys)
+        return [dataclasses.replace(sol, derivative=residual(len(calls)) - x)
+                for sol in solve(model, spec, ys, *args)]
 
-    monkeypatch.setattr(du, "solve_dual", stuck)
+    monkeypatch.setattr(du, "_solve_duals", stuck)
     with pytest.raises(SolverIndeterminateError, match="after 20 dual solves"):
         hn.find_yhat(model, LOG, x)
     assert len(calls) == hn.YHAT_MAX_SOLVES
@@ -265,13 +267,13 @@ def test_conjugacy_check_solves_each_x_once(monkeypatch):
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     x0 = du.compute_x0(model)
     calls = []
-    solve = pr.solve_primal
+    solve = pr._solve_primals
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counting(model, spec, xs, *args, **kwargs):
+        calls.extend(xs)
+        return solve(model, spec, xs, *args, **kwargs)
 
-    monkeypatch.setattr(pr, "solve_primal", counting)
+    monkeypatch.setattr(pr, "_solve_primals", counting)
     report = hn.conjugacy_check(model, LOG, [x0 - 0.1, x0 + 0.5, x0 + 1.5], [0.5, 1.0, 2.0])
     assert report.passed
     assert calls == [x0 + 0.5, x0 + 1.5]
@@ -283,14 +285,14 @@ def test_conjugacy_check_reports_a_failed_x(monkeypatch):
     model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
     x0 = du.compute_x0(model)
     xs = [x0 + 0.5, x0 + 1.0, x0 + 1.5]
-    solve = pr.solve_primal
+    solve = pr._solve_primals
 
-    def failing(model, spec, x, **kwargs):
-        if x == xs[1]:
-            raise SolverIndeterminateError("primal solve: solver status numerically-indeterminate")
-        return solve(model, spec, x, **kwargs)
+    def failing(model, spec, batch, *args, **kwargs):
+        error = SolverIndeterminateError("primal solve: solver status numerically-indeterminate")
+        return [error if x == xs[1] else sol
+                for x, sol in zip(batch, solve(model, spec, batch, *args, **kwargs))]
 
-    monkeypatch.setattr(pr, "solve_primal", failing)
+    monkeypatch.setattr(pr, "_solve_primals", failing)
     report = hn.conjugacy_check(model, LOG, xs, [0.5, 1.0, 2.0])
     assert [r["status"] for r in report.x_records] == ["ok", "failed", "ok"]
     assert "numerically-indeterminate" in report.x_records[1]["error"]
@@ -299,6 +301,93 @@ def test_conjugacy_check_reports_a_failed_x(monkeypatch):
     assert pipeline[0]["location"].startswith(f"x={xs[1]:g}: ")
     assert not report.passed
     assert all(c["passed"] for c in report.checks if c["name"] != "pipeline")
+
+
+@pytest.mark.parametrize("side, fail_tol", [("primal", 1e-9), ("yhat search", 1e-10)])
+def test_a_failed_row_fails_only_its_own_x(monkeypatch, side, fail_tol):
+    # the middle x's row of the batched primal solve, or of the first lockstep
+    # search step, ends non-optimal: that x alone fails, with the error its
+    # own solve raises, and the report's other records and checks are bit for
+    # bit those of the report without that x
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x0 = du.compute_x0(model)
+    xs, ys = [x0 + 0.5, x0 + 1.0, x0 + 1.5], [0.5, 1.0, 2.0]
+    without = hn.conjugacy_check(model, LOG, [xs[0], xs[2]], ys)
+    module = pr if side == "primal" else du
+    solve, failed = module.solve_convex, []
+
+    def failing(cp, tol=1e-8):
+        res = solve(cp, tol=tol)
+        if tol != fail_tol or failed:
+            return res
+        assert len(res.statuses) == 3
+        failed.append(float(cp.params[1, 0]))
+        statuses, kkt = list(res.statuses), res.kkt_residual.copy()
+        statuses[1], kkt[1] = INDETERMINATE, np.inf
+        return dataclasses.replace(res, status=INDETERMINATE, statuses=tuple(statuses),
+                                   kkt_residual=kkt)
+
+    monkeypatch.setattr(module, "solve_convex", failing)
+    report = hn.conjugacy_check(model, LOG, xs, ys)
+    what = "primal solve at x" if side == "primal" else "dual solve at y"
+    assert len(failed) == 1 and (side != "primal" or failed == [xs[1]])
+    assert [r["status"] for r in report.x_records] == ["ok", "failed", "ok"]
+    assert report.x_records[1]["error"] == f"{what}={failed[0]}: solver status {INDETERMINATE}"
+    kept = [report.x_records[0], report.x_records[2]]
+    assert json.dumps(kept, sort_keys=True) == json.dumps(without.x_records, sort_keys=True)
+    checks = [c for c in report.checks if c["name"] != "pipeline"]
+    assert json.dumps(checks, sort_keys=True) == json.dumps(without.checks, sort_keys=True)
+
+
+def _identical(a, b) -> bool:
+    """Bit for bit equal: dataclasses field by field, float data by their bytes."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_identical(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, (np.ndarray, float, tuple)):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("spec", [LOG, ut.make_utility("power", 0.5)], ids=lambda s: s.label())
+def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
+    # criterion 02's instances 2008..2015 at a report's three x: one batched
+    # primal solve and the lockstep yhat searches give each x, bit for bit,
+    # what its own solve_primal and recover_primal_from_dual give
+    calls = []
+    solve = solver.solve_convex
+
+    def counting(cp, tol=1e-8):
+        calls.append(len(cp.params))
+        return solve(cp, tol=tol)
+
+    stalled, spread = False, False
+    for k in range(8, 16):
+        lam, depth, branching = _COMBOS[k % 4]
+        model, _, poly = hn._generate_instance(2000 + k, depth, branching, lam, 0.3, 600)
+        phase1 = pr.max_min_wealth(model, 0.0)
+        x0 = -phase1[0]
+        xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
+        with monkeypatch.context() as m:
+            m.setattr(pr, "solve_convex", counting)
+            m.setattr(du, "solve_convex", counting)
+            primals = pr._solve_primals(model, spec, xs, phase1=phase1)
+            assert calls == [3]
+            recoveries = hn._recoveries(model, spec, xs, polytope=poly, x0=x0)
+        solves = [rec.yhat_dual_solves for rec in recoveries]
+        # one batched call per lockstep step, over the x still searching
+        assert calls[1:] == [sum(n >= step for n in solves) for step in range(1, max(solves) + 1)]
+        calls.clear()
+        for x, psol, rec in zip(xs, primals, recoveries):
+            where = f"instance {2000 + k} at x={x}"
+            assert _identical(psol, pr.solve_primal(model, spec, x, phase1=phase1)), where
+            assert _identical(rec, hn.recover_primal_from_dual(model, spec, x, poly, x0)), where
+            stalled |= psol.stall_accepted
+        spread |= len(set(solves)) > 1
+    # instance 2012's primal stalls under power:0.5 (see the report test below)
+    assert stalled is (spec.label() == "power:0.5")
+    assert spread
 
 
 def test_envelope_marginal_agrees_with_finite_difference():
@@ -480,9 +569,9 @@ def test_report_records_the_yhat_search(monkeypatch):
     fields = ("yhat_ipm_iterations", "primal_ipm_iterations")
     assert sum(iterations) == (sum(rec["ipm_iterations"] for rec in report.y_records)
                                + sum(rec[f] for rec in report.x_records for f in fields))
-    # the three-point y grid is one batched interior-point call, and each x
-    # adds its yhat search's dual solves and one primal solve
-    assert len(iterations) == 1 + sum(rec["yhat_dual_solves"] + 1 for rec in report.x_records)
+    # the three-point y grid is one batched interior-point call, the three
+    # primal solves another, and the yhat searches one per lockstep step
+    assert len(iterations) == 1 + 1 + max(rec["yhat_dual_solves"] for rec in report.x_records)
 
 
 def test_run_experiment_output_deterministic(tmp_path):
@@ -540,6 +629,31 @@ def test_run_experiment_from_market_file(tmp_path):
 def test_selftest_two_seeds(tmp_path):
     results = hn.selftest([1, 2], str(tmp_path), jobs=1)
     assert results == {1: True, 2: True}
+
+
+def test_selftest_starts_at_most_one_worker_per_seed(monkeypatch, tmp_path):
+    # the pool is replaced by one that records its size and maps in this
+    # process, so no worker process starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", RecordingPool)
+    assert hn.selftest([1, 2], str(tmp_path), jobs=500) == {1: True, 2: True}
+    assert hn.selftest([3, 4, 5], str(tmp_path), jobs=2) == {3: True, 4: True, 5: True}
+    assert hn.selftest([6], str(tmp_path), jobs=4) == {6: True}
+    assert sizes == [2, 2]
 
 
 def test_attainability_row_lists_the_tolerance_that_decides_it():

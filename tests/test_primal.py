@@ -209,8 +209,10 @@ def test_primal_curvature_is_the_derivative_of_its_gradient(monkeypatch):
             w = ut.i_eval(spec, y * np.array([0.5, 2.0]))
             h = 1e-5 * w
             v = w - x - e
-            fd = (cp.slopes(v + h, None)[0] - cp.slopes(v - h, None)[0]) / (2.0 * h)
-            assert cp.slopes(v, None)[1] == pytest.approx(fd, rel=1e-7)
+            # the program's parameter row holds x
+            assert cp.params.tolist() == [[x]]
+            fd = (cp.slopes(v + h, cp.params)[0] - cp.slopes(v - h, cp.params)[0]) / (2.0 * h)
+            assert cp.slopes(v, cp.params)[1] == pytest.approx(fd, rel=1e-7)
 
 
 def test_primal_ipm_starts_inside_the_bounds(monkeypatch):
