@@ -211,7 +211,8 @@ def superreplication_price(model: MarketModel, g, polytope: CpsPolytope | None =
 
 def compute_x0(model: MarketModel, polytope: CpsPolytope | None = None) -> float:
     """x0 = sup E[Z0_T (-e_T)] = -max_u min_leaf (C u + e_T) by LP duality, so one trade-side
-    LP (``primal.max_min_wealth``) and no polytope; ``polytope`` is unread (benchmarks pass one)."""
+    LP (``primal.max_min_wealth``) and no polytope; ``polytope`` is unread (benchmarks pass one).
+    The LP is solved once per model object and shared with ``primal.solve_primal``'s start."""
     return -pr.max_min_wealth(model, 0.0)[0]
 
 

@@ -281,18 +281,18 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                     x_grid, y_grid,
                     check_marginals: bool = True,
                     metadata: dict | None = None,
-                    polytope: du.CpsPolytope | None = None,
-                    phase1: tuple[float, np.ndarray] | None = None) -> DualityReport:
+                    polytope: du.CpsPolytope | None = None) -> DualityReport:
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
-    monotonicity and large-y slope checks read it in that order.  x0 is minus
-    the value of ``phase1`` = ``primal.max_min_wealth(model, 0)`` (run when None).
+    monotonicity and large-y slope checks read it in that order.  x0 and the
+    primal solves' start come from one trade-side LP, solved once per model
+    object (``primal.max_min_wealth``), so a caller that took x0 from the
+    same object costs no second LP.
     """
     tol = DEFAULT_TOLERANCES
     poly = polytope or du.cps_polytope(model)
-    phase1 = pr.max_min_wealth(model, 0.0) if phase1 is None else phase1
-    x0 = -phase1[0]
+    x0 = du.compute_x0(model)
     p = model.tree.leaf_prob()
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
     report.metadata.setdefault("model_hash", model_hash(model))
@@ -331,8 +331,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     # failure where its own solves would have raised it.
     xs = [float(x) for x in x_grid]
     above = [k for k, x in enumerate(xs) if x > x0 + 1e-12]
-    primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above],
-                                                phase1=phase1)))
+    primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above])))
     solved = [k for k in above if not isinstance(primals[k], Exception)]
     recoveries = dict(zip(solved, _recoveries(model, spec, [xs[k] for k in solved],
                                               polytope=poly, x0=x0)))
@@ -586,7 +585,9 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     ``seed`` ({seed, depth, branching, lambda, rho}), plus optional
     ``utility`` (default log), ``x_grid`` or ``x_offsets``, ``y_grid``
     ({min, max, n} or a list), and ``check_marginals``; ``ConfigError`` names
-    a malformed or unknown field.
+    a malformed or unknown field.  x0, for the default x grid, and the
+    report's primal solves share one trade-side LP, solved once on the
+    model object (``primal.max_min_wealth``).
     """
     _config_keys(config, "config", "market", "seed", "utility", "x_grid", "x_offsets",
                  "y_grid", "check_marginals")
@@ -642,14 +643,13 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     check_marginals = _config_typed(config.get("check_marginals", True), bool,
                                     "check_marginals")
 
-    phase1 = pr.max_min_wealth(model, 0.0)
-    x0 = -phase1[0]
+    x0 = du.compute_x0(model)
     if x_grid is None:
         margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
         x_grid = [x0 + margin + float(o) for o in offsets]
     report = conjugacy_check(model, spec, x_grid, y_grid,
                              check_marginals=check_marginals, metadata=meta,
-                             polytope=poly, phase1=phase1)
+                             polytope=poly)
     if output_dir is not None:
         sub = os.path.join(output_dir, f"{report.metadata['model_hash'][:12]}-{label}")
         write_report_files(report, sub)

@@ -298,7 +298,9 @@ class MarketModel:
     """Scenario tree with ask prices, proportional cost level, and endowment.
 
     ``lam = 0`` is allowed as a frictionless baseline.  ``rho`` is the sup
-    norm of the terminal endowment.
+    norm of the terminal endowment.  ``_phase1`` holds the one LP result
+    ``primal.max_min_wealth`` keeps per object; it takes no part in equality,
+    hashing or repr, and a new object starts without it.
     """
 
     tree: ScenarioTree
@@ -306,6 +308,7 @@ class MarketModel:
     lam: float
     endowment: tuple[float, ...]     # per leaf, aligned with tree.leaves
     rho: float = field(init=False)
+    _phase1: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", float(max(abs(e) for e in self.endowment)))

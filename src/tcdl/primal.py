@@ -186,8 +186,24 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
     infeasibility certificate.  x only shifts the value, so the LP is solved
     at x = 0 and x added after; the argmax does not depend on x.  The LP is
     unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``.
+
+    The default claim's LP is solved once per ``MarketModel`` object: its
+    value at x = 0 and argmax stay on the object, and later calls return
+    x plus that value and a fresh copy of the argmax, what a new solve
+    gives bit for bit.  A new object solves again, even one equal to an old
+    one.  A call with a claim g, and a solve that raises, leave nothing.
     """
-    g = -model.endowment_vector() if g is None else np.asarray(g, dtype=float)
+    if g is not None:
+        value, u = _max_min_lp(model, np.asarray(g, dtype=float))
+        return x + value, u
+    if "lp" not in model._phase1:
+        model._phase1["lp"] = _max_min_lp(model, -model.endowment_vector())
+    value, u = model._phase1["lp"]
+    return x + value, u.copy()
+
+
+def _max_min_lp(model: MarketModel, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """``max_min_wealth``'s LP at x = 0: its value and an argmax u."""
     C, D = _trade_matrices(model)
     nu = C.shape[1]
     # Variables [u; t]: maximize t subject to t - (C u)_l <= -g_l.
@@ -203,23 +219,23 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
     if res.status == UNBOUNDED:
         raise NoConsistentPriceSystemError("market admits arbitrage: max-min wealth LP unbounded")
     require_optimal(res, "max-min wealth LP")
-    return x + float(res.value), res.z[:nu].copy()
+    return float(res.value), res.z[:nu].copy()
 
 
 def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
-                 tie_break: bool = False,
-                 phase1: tuple[float, np.ndarray] | None = None) -> PrimalSolution:
+                 tie_break: bool = False) -> PrimalSolution:
     """Maximize expected utility of terminal liquidation wealth from capital x,
-    from the argmax of ``phase1`` = ``max_min_wealth(model, 0)`` (run when None);
-    the one-problem case of ``_solve_primals``."""
-    return unwrap(_solve_primals(model, spec, [x], tie_break, phase1))[0]
+    from the argmax of ``max_min_wealth(model, 0)``, whose LP is solved once
+    per model object; the one-problem case of ``_solve_primals``."""
+    return unwrap(_solve_primals(model, spec, [x], tie_break))[0]
 
 
 def _solve_primals(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                   tie_break: bool = False,
-                   phase1: tuple[float, np.ndarray] | None = None) -> list:
+                   tie_break: bool = False) -> list:
     """``solve_primal`` at each x of ``xs`` as one batched interior-point solve,
-    x in the parameter row and each x from its own start.  Returns per x its
+    x in the parameter row and each x from its own start.  The start and the
+    below-x0 test read ``max_min_wealth(model, 0)``, which solves no LP when
+    this model object has solved it before.  Returns per x its
     ``PrimalSolution``, or the error its own solve raises."""
     out = [None if np.isfinite(x) else DomainError(f"primal solve needs a finite x, got x={x!r}")
            for x in xs]
@@ -234,7 +250,7 @@ def _solve_primals(model: MarketModel, spec: ut.UtilitySpec, xs: list,
     C, D = _trade_matrices(model)
     nu = 2 * n
 
-    t_zero, u_feas = max_min_wealth(model, 0.0) if phase1 is None else phase1
+    t_zero, u_feas = max_min_wealth(model, 0.0)
     for k, x in enumerate(xs):
         if out[k] is None and x + t_zero <= 1e-12:
             out[k] = BelowX0Error(

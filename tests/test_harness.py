@@ -104,8 +104,7 @@ def test_yhat_agrees_with_brentq_oracle():
         model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
                                    rho=0.3, max_attempts=600)
         poly = du.cps_polytope(model)
-        phase1 = pr.max_min_wealth(model, 0.0)
-        x0 = -phase1[0]
+        x0 = du.compute_x0(model)
         x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
         for spec in (LOG, ut.make_utility("power", 0.5)):
             yhat = hn.find_yhat(model, spec, x, polytope=poly, x0=x0)
@@ -366,13 +365,12 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     for k in range(8, 16):
         lam, depth, branching = _COMBOS[k % 4]
         model, _, poly = hn._generate_instance(2000 + k, depth, branching, lam, 0.3, 600)
-        phase1 = pr.max_min_wealth(model, 0.0)
-        x0 = -phase1[0]
+        x0 = du.compute_x0(model)
         xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
         with monkeypatch.context() as m:
             m.setattr(pr, "solve_convex", counting)
             m.setattr(du, "solve_convex", counting)
-            primals = pr._solve_primals(model, spec, xs, phase1=phase1)
+            primals = pr._solve_primals(model, spec, xs)
             assert calls == [3]
             recoveries = hn._recoveries(model, spec, xs, polytope=poly, x0=x0)
         solves = [rec.yhat_dual_solves for rec in recoveries]
@@ -381,7 +379,7 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
         calls.clear()
         for x, psol, rec in zip(xs, primals, recoveries):
             where = f"instance {2000 + k} at x={x}"
-            assert _identical(psol, pr.solve_primal(model, spec, x, phase1=phase1)), where
+            assert _identical(psol, pr.solve_primal(model, spec, x)), where
             assert _identical(rec, hn.recover_primal_from_dual(model, spec, x, poly, x0)), where
             stalled |= psol.stall_accepted
         spread |= len(set(solves)) > 1
@@ -398,12 +396,10 @@ def test_envelope_marginal_agrees_with_finite_difference():
         model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
                                    rho=0.3, max_attempts=600)
         poly = du.cps_polytope(model)
-        phase1 = pr.max_min_wealth(model, 0.0)
-        x0 = -phase1[0]
+        x0 = du.compute_x0(model)
         x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
         for spec in (LOG, ut.make_utility("power", 0.5)):
-            report = hn.conjugacy_check(model, spec, [x], [1.0], polytope=poly,
-                                        phase1=phase1)
+            report = hn.conjugacy_check(model, spec, [x], [1.0], polytope=poly)
             record = report.x_records[0]
             budget = hn.DEFAULT_TOLERANCES["marginal"] * (1.0 + record["yhat"])
             fd = pr.primal_marginal(model, spec, x)
@@ -670,18 +666,48 @@ def test_attainability_row_lists_the_tolerance_that_decides_it():
     assert all(row["tolerance"] == hn.ATTAINABILITY_TOL for row in rows)
 
 
-def test_report_solves_the_trade_lp_once(monkeypatch):
-    # x0 and every primal solve's phase 1 come from one max-min wealth LP
-    # with the default claim; the recoveries' certificates are the others
-    claims = []
+def _counting_lps(monkeypatch) -> list:
+    """Every LP the primal and dual modules solve from here on, as the claim
+    of the max-min wealth call it ran under ("default", "ghat"), or "other"."""
+    lps, claim = [], ["other"]
     max_min = pr.max_min_wealth
 
     def recording(model, x, g=None):
-        claims.append("default" if g is None else "ghat")
-        return max_min(model, x, g)
+        claim[0] = "default" if g is None else "ghat"
+        try:
+            return max_min(model, x, g)
+        finally:
+            claim[0] = "other"
 
     monkeypatch.setattr(pr, "max_min_wealth", recording)
+    for module in (pr, du):
+        solve_lp = module.solve_lp
+        monkeypatch.setattr(module, "solve_lp",
+                            lambda lp, solve_lp=solve_lp: lps.append(claim[0]) or solve_lp(lp))
+    return lps
+
+
+def test_report_solves_the_trade_lp_once(monkeypatch):
+    # x0 and every primal solve's phase 1 come from one max-min wealth LP
+    # with the default claim; the recoveries' certificates are the others
+    lps = _counting_lps(monkeypatch)
     report = hn.run_experiment({"seed": {"seed": 1, "depth": 3, "branching": 2,
                                          "lambda": 0.3, "rho": 0.2}})
     assert report.passed and len(report.x_records) == 3
-    assert claims == ["default", "ghat", "ghat", "ghat"]
+    assert [c for c in lps if c != "other"] == ["default", "ghat", "ghat", "ghat"]
+
+
+@pytest.mark.parametrize("pass_x0", [True, False], ids=["x0", "no-x0"])
+def test_criterion_02_run_solves_two_lps(monkeypatch, pass_x0):
+    # compute_x0, solve_primal and the recovery on one model object: the
+    # primal's phase 1 and the recovery's x0 are the x0 LP, so the only
+    # other LP is the recovery's certificate
+    model, _, poly = hn._generate_instance(2000, 2, 3, 0.01, 0.3, 600)
+    lps = _counting_lps(monkeypatch)
+    x0 = du.compute_x0(model)
+    x = x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + 0.5
+    psol = pr.solve_primal(model, LOG, x)
+    rec = hn.recover_primal_from_dual(model, LOG, x, polytope=poly,
+                                      **({"x0": x0} if pass_x0 else {}))
+    assert lps == ["default", "ghat"]
+    assert rec.attainable and psol.value - rec.primal.value <= hn.DEFAULT_TOLERANCES["recovery"]

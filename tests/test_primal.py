@@ -1,10 +1,13 @@
 """Trading strategies, attainability, and the primal utility maximizer."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from tcdl.errors import BelowX0Error, DomainError, MarketError
-from tcdl.market import binomial_market, single_node_market
+from tcdl.errors import BelowX0Error, DomainError, MarketError, NoConsistentPriceSystemError
+from tcdl.market import binomial_market, build_market, market_to_dict, single_node_market
 from tcdl import primal as pr
 from tcdl import dual as du
 from tcdl import harness as hn
@@ -255,19 +258,81 @@ def test_primal_solve_is_one_ipm_solve(monkeypatch):
     assert iterations[0] <= 100
 
 
-def test_solve_primal_takes_the_phase1_result(monkeypatch):
-    # the phase-1 LP does not depend on x: handed its result, the solve
-    # runs no LP and gives the same optimum bit for bit
-    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
-    phase1 = pr.max_min_wealth(model, 0.0)
-    x = -phase1[0] + 1.0
-    own = pr.solve_primal(model, LOG, x)
+def _counting_lps(monkeypatch) -> list:
+    """The LPs the primal module solves from here on, in call order."""
     calls = []
     solve_lp = pr.solve_lp
     monkeypatch.setattr(pr, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
-    given = pr.solve_primal(model, LOG, x, phase1=phase1)
+    return calls
+
+
+def test_solve_primal_reuses_its_models_phase1_lp(monkeypatch):
+    # the phase-1 LP does not depend on x: after compute_x0 solved it, the
+    # primal solve on the same model object runs no LP, and gives bit for
+    # bit what a new object, which solves its own, gives
+    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
+    x0 = du.compute_x0(model)
+    x = x0 + 1.0
+    calls = _counting_lps(monkeypatch)
+    kept = pr.solve_primal(model, LOG, x)
     assert calls == []
-    assert given.value == own.value and given.iterations == own.iterations
-    assert np.array_equal(given.wealth, own.wealth)
+    fresh = pr.solve_primal(build_market(market_to_dict(model)), LOG, x)
+    assert len(calls) == 1
+    assert pickle.dumps(kept) == pickle.dumps(fresh)
     with pytest.raises(BelowX0Error):
-        pr.solve_primal(model, LOG, -phase1[0] - 1e-3, phase1=phase1)
+        pr.solve_primal(model, LOG, x0 - 1e-3)
+    assert len(calls) == 1
+
+
+def test_phase1_lp_is_kept_per_object_not_per_value(monkeypatch):
+    # an equal model is another object: it solves the LP again
+    model = with_costs(endowment=(0.25, -0.5))
+    first = pr.max_min_wealth(model, 0.0)
+    twin = dataclasses.replace(model)
+    assert twin == model and hash(twin) == hash(model)
+    calls = _counting_lps(monkeypatch)
+    again = pr.max_min_wealth(twin, 0.0)
+    assert len(calls) == 1
+    assert again[0] == first[0] and again[1].tobytes() == first[1].tobytes()
+    assert "_phase1" not in repr(model)
+
+
+def test_arbitrage_is_refused_on_every_call(monkeypatch):
+    # a failed solve is not kept: each call runs its own LP and raises
+    model = binomial_market(1.0, 2.0, 1.5, lam=0.0)
+    calls = _counting_lps(monkeypatch)
+    for n in (1, 2):
+        with pytest.raises(NoConsistentPriceSystemError):
+            pr.solve_primal(model, LOG, 1.0)
+        assert len(calls) == n
+
+
+def test_kept_argmax_is_handed_out_as_a_copy(monkeypatch):
+    # writing into a returned argmax leaves the next call's result unchanged
+    model = with_costs(endowment=(0.25, -0.5))
+    value, u = pr.max_min_wealth(model, 0.0)
+    want = u.copy()
+    u[:] = 7.0
+    calls = _counting_lps(monkeypatch)
+    again, v = pr.max_min_wealth(model, 0.5)
+    assert calls == []
+    assert again == 0.5 + value and v.tobytes() == want.tobytes()
+    v[:] = -1.0
+    assert pr.max_min_wealth(model, 0.0)[1].tobytes() == want.tobytes()
+
+
+def test_lp_with_a_claim_is_solved_on_every_call(monkeypatch):
+    # the recovery's certificate and is_attainable pass a claim g: each call
+    # is its own LP, and none of them stands in for the default claim's
+    model = with_costs(endowment=(0.25, -0.5))
+    g = np.array([0.5, -0.25])
+    calls = _counting_lps(monkeypatch)
+    first = pr.max_min_wealth(model, 0.0, g)
+    second = pr.max_min_wealth(model, 0.0, g)
+    assert len(calls) == 2
+    assert first[0] == second[0]
+    pr.is_attainable(model, g, 1.0)
+    assert len(calls) == 3
+    pr.max_min_wealth(model, 0.0)
+    pr.max_min_wealth(model, 0.0)
+    assert len(calls) == 4
