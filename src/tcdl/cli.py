@@ -30,6 +30,22 @@ EXIT_INPUT_ERROR = 2
 EXIT_INDETERMINATE = 3
 
 
+# Per package error type, in the order they are tested: the name of its
+# failure record and its exit code.
+_ERROR_EXITS = (
+    ((MarketError, DomainError, ConfigError), "input-error", EXIT_INPUT_ERROR),
+    ((SolverIndeterminateError, NoConsistentPriceSystemError), "solver-indeterminate",
+     EXIT_INDETERMINATE),
+    (BelowX0Error, "below-x0", EXIT_CHECK_FAILED),
+    (TcdlError, "check-failure", EXIT_CHECK_FAILED),
+)
+
+
+def _error_exit(exc: TcdlError) -> tuple[str, int]:
+    """The failure-record name and exit code of a package error."""
+    return next((name, code) for kinds, name, code in _ERROR_EXITS if isinstance(exc, kinds))
+
+
 def _output_dir(args) -> str:
     if getattr(args, "output", None):
         return args.output
@@ -177,12 +193,24 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    """Per seed ``true`` or ``false`` in ``results``; a seed whose run raised
+    reads ``false``, is listed under ``errors`` and sets the exit code to the
+    one its error gives any other command (the first such seed's)."""
     out = _output_dir(args)
     seeds = _parse_seed_range(args.seeds)
     results = selftest(seeds, output_dir=out, jobs=args.jobs)
-    _emit({"results": {str(k): v for k, v in results.items()},
-           "passed": all(results.values())})
-    return EXIT_OK if all(results.values()) else EXIT_CHECK_FAILED
+    errors = {seed: exc for seed, exc in results.items() if isinstance(exc, TcdlError)}
+    passed = all(ok is True for ok in results.values())
+    payload = {"results": {str(k): ok is True for k, ok in results.items()}, "passed": passed}
+    if errors:
+        payload["errors"] = {str(seed): str(exc) for seed, exc in errors.items()}
+    _emit(payload)
+    for seed, exc in errors.items():
+        print(f"error: seed {seed}: {exc}", file=sys.stderr)
+        _write_failure_record(out, _error_exit(exc)[0], f"seed {seed}: {exc}")
+    if errors:
+        return _error_exit(next(iter(errors.values())))[1]
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 _COMMANDS = {
@@ -204,22 +232,11 @@ def main(argv=None) -> int:
     out_dir = _output_dir(args)
     try:
         return _COMMANDS[args.command](args)
-    except (MarketError, DomainError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_failure_record(out_dir, "input-error", str(exc))
-        return EXIT_INPUT_ERROR
-    except (SolverIndeterminateError, NoConsistentPriceSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_failure_record(out_dir, "solver-indeterminate", str(exc))
-        return EXIT_INDETERMINATE
-    except BelowX0Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_failure_record(out_dir, "below-x0", str(exc))
-        return EXIT_CHECK_FAILED
     except TcdlError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_failure_record(out_dir, "check-failure", str(exc))
-        return EXIT_CHECK_FAILED
+        name, code = _error_exit(exc)
+        _write_failure_record(out_dir, name, str(exc))
+        return code
     except OSError as exc:
         # Input files are read by market.read_json, which raises typed
         # errors, so what is left is an output that cannot be written.

@@ -9,7 +9,9 @@ complementary slackness, and assembles a full report (value grids, gaps,
 residuals) for a market instance.  A report makes three kinds of batched
 interior-point call: its dual grid, its primal solves over the x grid, and
 its yhat searches, which run in lockstep, one batched dual solve per search
-step over the x still searching.
+step over the x still searching.  Each search starts from the two grid
+points that bracket its root, and one trade-side LP certifies the recovered
+payoffs of all its x.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -27,7 +29,8 @@ from . import dual as du
 from . import primal as pr
 from . import utility as ut
 from .errors import (
-    BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError, unwrap,
+    BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError, TcdlError,
+    unwrap,
 )
 from .market import (
     MarketModel, _integer, _mapping, _number, build_market, market_to_dict, read_json,
@@ -86,7 +89,9 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     (1 + |x|) and raises ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES``
     dual solves.  Returns U'(T(z)) on the root solve's density z, the yhat
     ``recover_primal_from_dual`` reports.  It is the one-x case of
-    ``_yhat_searches``, which runs the searches of many x in lockstep.
+    ``_yhat_searches``, which runs the searches of many x in lockstep, and
+    starts from the interior point: only a report, which has solved its dual
+    grid, starts its searches from the grid.
     """
     return unwrap(_yhat_searches(model, spec, [x], polytope, x0))[0][0]
 
@@ -105,14 +110,23 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
 
 def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
                    polytope: du.CpsPolytope | None = None,
-                   x0: float | None = None) -> list:
+                   x0: float | None = None, grid: list | None = None) -> list:
     """``find_yhat``'s search at each x of ``xs``, in lockstep: each search
     step is one batched dual solve (``dual._solve_duals``) over the x still
     searching, and an x leaves the batch when its search stops.  Each x keeps
-    its own t, secant pair, warm start and stop test, so it takes the steps
-    its own search takes.  Returns per x its yhat, the dual solve at the root
-    of its search and the solves and interior-point iterations the search
-    took, or the error its own search raises."""
+    its own t, secant pair, warm start and stop test.
+
+    ``grid``, a dual grid ascending in y (``dual.dual_grid``'s solutions), gives
+    each x its start where it brackets the root: the first pair of grid
+    points where v'(y) + x changes sign.  The search then starts at the
+    secant t between the two, in t = I(y), with the nearer of them (the
+    smaller |v'(y) + x|) as its first secant pair and 0.9 times that point's
+    optimum plus 0.1 times the interior point as its warm start.  Without a
+    grid, or with a root outside it, the x starts from the interior point as
+    ``find_yhat`` does.  Returns per x its yhat, the dual solve at the root
+    of its search, the solves and interior-point iterations the search took
+    and where it started ("grid" or "interior"), or the error its own search
+    raises."""
     out = [None if np.isfinite(x) else DomainError(f"yhat search needs a finite x, got x={x!r}")
            for x in xs]
     if None not in out:
@@ -128,11 +142,29 @@ def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
     interior = du.require_interior(poly)
     p = model.tree.leaf_prob()
     e = model.endowment_vector()
+    grid = grid or []
+    grid_t = np.array([ut.i_eval(spec, sol.y) for sol in grid])
+    grid_vp = np.array([sol.derivative for sol in grid])
+
+    def start(x: float) -> tuple:
+        """An x's first t, its first secant pair, its warm start and where it started."""
+        g = grid_vp + x
+        below = g < 0
+        bracket = np.flatnonzero(below[:-1] != below[1:])
+        if not bracket.size:
+            return (_optimal_wealth(spec, x, p, e, poly.leaf_density(interior)),
+                    None, interior, "interior")
+        lo, hi = bracket[0], bracket[0] + 1
+        t = grid_t[lo] - g[lo] * (grid_t[hi] - grid_t[lo]) / (g[hi] - g[lo])
+        near = lo if abs(g[lo]) <= abs(g[hi]) else hi
+        return t, (grid_t[near], g[near]), 0.9 * grid[near].z + 0.1 * interior, "grid"
 
     # Per searching x: its t, its last (t, g) pair, its start and its iterations so far.
-    searching = {k: (_optimal_wealth(spec, xs[k], p, e, poly.leaf_density(interior)),
-                     None, interior, 0)
-                 for k, o in enumerate(out) if o is None}
+    searching, started = {}, {}
+    for k, o in enumerate(out):
+        if o is None:
+            t, last, z, started[k] = start(xs[k])
+            searching[k] = (t, last, z, 0)
     for solves in range(1, YHAT_MAX_SOLVES + 1):
         ks = list(searching)
         sols = du._solve_duals(model, spec, [ut.u_prime(spec, searching[k][0]) for k in ks],
@@ -151,7 +183,7 @@ def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
                 # carries a small flat-direction bias that would otherwise
                 # leak into it.
                 yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, sol.z0_T)))
-                out[k] = (yhat, sol, solves, iterations)
+                out[k] = (yhat, sol, solves, iterations, started[k])
                 continue
             secant = last is not None and g != last[1]
             step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
@@ -179,6 +211,7 @@ class RecoveryResult:
     attainability_slack: float   # superreplication price of ghat (<= 0 up to tol)
     yhat_dual_solves: int        # dual solves of the yhat search, the root solve included
     yhat_ipm_iterations: int     # their interior-point iterations, summed
+    yhat_start: str              # where the search started: "grid" or "interior"
 
 
 def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
@@ -187,43 +220,46 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual.
 
     yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
-    search, so the recovery makes no dual solve of its own.  It is the one-x
-    case of ``_recoveries``.
+    search, which starts from the interior point, so the recovery makes no
+    dual solve of its own.  It is the one-x case of ``_recoveries``.
     """
     return unwrap(_recoveries(model, spec, [x], polytope, x0))[0]
 
 
 def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
                 polytope: du.CpsPolytope | None = None,
-                x0: float | None = None) -> list:
-    """``recover_primal_from_dual`` at each x of ``xs``, the yhat searches in
-    lockstep; per x its ``RecoveryResult`` or the error its own recovery raises."""
+                x0: float | None = None, grid: list | None = None) -> list:
+    """``recover_primal_from_dual`` at each x of ``xs``: the yhat searches run
+    in lockstep (``_yhat_searches``, each x starting from ``grid`` where it
+    brackets the root), and one max-min LP over the claims ghat of every x
+    whose search ended certifies them all and builds their strategies.  Per
+    x its ``RecoveryResult``, or the error its own search raises."""
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
     n = tree.n_nodes
-    out = []
-    for x, found in zip(xs, _yhat_searches(model, spec, xs, polytope, x0)):
-        if isinstance(found, Exception):
-            out.append(found)
-            continue
-        yhat, dsol, solves, iterations = found
-        ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
-        # One max-min LP certifies ghat and builds its strategy: the margin
-        # max_u min_leaf (C u - ghat) is minus the superreplication price of
-        # ghat, and the argmax u generates a payoff dominating ghat up to that
-        # margin.
-        margin, u = pr.max_min_wealth(model, 0.0, ghat)
+    out = _yhat_searches(model, spec, xs, polytope, x0, grid)
+    found = [k for k, o in enumerate(out) if not isinstance(o, Exception)]
+    if not found:
+        return out
+    ghats = np.array([ut.i_eval(spec, out[k][0] * out[k][1].z0_T) - xs[k] - e for k in found])
+    # The margin max_u min_leaf (C u - ghat) is minus the superreplication
+    # price of ghat, and the argmax u generates a payoff dominating ghat up
+    # to that margin.
+    margins, us = pr.max_min_wealth(model, 0.0, ghats)
+    for k, ghat, margin, u in zip(found, ghats, margins, us):
+        yhat, dsol, solves, iterations, start = out[k]
+        x = xs[k]
         wealth = x + ghat + e
         psol = pr.PrimalSolution(
             x=float(x), strategy=pr.strategy_from_trades(model, x, u[:n], u[n:]), ghat=ghat,
             wealth=wealth, value=float(p @ ut.u_eval(spec, wealth)),
             kkt_residual=float("nan"), iterations=0,
         )
-        out.append(RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
-                                  attainable=margin >= -ATTAINABILITY_TOL,
-                                  attainability_slack=-margin, yhat_dual_solves=solves,
-                                  yhat_ipm_iterations=iterations))
+        out[k] = RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
+                                attainable=bool(margin >= -ATTAINABILITY_TOL),
+                                attainability_slack=-float(margin), yhat_dual_solves=solves,
+                                yhat_ipm_iterations=iterations, yhat_start=start)
     return out
 
 
@@ -334,7 +370,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above])))
     solved = [k for k in above if not isinstance(primals[k], Exception)]
     recoveries = dict(zip(solved, _recoveries(model, spec, [xs[k] for k in solved],
-                                              polytope=poly, x0=x0)))
+                                              polytope=poly, x0=x0, grid=y_solutions)))
     for k, x in enumerate(xs):
         if k not in primals:
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})
@@ -362,6 +398,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
             "recovery_attainable": rec.attainable,
             "yhat_dual_solves": rec.yhat_dual_solves,
             "yhat_ipm_iterations": rec.yhat_ipm_iterations,
+            "yhat_start": rec.yhat_start,
             "yhat_kkt_residual": dsol.kkt_residual,
             "slackness": {"r1": slack.r1, "r2": slack.r2, "r3": slack.r3},
         }
@@ -656,15 +693,19 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     return report
 
 
-def _selftest_one(args) -> tuple[int, bool]:
+def _selftest_one(args) -> tuple:
     seed, output_dir = args
     cfg = dict(SELFTEST_CONFIG, seed=dict(SELFTEST_CONFIG["seed"], seed=seed))
-    report = run_experiment(cfg, output_dir=output_dir)
-    return seed, report.passed
+    try:
+        return seed, run_experiment(cfg, output_dir=output_dir).passed
+    except TcdlError as exc:
+        return seed, exc
 
 
 def selftest(seeds, output_dir: str, jobs: int = 1) -> dict:
-    """Run the experiment pipeline over a seed range; returns per-seed pass flags.
+    """Run the experiment pipeline over a seed range; returns per seed its
+    pass flag, or the ``TcdlError`` its run raised, so one failing seed
+    leaves the others' results in place.
 
     ``jobs`` (at least 1) caps the worker processes; at most one per seed is
     started, and one job runs the seeds in this process.

@@ -175,7 +175,7 @@ def is_attainable(model: MarketModel, g, x: float, tol: float = 1e-8) -> bool:
     return max_min_wealth(model, x, g)[0] >= -tol
 
 
-def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndarray]:
+def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
     """LP value max_u min_leaf (x + C u - g) over strategies from x, and an argmax u.
 
     By LP duality the value is x minus the superreplication price of g, so it
@@ -187,6 +187,13 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
     at x = 0 and x added after; the argmax does not depend on x.  The LP is
     unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``.
 
+    g may also be a 2-D array of claims, one per row.  Then one LP, block
+    diagonal over the claims, gives an array of values and one argmax row
+    per claim.  Its blocks share no variable, so each claim's value is its
+    own LP's up to the LP's feasibility tolerance 1e-10, not bit for bit, and
+    where that LP has many optima the argmax may be another of them.  A
+    single claim is the one-block LP.
+
     The default claim's LP is solved once per ``MarketModel`` object: its
     value at x = 0 and argmax stay on the object, and later calls return
     x plus that value and a fresh copy of the argmax, what a new solve
@@ -194,32 +201,37 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
     one.  A call with a claim g, and a solve that raises, leave nothing.
     """
     if g is not None:
-        value, u = _max_min_lp(model, np.asarray(g, dtype=float))
-        return x + value, u
+        g = np.asarray(g, dtype=float)
+        values, u = _max_min_lp(model, np.atleast_2d(g))
+        return (x + values, u) if g.ndim == 2 else (x + float(values[0]), u[0])
     if "lp" not in model._phase1:
-        model._phase1["lp"] = _max_min_lp(model, -model.endowment_vector())
+        values, u = _max_min_lp(model, -model.endowment_vector()[None])
+        model._phase1["lp"] = (float(values[0]), u[0])
     value, u = model._phase1["lp"]
     return x + value, u.copy()
 
 
-def _max_min_lp(model: MarketModel, g: np.ndarray) -> tuple[float, np.ndarray]:
-    """``max_min_wealth``'s LP at x = 0: its value and an argmax u."""
+def _max_min_lp(model: MarketModel, claims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``max_min_wealth``'s LP at x = 0 over the claims, one per row of ``claims``:
+    per claim its value and an argmax u."""
     C, D = _trade_matrices(model)
     nu = C.shape[1]
-    # Variables [u; t]: maximize t subject to t - (C u)_l <= -g_l.
-    A_ub = np.hstack([-C, np.ones((C.shape[0], 1))])
-    A_eq = np.hstack([D, np.zeros((D.shape[0], 1))])
+    blocks = np.eye(len(claims))
+    # Variables [u; t] per claim: maximize t subject to t - (C u)_l <= -g_l.
+    A_ub = np.kron(blocks, np.hstack([-C, np.ones((C.shape[0], 1))]))
+    A_eq = np.kron(blocks, np.hstack([D, np.zeros((D.shape[0], 1))]))
     lb = np.zeros(nu + 1)
     lb[-1] = -np.inf
     res = solve_lp(LinearProgram(
-        c=np.concatenate([np.zeros(nu), [1.0]]),
-        A_ub=A_ub, b_ub=-g, A_eq=A_eq, b_eq=np.zeros(D.shape[0]),
-        lb=lb, sense="max",
+        c=np.tile(np.concatenate([np.zeros(nu), [1.0]]), len(claims)),
+        A_ub=A_ub, b_ub=-claims.ravel(), A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]),
+        lb=np.tile(lb, len(claims)), sense="max",
     ))
     if res.status == UNBOUNDED:
         raise NoConsistentPriceSystemError("market admits arbitrage: max-min wealth LP unbounded")
     require_optimal(res, "max-min wealth LP")
-    return float(res.value), res.z[:nu].copy()
+    z = res.z.reshape(len(claims), nu + 1)
+    return z[:, -1].copy(), z[:, :nu].copy()
 
 
 def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcdl import harness as hn
+from tcdl.errors import SolverIndeterminateError
 from tcdl.cli import main
 from tcdl.market import binomial_market, market_to_dict, save_market
 
@@ -175,6 +176,28 @@ def test_selftest_command(out, capsys):
     assert code == 0
     payload = json.loads(out_text)
     assert payload == {"passed": True, "results": {"1": True, "2": True}}
+
+
+def test_selftest_reports_a_raising_seed(out, capsys, monkeypatch):
+    # seed 2's run raises: its result reads false, the error is listed, the
+    # other seeds keep theirs, and the exit code is the error's own, 3
+    run = hn.run_experiment
+
+    def raising(config, output_dir=None):
+        if config["seed"]["seed"] == 2:
+            raise SolverIndeterminateError("dual solve at y=1000.0: solver status stalled")
+        return run(config, output_dir=output_dir)
+
+    monkeypatch.setattr(hn, "run_experiment", raising)
+    code, out_text, err = run_cli(capsys, ["selftest", "--seeds", "1..3",
+                                           "--jobs", "1", "--output", out])
+    assert code == 3
+    assert json.loads(out_text) == {
+        "passed": False, "results": {"1": True, "2": False, "3": True},
+        "errors": {"2": "dual solve at y=1000.0: solver status stalled"}}
+    assert "error: seed 2: dual solve at y=1000.0" in err
+    with open(f"{out}/checks.csv") as fh:
+        assert "solver-indeterminate,seed 2: dual solve at y=1000.0" in fh.read()
 
 
 @pytest.mark.parametrize("seeds, message", [

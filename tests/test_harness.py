@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -353,7 +354,11 @@ def _identical(a, b) -> bool:
 def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     # criterion 02's instances 2008..2015 at a report's three x: one batched
     # primal solve and the lockstep yhat searches give each x, bit for bit,
-    # what its own solve_primal and recover_primal_from_dual give
+    # what its own solve_primal and recover_primal_from_dual give.  The
+    # recoveries share one certificate LP, whose blocks are the one-x LPs:
+    # each margin is its own LP's up to HiGHS's feasibility tolerance 1e-10,
+    # and the strategy, maybe another optimum, still ends flat at every leaf
+    # and dominates ghat up to the attainability tolerance.
     calls = []
     solve = solver.solve_convex
 
@@ -377,15 +382,89 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
         # one batched call per lockstep step, over the x still searching
         assert calls[1:] == [sum(n >= step for n in solves) for step in range(1, max(solves) + 1)]
         calls.clear()
+        leaves = list(model.tree.leaves)
         for x, psol, rec in zip(xs, primals, recoveries):
             where = f"instance {2000 + k} at x={x}"
             assert _identical(psol, pr.solve_primal(model, spec, x)), where
-            assert _identical(rec, hn.recover_primal_from_dual(model, spec, x, poly, x0)), where
+            own = hn.recover_primal_from_dual(model, spec, x, poly, x0)
+            assert rec.yhat_start == own.yhat_start == "interior", where
+            assert _identical(dataclasses.replace(rec, primal=None, attainability_slack=0.0),
+                              dataclasses.replace(own, primal=None, attainability_slack=0.0)), where
+            assert _identical(dataclasses.replace(rec.primal, strategy=None),
+                              dataclasses.replace(own.primal, strategy=None)), where
+            assert abs(rec.attainability_slack - own.attainability_slack) <= 1e-10, where
+            assert pr.check_self_financing(model, rec.primal.strategy) == [], where
+            payoff = np.array(rec.primal.strategy.phi0)[leaves] - x
+            assert np.all(payoff >= rec.primal.ghat - hn.ATTAINABILITY_TOL), where
             stalled |= psol.stall_accepted
         spread |= len(set(solves)) > 1
     # instance 2012's primal stalls under power:0.5 (see the report test below)
     assert stalled is (spec.label() == "power:0.5")
     assert spread
+
+
+def test_report_searches_start_from_the_grid():
+    # selftest seeds 1..3: each x starts from the default grid's bracket and
+    # lands where its one-x recovery, started from the interior point, lands,
+    # in no more dual solves in all
+    own_solves = report_solves = 0
+    for seed in (1, 2, 3):
+        config = dict(hn.SELFTEST_CONFIG, seed=dict(hn.SELFTEST_CONFIG["seed"], seed=seed))
+        report = hn.run_experiment(config)
+        assert report.passed
+        model, _, poly = hn._generate_instance(seed, 3, 2, 0.3, 0.2)
+        for rec in report.x_records:
+            x, u = rec["x"], rec["u"]
+            own = hn.recover_primal_from_dual(model, LOG, x, poly, report.x0)
+            budget = 1e-9 * (1.0 + abs(u))
+            assert rec["yhat_start"] == "grid" and own.yhat_start == "interior"
+            assert rec["yhat"] == pytest.approx(own.yhat, rel=1e-9, abs=0.0)
+            assert abs((u - rec["recovery_value"]) - (u - own.primal.value)) <= budget
+            own_gap = abs(u - (own.dual.value + x * own.yhat)) / (1.0 + abs(u))
+            assert abs(rec["rel_gap"] - own_gap) <= budget
+            report_solves += rec["yhat_dual_solves"]
+            own_solves += own.yhat_dual_solves
+    assert report_solves <= own_solves
+
+
+def test_grid_start_is_the_secant_of_the_first_bracket(monkeypatch):
+    # selftest seed 1's default grid: each x's first dual solve runs at the
+    # secant t of the first grid pair where v'(y) + x changes sign, from 0.9
+    # times the optimum of the pair's point nearer the root plus 0.1 times
+    # the interior point (log: t = I(y) = 1/y)
+    model, _, poly = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    x0 = du.compute_x0(model)
+    grid = du.dual_grid(model, LOG, du.default_y_grid(), polytope=poly)
+    xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
+    first = []
+    solve = du._solve_duals
+
+    def recording(model, spec, ys, poly, starts, tol):
+        first.append((ys, starts))
+        return solve(model, spec, ys, poly, starts, tol)
+
+    monkeypatch.setattr(du, "_solve_duals", recording)
+    found = hn._yhat_searches(model, LOG, xs, poly, x0, grid)
+    ys, starts = first[0]
+    for x, y, start, result in zip(xs, ys, starts, found):
+        g = [sol.derivative + x for sol in grid]
+        lo = next(i for i in range(len(g) - 1) if (g[i] < 0) != (g[i + 1] < 0))
+        t_lo, t_hi = 1.0 / grid[lo].y, 1.0 / grid[lo + 1].y
+        t = t_lo - g[lo] * (t_hi - t_lo) / (g[lo + 1] - g[lo])
+        assert y == pytest.approx(1.0 / t, rel=1e-12)
+        near = lo if abs(g[lo]) <= abs(g[lo + 1]) else lo + 1
+        assert np.array_equal(start, 0.9 * grid[near].z + 0.1 * poly.interior)
+        assert result[-1] == "grid"
+
+
+def test_report_search_outside_the_grid_starts_from_the_interior():
+    # v'(y) + x < 0 on all of y in {0.001, 0.002}: no grid pair brackets the root
+    config = dict(hn.SELFTEST_CONFIG, seed=dict(hn.SELFTEST_CONFIG["seed"], seed=1),
+                  y_grid=[0.001, 0.002])
+    report = hn.run_experiment(config)
+    assert all(y["v_prime"] + x["x"] < 0 for y in report.y_records for x in report.x_records)
+    assert [rec["yhat_start"] for rec in report.x_records] == ["interior"] * 3
+    assert report.passed
 
 
 def test_envelope_marginal_agrees_with_finite_difference():
@@ -627,29 +706,53 @@ def test_selftest_two_seeds(tmp_path):
     assert results == {1: True, 2: True}
 
 
+class _LocalPool:
+    """Stands in for the process pool: records its size and maps in this
+    process, each result through pickle as a worker's would come back, so
+    no worker process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [pickle.loads(pickle.dumps(fn(task))) for task in tasks]
+
+
 def test_selftest_starts_at_most_one_worker_per_seed(monkeypatch, tmp_path):
-    # the pool is replaced by one that records its size and maps in this
-    # process, so no worker process starts
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(hn, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", _LocalPool)
+    monkeypatch.setattr(_LocalPool, "sizes", [])
     assert hn.selftest([1, 2], str(tmp_path), jobs=500) == {1: True, 2: True}
     assert hn.selftest([3, 4, 5], str(tmp_path), jobs=2) == {3: True, 4: True, 5: True}
     assert hn.selftest([6], str(tmp_path), jobs=4) == {6: True}
-    assert sizes == [2, 2]
+    assert _LocalPool.sizes == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])
+def test_selftest_keeps_the_other_seeds_when_one_raises(monkeypatch, tmp_path, jobs):
+    # seed 2's run raises: it maps to its error, and seeds 1 and 3 keep their flags
+    run = hn.run_experiment
+
+    def raising(config, output_dir=None):
+        if config["seed"]["seed"] == 2:
+            raise SolverIndeterminateError("dual solve at y=1000.0: solver status stalled")
+        return run(config, output_dir=output_dir)
+
+    monkeypatch.setattr(hn, "run_experiment", raising)
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", _LocalPool)
+    monkeypatch.setattr(_LocalPool, "sizes", [])
+    results = hn.selftest([1, 2, 3], str(tmp_path), jobs=jobs)
+    assert _LocalPool.sizes == ([] if jobs == 1 else [2])
+    assert results[1] is True and results[3] is True
+    assert type(results[2]) is SolverIndeterminateError
+    assert str(results[2]) == "dual solve at y=1000.0: solver status stalled"
 
 
 def test_attainability_row_lists_the_tolerance_that_decides_it():
@@ -689,12 +792,13 @@ def _counting_lps(monkeypatch) -> list:
 
 def test_report_solves_the_trade_lp_once(monkeypatch):
     # x0 and every primal solve's phase 1 come from one max-min wealth LP
-    # with the default claim; the recoveries' certificates are the others
+    # with the default claim; one more LP, over the three claims ghat,
+    # certifies the three recoveries
     lps = _counting_lps(monkeypatch)
     report = hn.run_experiment({"seed": {"seed": 1, "depth": 3, "branching": 2,
                                          "lambda": 0.3, "rho": 0.2}})
     assert report.passed and len(report.x_records) == 3
-    assert [c for c in lps if c != "other"] == ["default", "ghat", "ghat", "ghat"]
+    assert [c for c in lps if c != "other"] == ["default", "ghat"]
 
 
 @pytest.mark.parametrize("pass_x0", [True, False], ids=["x0", "no-x0"])
