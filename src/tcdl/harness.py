@@ -232,8 +232,11 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
     """``recover_primal_from_dual`` at each x of ``xs``: the yhat searches run
     in lockstep (``_yhat_searches``, each x starting from ``grid`` where it
     brackets the root), and one max-min LP over the claims ghat of every x
-    whose search ended certifies them all and builds their strategies.  Per
-    x its ``RecoveryResult``, or the error its own search raises."""
+    whose search ended certifies them all and builds their strategies.  A
+    claim whose shared margin lies within that LP's duality-gap gate of
+    ``-ATTAINABILITY_TOL`` is solved alone, so its own LP decides whether it
+    is attainable.  Per x its ``RecoveryResult``, or the error its own search
+    raises."""
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
@@ -248,6 +251,10 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
     # to that margin.
     margins, us = pr.max_min_wealth(model, 0.0, ghats)
     for k, ghat, margin, u in zip(found, ghats, margins, us):
+        if len(found) > 1 and abs(margin + ATTAINABILITY_TOL) <= 1e-8 * (1.0 + abs(margin)):
+            # The shared LP's margin is certified only to its duality gap,
+            # which here reaches the attainability limit: ghat's own LP decides.
+            margin, u = pr.max_min_wealth(model, 0.0, ghat)
         yhat, dsol, solves, iterations, start = out[k]
         x = xs[k]
         wealth = x + ghat + e

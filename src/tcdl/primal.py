@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import utility as ut
 from .errors import (
@@ -187,12 +188,14 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
     at x = 0 and x added after; the argmax does not depend on x.  The LP is
     unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``.
 
-    g may also be a 2-D array of claims, one per row.  Then one LP, block
-    diagonal over the claims, gives an array of values and one argmax row
-    per claim.  Its blocks share no variable, so each claim's value is its
-    own LP's up to the LP's feasibility tolerance 1e-10, not bit for bit, and
-    where that LP has many optima the argmax may be another of them.  A
-    single claim is the one-block LP.
+    g may also be a 2-D array of claims, one per row.  Then one sparse LP,
+    block diagonal over the claims, gives an array of values and one argmax
+    row per claim, each block held to the gates of the claim's own LP and a
+    claim that fails them solved alone.  The blocks share no variable, but
+    HiGHS does not pivot them as it pivots each alone, so a claim's value is
+    its own LP's only up to the solver's tolerances (measured within 6e-11),
+    not bit for bit, and where that LP has many optima the argmax may be
+    another of them.  A single claim is the one-block LP, passed dense.
 
     The default claim's LP is solved once per ``MarketModel`` object: its
     value at x = 0 and argmax stay on the object, and later calls return
@@ -213,25 +216,67 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
 
 def _max_min_lp(model: MarketModel, claims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``max_min_wealth``'s LP at x = 0 over the claims, one per row of ``claims``:
-    per claim its value and an argmax u."""
+    per claim its value and an argmax u.
+
+    Several claims share one sparse block-diagonal LP, so its size grows
+    linearly in their number.  Each block is then held to ``solve_lp``'s
+    optimality gates as its own LP would be (``_block_certified``), and a
+    claim whose block fails them, or every claim when the shared LP has no
+    solution, is solved alone."""
     C, D = _trade_matrices(model)
-    nu = C.shape[1]
-    blocks = np.eye(len(claims))
+    m, nu = len(claims), C.shape[1]
     # Variables [u; t] per claim: maximize t subject to t - (C u)_l <= -g_l.
-    A_ub = np.kron(blocks, np.hstack([-C, np.ones((C.shape[0], 1))]))
-    A_eq = np.kron(blocks, np.hstack([D, np.zeros((D.shape[0], 1))]))
+    A_ub = np.hstack([-C, np.ones((C.shape[0], 1))])
+    A_eq = np.hstack([D, np.zeros((D.shape[0], 1))])
     lb = np.zeros(nu + 1)
     lb[-1] = -np.inf
     res = solve_lp(LinearProgram(
-        c=np.tile(np.concatenate([np.zeros(nu), [1.0]]), len(claims)),
-        A_ub=A_ub, b_ub=-claims.ravel(), A_eq=A_eq, b_eq=np.zeros(A_eq.shape[0]),
-        lb=np.tile(lb, len(claims)), sense="max",
+        c=np.tile(np.concatenate([np.zeros(nu), [1.0]]), m),
+        A_ub=A_ub if m == 1 else _block_diagonal(A_ub, m),
+        b_ub=-claims.ravel(),
+        A_eq=A_eq if m == 1 else _block_diagonal(A_eq, m),
+        b_eq=np.zeros(m * A_eq.shape[0]),
+        lb=np.tile(lb, m), sense="max",
     ))
     if res.status == UNBOUNDED:
         raise NoConsistentPriceSystemError("market admits arbitrage: max-min wealth LP unbounded")
-    require_optimal(res, "max-min wealth LP")
-    z = res.z.reshape(len(claims), nu + 1)
-    return z[:, -1].copy(), z[:, :nu].copy()
+    if m == 1:
+        require_optimal(res, "max-min wealth LP")
+        return res.z[None, -1].copy(), res.z[None, :nu].copy()
+    values, us = np.empty(m), np.empty((m, nu))
+    z = None if res.z is None else res.z.reshape(m, nu + 1)
+    lam = None if res.ineq_duals is None else res.ineq_duals.reshape(m, -1)
+    for k, g in enumerate(claims):
+        if z is not None and _block_certified(A_ub, A_eq, g, z[k], lam[k]):
+            values[k], us[k] = z[k, -1], z[k, :nu]
+        else:
+            (values[k],), (us[k],) = _max_min_lp(model, g[None])
+    return values, us
+
+
+def _block_diagonal(block: np.ndarray, m: int) -> sparse.csr_matrix:
+    """m copies of ``block`` down the diagonal, storing only its nonzeros."""
+    rows, cols = np.nonzero(block)
+    shift = np.arange(m)[:, None]
+    return sparse.csr_matrix(
+        (np.tile(block[rows, cols], m),
+         ((rows + shift * block.shape[0]).ravel(), (cols + shift * block.shape[1]).ravel())),
+        shape=(m * block.shape[0], m * block.shape[1]))
+
+
+def _block_certified(A_ub: np.ndarray, A_eq: np.ndarray, g: np.ndarray, z: np.ndarray,
+                     lam: np.ndarray) -> bool:
+    """Whether one claim's block [u; t] of a shared max-min LP, with its
+    multipliers ``lam``, passes ``solve_lp``'s gates for that claim's own LP:
+    feasibility 1e-9, complementary slackness 1e-8 (1 + max |z|) and duality
+    gap 1e-8 (1 + |t|).  The bounds u >= 0 and b_eq = 0 add nothing to the
+    dual objective lam . g."""
+    slack = -g - A_ub @ z
+    feas = max(0.0, -slack.min(), float(np.abs(A_eq @ z).max(initial=0.0)))
+    t = z[-1]
+    return bool(feas <= 1e-9
+                and np.abs(lam * slack).max() <= 1e-8 * (1.0 + np.abs(z).max())
+                and abs(t + lam @ g) <= 1e-8 * (1.0 + abs(t)))
 
 
 def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,

@@ -355,10 +355,13 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     # criterion 02's instances 2008..2015 at a report's three x: one batched
     # primal solve and the lockstep yhat searches give each x, bit for bit,
     # what its own solve_primal and recover_primal_from_dual give.  The
-    # recoveries share one certificate LP, whose blocks are the one-x LPs:
-    # each margin is its own LP's up to HiGHS's feasibility tolerance 1e-10,
-    # and the strategy, maybe another optimum, still ends flat at every leaf
-    # and dominates ghat up to the attainability tolerance.
+    # recoveries share one certificate LP, whose blocks are the one-x LPs
+    # but which HiGHS pivots otherwise: each margin is its own LP's up to
+    # HiGHS's feasibility tolerance 1e-10 (measured up to 5.1e-11 here; the
+    # one-x LP's own argmax misses its value by up to 9.7e-11), it decides
+    # attainability as its own LP does, and the strategy, maybe another
+    # optimum, still ends flat at every leaf and dominates ghat up to the
+    # attainability tolerance.
     calls = []
     solve = solver.solve_convex
 
@@ -393,6 +396,7 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
             assert _identical(dataclasses.replace(rec.primal, strategy=None),
                               dataclasses.replace(own.primal, strategy=None)), where
             assert abs(rec.attainability_slack - own.attainability_slack) <= 1e-10, where
+            assert rec.attainable == own.attainable, where
             assert pr.check_self_financing(model, rec.primal.strategy) == [], where
             payoff = np.array(rec.primal.strategy.phi0)[leaves] - x
             assert np.all(payoff >= rec.primal.ghat - hn.ATTAINABILITY_TOL), where
@@ -401,6 +405,40 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     # instance 2012's primal stalls under power:0.5 (see the report test below)
     assert stalled is (spec.label() == "power:0.5")
     assert spread
+
+
+def test_recovery_near_the_attainability_limit_is_decided_by_its_own_lp(monkeypatch):
+    # with the limit -ATTAINABILITY_TOL at the shared LP's margin of the
+    # second x, every claim whose margin lies within that LP's duality-gap
+    # gate of the limit is solved alone: its margin and verdict are its
+    # one-x recovery's, bit for bit; the first claim, whose shared margin is
+    # moved 1e-6 clear of the limit, keeps the shared LP's
+    model, _, poly = hn._generate_instance(2009, 2, 3, 0.1, 0.3, 600)
+    x0 = du.compute_x0(model)
+    xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
+    lps = _counting_lps(monkeypatch)
+    max_min = pr.max_min_wealth
+
+    def first_clear(model, x, g=None):
+        value, u = max_min(model, x, g)
+        shared = np.ndim(g) == 2 and len(g) == 3
+        return (value + np.array([1e-6, 0.0, 0.0]), u) if shared else (value, u)
+
+    monkeypatch.setattr(pr, "max_min_wealth", first_clear)
+    shared = hn._recoveries(model, LOG, xs, polytope=poly, x0=x0)
+    assert lps.count("ghat") == 1
+    limit = shared[1].attainability_slack
+    near = [abs(rec.attainability_slack - limit) <= 1e-8 * (1.0 + abs(rec.attainability_slack))
+            for rec in shared]
+    assert near == [False, True, True]
+    monkeypatch.setattr(hn, "ATTAINABILITY_TOL", limit)
+    lps.clear()
+    recs = hn._recoveries(model, LOG, xs, polytope=poly, x0=x0)
+    assert lps.count("ghat") == 1 + sum(near)
+    for x, rec, before, alone in zip(xs, recs, shared, near):
+        own = hn.recover_primal_from_dual(model, LOG, x, poly, x0) if alone else before
+        assert rec.attainability_slack == own.attainability_slack
+        assert rec.attainable == (rec.attainability_slack <= limit)
 
 
 def test_report_searches_start_from_the_grid():

@@ -2,14 +2,17 @@
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from tcdl.errors import BelowX0Error, DomainError, MarketError, NoConsistentPriceSystemError
 from tcdl.market import binomial_market, build_market, market_to_dict, single_node_market
 from tcdl import primal as pr
 from tcdl import dual as du
+from tcdl import solver
 from tcdl import harness as hn
 from tcdl import utility as ut
 
@@ -336,3 +339,79 @@ def test_lp_with_a_claim_is_solved_on_every_call(monkeypatch):
     pr.max_min_wealth(model, 0.0)
     pr.max_min_wealth(model, 0.0)
     assert len(calls) == 4
+
+
+def _own_lps(model, claims):
+    """Each claim's own one-claim LP: its value and argmax."""
+    return [pr.max_min_wealth(model, 0.0, g) for g in claims]
+
+
+def test_claims_share_one_sparse_lp(monkeypatch):
+    # 100 claims on a 121-node tree: one LP whose matrices store each
+    # claim's block once, as its own LP's nonzeros, so memory grows linearly
+    # in the claims (dense, each matrix would hold 2e8 entries, 1.6 GB)
+    model = hn.random_instance(7, depth=4, branching=3, lam=0.3, rho=0.2)
+    claims = np.random.default_rng(0).normal(size=(100, len(model.tree.leaves)))
+    calls = _counting_lps(monkeypatch)
+    own = _own_lps(model, claims[:3])
+    tracemalloc.start()
+    try:
+        values, us = pr.max_min_wealth(model, 0.0, claims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 4 and peak < 64e6
+    one, shared = calls[0], calls[3]
+    for name in ("A_ub", "A_eq"):
+        matrix = getattr(shared, name)
+        assert sparse.issparse(matrix)
+        assert matrix.nnz == 100 * np.count_nonzero(getattr(one, name))
+    assert values.shape == (100,) and us.shape == (100, one.c.size - 1)
+    for (value, _), shared_value in zip(own, values):
+        assert shared_value == pytest.approx(value, abs=1e-9)
+
+
+def test_shared_lp_without_a_solution_solves_each_claim_alone(monkeypatch):
+    # a shared LP HiGHS leaves indeterminate fails no claim its own LP
+    # would certify: each claim is solved alone and gets its own LP's result
+    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
+    claims = np.random.default_rng(1).normal(size=(3, len(model.tree.leaves)))
+    own = _own_lps(model, claims)
+    calls, solve_lp = [], pr.solve_lp
+
+    def shared_fails(lp):
+        calls.append(lp)
+        one = lp.c.size == own[0][1].size + 1
+        return solve_lp(lp) if one else solver.LpResult(status=solver.INDETERMINATE)
+
+    monkeypatch.setattr(pr, "solve_lp", shared_fails)
+    values, us = pr.max_min_wealth(model, 0.0, claims)
+    assert len(calls) == 4
+    assert values.tobytes() == np.array([v for v, _ in own]).tobytes()
+    assert us.tobytes() == np.array([u for _, u in own]).tobytes()
+
+
+def test_a_claim_failing_its_own_gates_is_solved_alone(monkeypatch):
+    # each block of the shared LP is held to its own LP's gates: a block
+    # whose margin t is off by 1e-6 fails them, and only that claim is
+    # solved again, alone
+    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
+    claims = np.random.default_rng(2).normal(size=(3, len(model.tree.leaves)))
+    own = _own_lps(model, claims)
+    shared = pr.max_min_wealth(model, 0.0, claims)
+    n = own[0][1].size + 1
+    calls, solve_lp = [], pr.solve_lp
+
+    def nudged(lp):
+        calls.append(lp)
+        res = solve_lp(lp)
+        if lp.c.size > n:
+            res.z[2 * n - 1] += 1e-6
+        return res
+
+    monkeypatch.setattr(pr, "solve_lp", nudged)
+    values, us = pr.max_min_wealth(model, 0.0, claims)
+    assert len(calls) == 2 and calls[1].c.size == n
+    assert values[1] == own[1][0] and us[1].tobytes() == own[1][1].tobytes()
+    for k in (0, 2):
+        assert values[k] == shared[0][k] and us[k].tobytes() == shared[1][k].tobytes()
