@@ -108,7 +108,8 @@ class CpsPolytope:
 
 
 def cps_polytope(model: MarketModel) -> CpsPolytope:
-    """Build the polytope and probe it: emptiness flag plus a strict interior point."""
+    """Build the polytope and probe it, by a phase-1 LP solved once per model object
+    (``MarketModel._phase1``): emptiness flag plus a strict interior point, handed out as a copy."""
     tree = model.tree
     n = tree.n_nodes
     s = model.ask()
@@ -157,25 +158,27 @@ def cps_polytope(model: MarketModel) -> CpsPolytope:
     h = np.zeros(G.shape[0])
 
     # Phase 1: maximize the scaled slack margin over the polytope.
-    G1 = np.hstack([G, scales[:, None]])
-    A1 = np.hstack([A, np.zeros((A.shape[0], 1))])
-    c1 = np.zeros(nv + 1)
-    c1[-1] = 1.0
-    lb = np.full(nv + 1, -np.inf)
-    lb[-1] = -1.0
-    ub = np.full(nv + 1, np.inf)
-    ub[-1] = 0.1
-    res = solve_lp(LinearProgram(c=c1, A_ub=G1, b_ub=h, A_eq=A1, b_eq=b,
-                                 lb=lb, ub=ub, sense="max"))
-    if res.status == INFEASIBLE:
-        return CpsPolytope(model, nv, reduced, G, h, A, b,
-                           nonempty=False, interior=None, interior_margin=-np.inf)
-    require_optimal(res, "CPS polytope phase-1 LP")
-    margin = float(res.z[-1])
-    nonempty = margin >= -1e-11
-    interior = res.z[:-1].copy() if margin > 1e-9 else None
-    return CpsPolytope(model, nv, reduced, G, h, A, b,
-                       nonempty=nonempty, interior=interior, interior_margin=margin)
+    if "cps" not in model._phase1:
+        G1 = np.hstack([G, scales[:, None]])
+        A1 = np.hstack([A, np.zeros((A.shape[0], 1))])
+        c1 = np.zeros(nv + 1)
+        c1[-1] = 1.0
+        lb = np.full(nv + 1, -np.inf)
+        lb[-1] = -1.0
+        ub = np.full(nv + 1, np.inf)
+        ub[-1] = 0.1
+        res = solve_lp(LinearProgram(c=c1, A_ub=G1, b_ub=h, A_eq=A1, b_eq=b,
+                                     lb=lb, ub=ub, sense="max"))
+        if res.status == INFEASIBLE:
+            model._phase1["cps"] = (False, None, -np.inf)
+        else:
+            margin = float(require_optimal(res, "CPS polytope phase-1 LP").z[-1])
+            model._phase1["cps"] = (margin >= -1e-11,
+                                    res.z[:-1].copy() if margin > 1e-9 else None, margin)
+    nonempty, interior, margin = model._phase1["cps"]
+    return CpsPolytope(model, nv, reduced, G, h, A, b, nonempty=nonempty,
+                       interior=None if interior is None else interior.copy(),
+                       interior_margin=margin)
 
 
 def _require_nonempty(poly: CpsPolytope):
@@ -193,9 +196,9 @@ def require_interior(poly: CpsPolytope) -> np.ndarray:
     return poly.interior
 
 
-def superreplication_price(model: MarketModel, g, polytope: CpsPolytope | None = None) -> float:
+def superreplication_price(model: MarketModel, g) -> float:
     """Cheapest superreplication capital: sup of E[Z0_T g] over the polytope."""
-    poly = polytope or cps_polytope(model)
+    poly = cps_polytope(model)
     _require_nonempty(poly)
     tree = model.tree
     g = np.asarray(g, dtype=float)
@@ -210,9 +213,9 @@ def superreplication_price(model: MarketModel, g, polytope: CpsPolytope | None =
 
 
 def compute_x0(model: MarketModel, polytope: CpsPolytope | None = None) -> float:
-    """x0 = sup E[Z0_T (-e_T)] = -max_u min_leaf (C u + e_T) by LP duality, so one trade-side
-    LP (``primal.max_min_wealth``) and no polytope; ``polytope`` is unread (benchmarks pass one).
-    The LP is solved once per model object and shared with ``primal.solve_primal``'s start."""
+    """x0 = sup E[Z0_T (-e_T)] = -max_u min_leaf (C u + e_T) by LP duality: one trade-side LP
+    (``primal.max_min_wealth``), solved once per model object and shared with the primal's
+    start, and no polytope.  ``polytope`` is unread; the benchmark's workloads still pass one."""
     return -pr.max_min_wealth(model, 0.0)[0]
 
 
@@ -230,7 +233,6 @@ class DualSolution:
 
 
 def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
-               polytope: CpsPolytope | None = None,
                start: np.ndarray | None = None,
                tol: float = 1e-9) -> DualSolution:
     """Minimize E[V(y Z0_T)] + y E[Z0_T e_T] over the dual polytope.
@@ -241,7 +243,7 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     ``DomainError``.  It is the one-problem case of ``_solve_duals``, whose
     batches the dual grid and each step of ``harness``'s yhat searches are.
     """
-    poly = polytope or cps_polytope(model)
+    poly = cps_polytope(model)
     if y <= 0:
         raise DomainError("solve_dual requires y > 0")
     starts = None if start is None else np.atleast_2d(start)
@@ -316,12 +318,11 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
     return out
 
 
-def dual_grid(model: MarketModel, spec: ut.UtilitySpec, y_grid,
-              polytope: CpsPolytope | None = None) -> list[DualSolution]:
+def dual_grid(model: MarketModel, spec: ut.UtilitySpec, y_grid) -> list[DualSolution]:
     """``solve_dual`` at each y of a positive grid, from the polytope's interior
     point, as one batched interior-point solve; each y gets the result and
     iteration count of its own solve, and the first failure in grid order raises."""
-    poly = polytope or cps_polytope(model)
+    poly = cps_polytope(model)
     _require_nonempty(poly)
     ys = [float(y) for y in y_grid]
     if not ys:

@@ -3,15 +3,15 @@
 Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 in the
 optimal wealth t = I(y), where the equation is affine up to the drift of the
 optimal density, by fixed-point and secant steps (at most YHAT_MAX_SOLVES
-dual solves, all but the first warm-started, then SolverIndeterminateError);
-recovers the primal optimizer from the root solve's density, checks
-complementary slackness, and assembles a full report (value grids, gaps,
-residuals) for a market instance.  A report makes three kinds of batched
-interior-point call: its dual grid, its primal solves over the x grid, and
-its yhat searches, which run in lockstep, one batched dual solve per search
-step over the x still searching.  Each search starts from the two grid
-points that bracket its root, and one trade-side LP certifies the recovered
-payoffs of all its x.
+dual solves, then SolverIndeterminateError); recovers the primal optimizer
+from the root solve's density, checks complementary slackness, and
+assembles a full report (value grids, gaps, residuals) for a market
+instance.  A report makes three kinds of batched interior-point call: its
+dual grid, its primal solves over the x grid, and its yhat searches, which
+run in lockstep, one batched dual solve per search step over the x still
+searching.  A search warm-starts each solve from the previous optimum, and
+its first from the report's grid points that bracket its root (else from
+the interior point); one trade-side LP certifies all the recovered payoffs.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -73,9 +73,7 @@ def model_hash(model: MarketModel) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
-              polytope: du.CpsPolytope | None = None,
-              x0: float | None = None) -> float:
+def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:
     """Root of v'(y) + x = 0, found in the optimal wealth t = I(y), y = U'(t).
 
     For the shipped utilities I(y z) = I(y) I(z), so g(t) = v'(U'(t)) + x
@@ -93,7 +91,7 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float,
     starts from the interior point: only a report, which has solved its dual
     grid, starts its searches from the grid.
     """
-    return unwrap(_yhat_searches(model, spec, [x], polytope, x0))[0][0]
+    return unwrap(_yhat_searches(model, spec, [x]))[0][0]
 
 
 def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
@@ -109,8 +107,7 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
 
 
 def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                   polytope: du.CpsPolytope | None = None,
-                   x0: float | None = None, grid: list | None = None) -> list:
+                   grid: list | None = None) -> list:
     """``find_yhat``'s search at each x of ``xs``, in lockstep: each search
     step is one batched dual solve (``dual._solve_duals``) over the x still
     searching, and an x leaves the batch when its search stops.  Each x keeps
@@ -131,8 +128,8 @@ def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
            for x in xs]
     if None not in out:
         return out
-    poly = polytope or du.cps_polytope(model)
-    x0 = du.compute_x0(model) if x0 is None else x0
+    poly = du.cps_polytope(model)
+    x0 = du.compute_x0(model)
     for k, x in enumerate(xs):
         if out[k] is None and x <= x0:
             out[k] = BelowX0Error(
@@ -222,13 +219,13 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
     search, which starts from the interior point, so the recovery makes no
     dual solve of its own.  It is the one-x case of ``_recoveries``.
+    ``polytope`` and ``x0`` are unread, kept only for the benchmark's calls.
     """
-    return unwrap(_recoveries(model, spec, [x], polytope, x0))[0]
+    return unwrap(_recoveries(model, spec, [x]))[0]
 
 
 def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                polytope: du.CpsPolytope | None = None,
-                x0: float | None = None, grid: list | None = None) -> list:
+                grid: list | None = None) -> list:
     """``recover_primal_from_dual`` at each x of ``xs``: the yhat searches run
     in lockstep (``_yhat_searches``, each x starting from ``grid`` where it
     brackets the root), and one max-min LP over the claims ghat of every x
@@ -241,7 +238,7 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
     e = model.endowment_vector()
     p = tree.leaf_prob()
     n = tree.n_nodes
-    out = _yhat_searches(model, spec, xs, polytope, x0, grid)
+    out = _yhat_searches(model, spec, xs, grid)
     found = [k for k, o in enumerate(out) if not isinstance(o, Exception)]
     if not found:
         return out
@@ -323,18 +320,15 @@ class DualityReport:
 def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                     x_grid, y_grid,
                     check_marginals: bool = True,
-                    metadata: dict | None = None,
-                    polytope: du.CpsPolytope | None = None) -> DualityReport:
+                    metadata: dict | None = None) -> DualityReport:
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
-    monotonicity and large-y slope checks read it in that order.  x0 and the
-    primal solves' start come from one trade-side LP, solved once per model
-    object (``primal.max_min_wealth``), so a caller that took x0 from the
-    same object costs no second LP.
+    monotonicity and large-y slope checks read it in that order.  Its two
+    phase-1 LPs, the CPS polytope's (dual grid and yhat searches) and the
+    trade side's (x0 and the primal start), are solved once per model object.
     """
     tol = DEFAULT_TOLERANCES
-    poly = polytope or du.cps_polytope(model)
     x0 = du.compute_x0(model)
     p = model.tree.leaf_prob()
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
@@ -343,7 +337,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     report.metadata["lambda"] = model.lam
     report.metadata["rho"] = model.rho
 
-    y_solutions = du.dual_grid(model, spec, np.sort(y_grid), polytope=poly)
+    y_solutions = du.dual_grid(model, spec, np.sort(y_grid))
     for sol in y_solutions:
         report.y_records.append({
             "y": sol.y, "v": sol.value, "v_prime": sol.derivative,
@@ -377,7 +371,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above])))
     solved = [k for k in above if not isinstance(primals[k], Exception)]
     recoveries = dict(zip(solved, _recoveries(model, spec, [xs[k] for k in solved],
-                                              polytope=poly, x0=x0, grid=y_solutions)))
+                                              grid=y_solutions)))
     for k, x in enumerate(xs):
         if k not in primals:
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})
@@ -522,8 +516,8 @@ def random_instance(seed: int, depth: int, branching: int, lam: float,
 
 
 def _generate_instance(seed: int, depth: int, branching: int, lam: float, rho: float,
-                       max_attempts: int = 100) -> tuple[MarketModel, int, du.CpsPolytope]:
-    """``random_instance``'s market, its attempt count and its CPS polytope."""
+                       max_attempts: int = 100) -> tuple[MarketModel, int]:
+    """``random_instance``'s market, which keeps its polytope LP, and its attempt count."""
     if not (1 <= depth <= 5 and 1 <= branching <= 3):
         raise MarketError("random_instance is desk scale: 1 <= depth <= 5, 1 <= branching <= 3, "
                           f"got depth {depth}, branching {branching}")
@@ -538,9 +532,8 @@ def _generate_instance(seed: int, depth: int, branching: int, lam: float, rho: f
         if not _spreads_admit_cps(draw, lam):
             continue
         model = build_market(dict(draw, **{"lambda": lam}))
-        poly = du.cps_polytope(model)
-        if poly.nonempty and poly.interior is not None:
-            return model, attempt, poly
+        if du.cps_polytope(model).interior is not None:
+            return model, attempt
     raise MarketError(f"no CPS-feasible instance after {max_attempts} attempts (seed {seed})")
 
 
@@ -629,9 +622,8 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     ``seed`` ({seed, depth, branching, lambda, rho}), plus optional
     ``utility`` (default log), ``x_grid`` or ``x_offsets``, ``y_grid``
     ({min, max, n} or a list), and ``check_marginals``; ``ConfigError`` names
-    a malformed or unknown field.  x0, for the default x grid, and the
-    report's primal solves share one trade-side LP, solved once on the
-    model object (``primal.max_min_wealth``).
+    a malformed or unknown field.  The generator's polytope LP and the x0 LP,
+    for the default x grid, stay on the model object for ``conjugacy_check``.
     """
     _config_keys(config, "config", "market", "seed", "utility", "x_grid", "x_offsets",
                  "y_grid", "check_marginals")
@@ -645,14 +637,13 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     meta: dict = {}
     if has_market:
         model = build_market(read_json(_config_typed(config["market"], str, "market")))
-        poly = None   # conjugacy_check builds it
         meta["source"] = {"market": config["market"]}
         label = os.path.splitext(os.path.basename(config["market"]))[0]
     else:
         sd = config["seed"]
         _config_keys(sd, "seed", "seed", "depth", "branching", "lambda", "rho")
         seed = _config_field(_integer, sd.get("seed"), "seed.seed")
-        model, attempts, poly = _generate_instance(
+        model, attempts = _generate_instance(
             seed=seed,
             depth=_config_field(_integer, sd.get("depth", 3), "seed.depth"),
             branching=_config_field(_integer, sd.get("branching", 2), "seed.branching"),
@@ -692,8 +683,7 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
         margin = X0_MARGIN_COEFF * (1.0 + abs(x0))
         x_grid = [x0 + margin + float(o) for o in offsets]
     report = conjugacy_check(model, spec, x_grid, y_grid,
-                             check_marginals=check_marginals, metadata=meta,
-                             polytope=poly)
+                             check_marginals=check_marginals, metadata=meta)
     if output_dir is not None:
         sub = os.path.join(output_dir, f"{report.metadata['model_hash'][:12]}-{label}")
         write_report_files(report, sub)

@@ -186,7 +186,8 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
     is the phase-1 problem for the utility maximization and the below-x0
     infeasibility certificate.  x only shifts the value, so the LP is solved
     at x = 0 and x added after; the argmax does not depend on x.  The LP is
-    unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``.
+    unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``;
+    a claim of the wrong length or with a non-finite entry is a ``DomainError``.
 
     g may also be a 2-D array of claims, one per row.  Then one sparse LP,
     block diagonal over the claims, gives an array of values and one argmax
@@ -205,6 +206,10 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
     """
     if g is not None:
         g = np.asarray(g, dtype=float)
+        if g.ndim not in (1, 2) or g.shape[-1] != len(model.tree.leaves):
+            raise DomainError(f"payoff has {g.shape} entries, expected {len(model.tree.leaves)}")
+        if not np.isfinite(g).all():
+            raise DomainError("payoff has a non-finite entry")
         values, u = _max_min_lp(model, np.atleast_2d(g))
         return (x + values, u) if g.ndim == 2 else (x + float(values[0]), u[0])
     if "lp" not in model._phase1:

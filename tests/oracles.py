@@ -188,7 +188,7 @@ def random_instance_by_lp(seed, depth, branching, lam, rho, max_attempts=100):
     raise MarketError(f"no CPS-feasible instance after {max_attempts} attempts (seed {seed})")
 
 
-def find_yhat_by_brentq(model, spec, x, polytope, x0):
+def find_yhat_by_brentq(model, spec, x, x0):
     """Root of v'(y) + x = 0 by a bracketed brentq in the wealth t = I(y).
 
     The reference for ``harness.find_yhat``: the bracket starts at y in
@@ -199,12 +199,13 @@ def find_yhat_by_brentq(model, spec, x, polytope, x0):
     interior point, whose v'(y) it reads.  Returns the y at brentq's root.
     """
     assert x > x0
+    interior = du.cps_polytope(model).interior
 
     def g(t):
         y = ut.u_prime(spec, t)
-        cold = du.solve_dual(model, spec, y, polytope=polytope)
-        return du.solve_dual(model, spec, y, polytope=polytope, tol=1e-10,
-                             start=0.9 * cold.z + 0.1 * polytope.interior).derivative + x
+        cold = du.solve_dual(model, spec, y)
+        return du.solve_dual(model, spec, y, tol=1e-10,
+                             start=0.9 * cold.z + 0.1 * interior).derivative + x
 
     lo, hi = 1e-2, 1e2
     while g(ut.i_eval(spec, lo)) >= 0.0:

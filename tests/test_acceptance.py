@@ -74,15 +74,13 @@ def duality_runs():
     records = []
     for k in range(50):
         model = _instance(2000, k, rho=0.3)
-        poly = du.cps_polytope(model)
-        x0 = du.compute_x0(model, poly)
+        x0 = du.compute_x0(model)
         margin = 0.05 * (1.0 + abs(x0))
         for spec in (LOG, POWER):
             for offset in (0.5, 1.0, 2.0):
                 x = x0 + margin + offset
                 psol = pr.solve_primal(model, spec, x)
-                rec = hn.recover_primal_from_dual(model, spec, x,
-                                                  polytope=poly, x0=x0)
+                rec = hn.recover_primal_from_dual(model, spec, x)
                 slack = hn.slackness_check(model, rec.primal, rec.dual)
                 gap = psol.value - (rec.dual.value + x * rec.yhat)
                 records.append({
@@ -118,12 +116,11 @@ def test_criterion_04_envelope_derivative():
     worst = 0.0
     for k in range(20):
         model = _instance(3000, k, rho=0.2)
-        poly = du.cps_polytope(model)
         for y in (0.1, 1.0, 10.0):
             h = 1e-3 * y
-            sol = du.solve_dual(model, LOG, y, polytope=poly)
-            v_hi = du.solve_dual(model, LOG, y + h, polytope=poly).value
-            v_lo = du.solve_dual(model, LOG, y - h, polytope=poly).value
+            sol = du.solve_dual(model, LOG, y)
+            v_hi = du.solve_dual(model, LOG, y + h).value
+            v_lo = du.solve_dual(model, LOG, y - h).value
             fd = (v_hi - v_lo) / (2.0 * h)
             worst = max(worst, abs(sol.derivative - fd) / (1.0 + abs(fd)))
     _report(4, "envelope derivative", worst <= 1e-4,
@@ -138,10 +135,9 @@ def test_criterion_05_x0_characterization():
         lam, depth, branching = depth2[k % len(depth2)]
         model = hn.random_instance(500 + k, depth=depth, branching=branching,
                                    lam=lam, rho=0.5, max_attempts=600)
-        poly = du.cps_polytope(model)
-        x0 = du.compute_x0(model, poly)
-        v_a = du.solve_dual(model, LOG, 600.0, polytope=poly).value
-        v_b = du.solve_dual(model, LOG, 1000.0, polytope=poly).value
+        x0 = du.compute_x0(model)
+        v_a = du.solve_dual(model, LOG, 600.0).value
+        v_b = du.solve_dual(model, LOG, 1000.0).value
         slope = (v_b - v_a) / 400.0
         worst = max(worst, abs(-slope - x0))
         # positivity certificate below the threshold
@@ -223,8 +219,7 @@ def test_criterion_09_dual_optimizer_uniqueness():
             sol = None
             for tol in (1e-12, 3e-12, 1e-11, 1e-10):
                 try:
-                    sol = du.solve_dual(model, LOG, 1.0, polytope=poly,
-                                        start=start, tol=tol)
+                    sol = du.solve_dual(model, LOG, 1.0, start=start, tol=tol)
                     break
                 except SolverIndeterminateError:
                     continue

@@ -99,7 +99,7 @@ def test_flat_frictionless_polytope_drops_dependent_row():
     poly = du.cps_polytope(model)
     assert poly.A.shape == (2, 3)
     assert np.linalg.matrix_rank(poly.A) == 2
-    sol = du.solve_dual(model, LOG, y=1.0, polytope=poly)
+    sol = du.solve_dual(model, LOG, y=1.0)
     assert np.allclose(sol.optimizer.z0, 1.0, atol=1e-8)
 
 
@@ -144,7 +144,7 @@ def test_rows_are_dropped_only_for_the_frictionless_polytope(monkeypatch):
     ])
     assert np.array_equal(poly.b, [1, 0, 0, 0, 0])
     assert poly.interior is not None
-    du.solve_dual(_mixed_flat_market(0.0), LOG, y=1.0, polytope=poly)
+    du.solve_dual(_mixed_flat_market(0.0), LOG, y=1.0)
     assert calls == {"qr": 0}
 
 
@@ -236,7 +236,7 @@ def test_arbitrage_market_has_no_cps():
     poly = du.cps_polytope(model)
     assert not poly.nonempty
     with pytest.raises(NoConsistentPriceSystemError):
-        du.superreplication_price(model, np.zeros(2), poly)
+        du.superreplication_price(model, np.zeros(2))
 
 
 @pytest.mark.parametrize("eps", [1e-10, 1e-9])
@@ -338,6 +338,89 @@ def test_x0_is_the_trade_lp_and_matches_the_polytope_lp(monkeypatch):
             x0 = du.compute_x0(model)
         assert calls == {"polytope": 0, "lp": 1}, f"instance {2000 + k}"
         assert abs(x0 - expected) <= 1e-10 * abs(expected), f"instance {2000 + k}"
+
+
+def _counting_phase1(monkeypatch) -> list:
+    """The CPS phase-1 LPs the dual module solves from here on: the only
+    LPs of the module with upper bounds (the margin's)."""
+    lps = []
+    solve_lp = du.solve_lp
+
+    def counting(lp):
+        if lp.ub is not None:
+            lps.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(du, "solve_lp", counting)
+    return lps
+
+
+def test_polytope_lp_is_kept_per_object_not_per_value(monkeypatch):
+    # the dual entry points on one model object solve one phase-1 LP between
+    # them and rebuild the same matrices; an equal model is another object,
+    # which solves its own and gets the same polytope bit for bit
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    lps = _counting_phase1(monkeypatch)
+    poly = du.cps_polytope(model)
+    du.solve_dual(model, LOG, 1.0)
+    du.dual_grid(model, LOG, [0.5, 2.0])
+    hn.find_yhat(model, LOG, 2.0)
+    du.superreplication_price(model, np.array([1.0, 0.0]))
+    assert len(lps) == 1
+    twin = dataclasses.replace(model)
+    assert twin == model and hash(twin) == hash(model)
+    fresh = du.cps_polytope(twin)
+    assert len(lps) == 2
+    for name in ("G", "h", "A", "b", "interior"):
+        assert getattr(poly, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert (poly.nonempty, poly.interior_margin) == (fresh.nonempty, fresh.interior_margin)
+    assert "_phase1" not in repr(model)
+
+
+def test_arbitrage_polytope_is_refused_on_every_call(monkeypatch):
+    # the empty-polytope verdict is kept like any other outcome: every dual
+    # path refuses the market, after one phase-1 LP in all
+    model = binomial_market(4.0, 8.0, 6.0, lam=0.0)
+    lps = _counting_phase1(monkeypatch)
+    for _ in range(2):
+        assert not du.cps_polytope(model).nonempty
+        for call in (lambda: du.solve_dual(model, LOG, 1.0),
+                     lambda: du.dual_grid(model, LOG, [1.0]),
+                     lambda: du.superreplication_price(model, np.zeros(2))):
+            with pytest.raises(NoConsistentPriceSystemError):
+                call()
+    assert len(lps) == 1
+
+
+def test_failed_polytope_lp_keeps_nothing(monkeypatch):
+    # a phase-1 solve that raises leaves the model object as it was: the next
+    # call solves again and gives what a new object gives
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    with monkeypatch.context() as m:
+        m.setattr(du, "solve_lp", lambda lp: solver.LpResult(status=solver.INDETERMINATE))
+        with pytest.raises(SolverIndeterminateError, match="phase-1"):
+            du.cps_polytope(model)
+    assert model._phase1 == {}
+    lps = _counting_phase1(monkeypatch)
+    interior = du.cps_polytope(model).interior
+    assert len(lps) == 1
+    fresh = du.cps_polytope(dataclasses.replace(model)).interior
+    assert interior.tobytes() == fresh.tobytes()
+
+
+def test_kept_interior_point_is_handed_out_as_a_copy(monkeypatch):
+    # writing into a returned interior point leaves the next call's polytope
+    # and the dual solves that start from it unchanged
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    poly = du.cps_polytope(model)
+    want = poly.interior.copy()
+    expected = du.solve_dual(dataclasses.replace(model), LOG, 1.0)
+    poly.interior[:] = 7.0
+    lps = _counting_phase1(monkeypatch)
+    assert du.cps_polytope(model).interior.tobytes() == want.tobytes()
+    sol = du.solve_dual(model, LOG, 1.0)
+    assert lps == []
+    assert sol.z.tobytes() == expected.z.tobytes() and sol.value == expected.value
 
 
 def test_trade_lp_refuses_exactly_the_markets_without_cps():
@@ -499,10 +582,9 @@ def test_instance_2011_values_are_pinned():
     # the dual at y = 1 and the primal at x0 + 1, as solved before the
     # one-Gram Newton matrix; the dual moved only in its last digits
     model = _instance_2011()
-    poly = du.cps_polytope(model)
-    assert du.solve_dual(model, LOG, 1.0, polytope=poly).value == pytest.approx(
+    assert du.solve_dual(model, LOG, 1.0).value == pytest.approx(
         0.13480937185140368, rel=1e-12)
-    x0 = du.compute_x0(model, poly)
+    x0 = du.compute_x0(model)
     assert pr.solve_primal(model, LOG, x0 + 1.0).value == pytest.approx(
         1.371298146505993, rel=1e-12)
 
@@ -543,8 +625,8 @@ def _outcome(solve):
         return type(exc), str(exc)
 
 
-def _per_y(model, spec, grid, poly):
-    return [du.solve_dual(model, spec, float(y), polytope=poly) for y in grid]
+def _per_y(model, spec, grid):
+    return [du.solve_dual(model, spec, float(y)) for y in grid]
 
 
 @pytest.mark.parametrize("spec", [LOG, POWER], ids=lambda s: s.label())
@@ -555,13 +637,12 @@ def test_grid_is_one_batch_of_the_per_y_solves(spec, monkeypatch):
     grid = du.default_y_grid()
     for k in range(50):
         model = _criterion_02_instance(k)
-        poly = du.cps_polytope(model)
         calls = {"ipm": 0}
         with monkeypatch.context() as m:
             m.setattr(du, "solve_convex", _counting(calls, "ipm", du.solve_convex))
-            batched = _outcome(lambda: du.dual_grid(model, spec, grid, polytope=poly))
+            batched = _outcome(lambda: du.dual_grid(model, spec, grid))
         assert calls == {"ipm": 1}
-        sequential = _outcome(lambda: _per_y(model, spec, grid, poly))
+        sequential = _outcome(lambda: _per_y(model, spec, grid))
         if isinstance(sequential, tuple):
             assert batched == sequential, f"instance {2000 + k}"
             continue
@@ -579,29 +660,29 @@ def test_grid_raises_the_first_failure_of_the_per_y_loop():
     # overflows y I(y z) at the start: the grid raises what the per-y loop
     # raises first, with its message, in grid order
     model = _criterion_02_instance(9)
-    poly = du.cps_polytope(model)
     stall, overflow = du.default_y_grid()[37], 1e-160
     stalled = (SolverIndeterminateError,
                f"dual solve at y={stall}: solver status {solver.INDETERMINATE}")
     overflowed = (DomainError, f"dual at y={overflow!r}: y I(y z) or V(y z) is not a finite float")
     for grid, first in (([1.0, stall, overflow], stalled), ([1.0, overflow, stall], overflowed),
                         ([stall, 2.0], stalled)):
-        batched = _outcome(lambda: du.dual_grid(model, POWER, grid, polytope=poly))
-        assert batched == _outcome(lambda: _per_y(model, POWER, grid, poly)) == first
+        batched = _outcome(lambda: du.dual_grid(model, POWER, grid))
+        assert batched == _outcome(lambda: _per_y(model, POWER, grid)) == first
 
 
 def test_sliced_grid_equals_the_unsliced_solve(monkeypatch):
     # with the byte budget cut to six problems, the 41-point grid runs in
     # seven slices and gives what one slice gives
-    model, _, poly = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    model, _ = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    poly = du.cps_polytope(model)
     grid = du.default_y_grid()
-    whole = du.dual_grid(model, LOG, grid, polytope=poly)
+    whole = du.dual_grid(model, LOG, grid)
     order = poly.n_vars + poly.A.shape[0]
     monkeypatch.setattr(solver, "_BATCH_BYTES", 6 * 8 * order ** 2)
     batches = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda K, rhs: batches.append(len(K)) or solve(K, rhs))
-    sliced = du.dual_grid(model, LOG, grid, polytope=poly)
+    sliced = du.dual_grid(model, LOG, grid)
     assert max(batches) == 6 and batches.count(6) >= 6
     for one, other in zip(whole, sliced):
         assert one.iterations == other.iterations

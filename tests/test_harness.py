@@ -79,7 +79,6 @@ def test_recovery_reuses_the_root_solve_of_the_yhat_search(monkeypatch, family, 
     spec = ut.make_utility(family, alpha)
     model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
                                max_attempts=600)
-    poly = du.cps_polytope(model)
     x0 = du.compute_x0(model)
     x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
     calls = []
@@ -90,10 +89,24 @@ def test_recovery_reuses_the_root_solve_of_the_yhat_search(monkeypatch, family, 
         return solve(model, spec, ys, *args)
 
     monkeypatch.setattr(du, "_solve_duals", counting)
-    rec = hn.recover_primal_from_dual(model, spec, x, polytope=poly, x0=x0)
+    rec = hn.recover_primal_from_dual(model, spec, x)
     assert rec.attainable
     assert len(calls) == rec.yhat_dual_solves
-    assert hn.find_yhat(model, spec, x, polytope=poly, x0=x0) == rec.yhat
+    assert hn.find_yhat(model, spec, x) == rec.yhat
+
+
+def test_recovery_reads_no_passed_polytope_or_x0():
+    # the polytope and x0 come from the model object: another market's
+    # polytope and x0, passed in, change nothing
+    model = hn.random_instance(2011, depth=3, branching=3, lam=0.3, rho=0.3,
+                               max_attempts=600)
+    other = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + 0.5
+    alone = hn.recover_primal_from_dual(model, LOG, x)
+    passed = hn.recover_primal_from_dual(model, LOG, x, polytope=du.cps_polytope(other),
+                                         x0=du.compute_x0(other))
+    assert _identical(passed, alone)
 
 
 def test_yhat_agrees_with_brentq_oracle():
@@ -104,12 +117,11 @@ def test_yhat_agrees_with_brentq_oracle():
         lam, depth, branching = combos[k % 4]
         model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
                                    rho=0.3, max_attempts=600)
-        poly = du.cps_polytope(model)
         x0 = du.compute_x0(model)
         x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
         for spec in (LOG, ut.make_utility("power", 0.5)):
-            yhat = hn.find_yhat(model, spec, x, polytope=poly, x0=x0)
-            expected = find_yhat_by_brentq(model, spec, x, poly, x0)
+            yhat = hn.find_yhat(model, spec, x)
+            expected = find_yhat_by_brentq(model, spec, x, x0)
             assert abs(yhat - expected) <= budget * expected, (2000 + k, spec.label())
 
 
@@ -137,10 +149,13 @@ def test_yhat_search_gives_up_after_the_cap(monkeypatch, residual):
 
 
 def test_yhat_search_without_interior_point_raises():
-    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
-    poly = dataclasses.replace(du.cps_polytope(model), interior=None)
+    # frictionless, with the down branch at the root's price: every CPS puts
+    # density 0 on the up leaf, so the closed polytope is one point
+    model = binomial_market(4.0, 8.0, 4.0, lam=0.0)
+    poly = du.cps_polytope(model)
+    assert poly.nonempty and poly.interior is None
     with pytest.raises(SolverIndeterminateError, match="empty relative interior"):
-        hn.find_yhat(model, LOG, 2.0, polytope=poly, x0=0.5)
+        hn.find_yhat(model, LOG, 2.0)
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf")])
@@ -372,7 +387,7 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     stalled, spread = False, False
     for k in range(8, 16):
         lam, depth, branching = _COMBOS[k % 4]
-        model, _, poly = hn._generate_instance(2000 + k, depth, branching, lam, 0.3, 600)
+        model, _ = hn._generate_instance(2000 + k, depth, branching, lam, 0.3, 600)
         x0 = du.compute_x0(model)
         xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
         with monkeypatch.context() as m:
@@ -380,7 +395,7 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
             m.setattr(du, "solve_convex", counting)
             primals = pr._solve_primals(model, spec, xs)
             assert calls == [3]
-            recoveries = hn._recoveries(model, spec, xs, polytope=poly, x0=x0)
+            recoveries = hn._recoveries(model, spec, xs)
         solves = [rec.yhat_dual_solves for rec in recoveries]
         # one batched call per lockstep step, over the x still searching
         assert calls[1:] == [sum(n >= step for n in solves) for step in range(1, max(solves) + 1)]
@@ -389,7 +404,7 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
         for x, psol, rec in zip(xs, primals, recoveries):
             where = f"instance {2000 + k} at x={x}"
             assert _identical(psol, pr.solve_primal(model, spec, x)), where
-            own = hn.recover_primal_from_dual(model, spec, x, poly, x0)
+            own = hn.recover_primal_from_dual(model, spec, x)
             assert rec.yhat_start == own.yhat_start == "interior", where
             assert _identical(dataclasses.replace(rec, primal=None, attainability_slack=0.0),
                               dataclasses.replace(own, primal=None, attainability_slack=0.0)), where
@@ -413,7 +428,7 @@ def test_recovery_near_the_attainability_limit_is_decided_by_its_own_lp(monkeypa
     # gate of the limit is solved alone: its margin and verdict are its
     # one-x recovery's, bit for bit; the first claim, whose shared margin is
     # moved 1e-6 clear of the limit, keeps the shared LP's
-    model, _, poly = hn._generate_instance(2009, 2, 3, 0.1, 0.3, 600)
+    model, _ = hn._generate_instance(2009, 2, 3, 0.1, 0.3, 600)
     x0 = du.compute_x0(model)
     xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
     lps = _counting_lps(monkeypatch)
@@ -425,7 +440,7 @@ def test_recovery_near_the_attainability_limit_is_decided_by_its_own_lp(monkeypa
         return (value + np.array([1e-6, 0.0, 0.0]), u) if shared else (value, u)
 
     monkeypatch.setattr(pr, "max_min_wealth", first_clear)
-    shared = hn._recoveries(model, LOG, xs, polytope=poly, x0=x0)
+    shared = hn._recoveries(model, LOG, xs)
     assert lps.count("ghat") == 1
     limit = shared[1].attainability_slack
     near = [abs(rec.attainability_slack - limit) <= 1e-8 * (1.0 + abs(rec.attainability_slack))
@@ -433,10 +448,10 @@ def test_recovery_near_the_attainability_limit_is_decided_by_its_own_lp(monkeypa
     assert near == [False, True, True]
     monkeypatch.setattr(hn, "ATTAINABILITY_TOL", limit)
     lps.clear()
-    recs = hn._recoveries(model, LOG, xs, polytope=poly, x0=x0)
+    recs = hn._recoveries(model, LOG, xs)
     assert lps.count("ghat") == 1 + sum(near)
     for x, rec, before, alone in zip(xs, recs, shared, near):
-        own = hn.recover_primal_from_dual(model, LOG, x, poly, x0) if alone else before
+        own = hn.recover_primal_from_dual(model, LOG, x) if alone else before
         assert rec.attainability_slack == own.attainability_slack
         assert rec.attainable == (rec.attainability_slack <= limit)
 
@@ -450,10 +465,10 @@ def test_report_searches_start_from_the_grid():
         config = dict(hn.SELFTEST_CONFIG, seed=dict(hn.SELFTEST_CONFIG["seed"], seed=seed))
         report = hn.run_experiment(config)
         assert report.passed
-        model, _, poly = hn._generate_instance(seed, 3, 2, 0.3, 0.2)
+        model, _ = hn._generate_instance(seed, 3, 2, 0.3, 0.2)
         for rec in report.x_records:
             x, u = rec["x"], rec["u"]
-            own = hn.recover_primal_from_dual(model, LOG, x, poly, report.x0)
+            own = hn.recover_primal_from_dual(model, LOG, x)
             budget = 1e-9 * (1.0 + abs(u))
             assert rec["yhat_start"] == "grid" and own.yhat_start == "interior"
             assert rec["yhat"] == pytest.approx(own.yhat, rel=1e-9, abs=0.0)
@@ -470,9 +485,9 @@ def test_grid_start_is_the_secant_of_the_first_bracket(monkeypatch):
     # secant t of the first grid pair where v'(y) + x changes sign, from 0.9
     # times the optimum of the pair's point nearer the root plus 0.1 times
     # the interior point (log: t = I(y) = 1/y)
-    model, _, poly = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    model, _ = hn._generate_instance(1, 3, 2, 0.3, 0.2)
     x0 = du.compute_x0(model)
-    grid = du.dual_grid(model, LOG, du.default_y_grid(), polytope=poly)
+    grid = du.dual_grid(model, LOG, du.default_y_grid())
     xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
     first = []
     solve = du._solve_duals
@@ -482,7 +497,7 @@ def test_grid_start_is_the_secant_of_the_first_bracket(monkeypatch):
         return solve(model, spec, ys, poly, starts, tol)
 
     monkeypatch.setattr(du, "_solve_duals", recording)
-    found = hn._yhat_searches(model, LOG, xs, poly, x0, grid)
+    found = hn._yhat_searches(model, LOG, xs, grid)
     ys, starts = first[0]
     for x, y, start, result in zip(xs, ys, starts, found):
         g = [sol.derivative + x for sol in grid]
@@ -491,7 +506,7 @@ def test_grid_start_is_the_secant_of_the_first_bracket(monkeypatch):
         t = t_lo - g[lo] * (t_hi - t_lo) / (g[lo + 1] - g[lo])
         assert y == pytest.approx(1.0 / t, rel=1e-12)
         near = lo if abs(g[lo]) <= abs(g[lo + 1]) else lo + 1
-        assert np.array_equal(start, 0.9 * grid[near].z + 0.1 * poly.interior)
+        assert np.array_equal(start, 0.9 * grid[near].z + 0.1 * du.cps_polytope(model).interior)
         assert result[-1] == "grid"
 
 
@@ -512,11 +527,10 @@ def test_envelope_marginal_agrees_with_finite_difference():
         lam, depth, branching = _COMBOS[k % 4]
         model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
                                    rho=0.3, max_attempts=600)
-        poly = du.cps_polytope(model)
         x0 = du.compute_x0(model)
         x = x0 + 0.05 * (1.0 + abs(x0)) + (0.5, 1.0, 2.0)[k % 3]
         for spec in (LOG, ut.make_utility("power", 0.5)):
-            report = hn.conjugacy_check(model, spec, [x], [1.0], polytope=poly)
+            report = hn.conjugacy_check(model, spec, [x], [1.0])
             record = report.x_records[0]
             budget = hn.DEFAULT_TOLERANCES["marginal"] * (1.0 + record["yhat"])
             fd = pr.primal_marginal(model, spec, x)
@@ -573,11 +587,9 @@ def _generate(generator, seed, depth, branching, lam, rho, max_attempts):
 @pytest.mark.parametrize("group", sorted(_GENERATED))
 def test_random_instance_matches_lp_per_draw(group):
     # the spread pass only skips LPs: same market after the same attempt count
-    def library(*args):
-        return hn._generate_instance(*args)[:2]
-
     for case in _GENERATED[group]:
-        assert _generate(library, *case) == _generate(random_instance_by_lp, *case), case
+        assert (_generate(hn._generate_instance, *case)
+                == _generate(random_instance_by_lp, *case)), case
 
 
 def test_spread_pass_agrees_with_cps_phase1():
@@ -637,21 +649,17 @@ def test_run_experiment_writes_files(tmp_path):
 
 
 def test_run_experiment_builds_one_polytope(monkeypatch):
-    # the generator's accepted polytope is the one the report uses
-    calls = []
-    build = du.cps_polytope
-
-    def counting(model):
-        calls.append(model)
-        return build(model)
-
-    monkeypatch.setattr(du, "cps_polytope", counting)
+    # the report's dual grid and yhat searches rebuild the generator's
+    # polytope on the same model object: one phase-1 LP per accepted draw
+    lps = []
+    solve_lp = du.solve_lp
+    monkeypatch.setattr(du, "solve_lp", lambda lp: lps.append(lp) or solve_lp(lp))
     report = hn.run_experiment({
         "seed": {"seed": 7, "depth": 2, "branching": 2, "lambda": 0.1, "rho": 0.2},
         "y_grid": [0.5, 1.0, 2.0], "check_marginals": False,
     })
     assert report.passed
-    assert len(calls) == report.metadata["source"]["attempts"] == 1
+    assert len(lps) == report.metadata["source"]["attempts"] == 1
 
 
 def test_report_records_the_yhat_search(monkeypatch):
@@ -844,12 +852,11 @@ def test_criterion_02_run_solves_two_lps(monkeypatch, pass_x0):
     # compute_x0, solve_primal and the recovery on one model object: the
     # primal's phase 1 and the recovery's x0 are the x0 LP, so the only
     # other LP is the recovery's certificate
-    model, _, poly = hn._generate_instance(2000, 2, 3, 0.01, 0.3, 600)
+    model, _ = hn._generate_instance(2000, 2, 3, 0.01, 0.3, 600)
     lps = _counting_lps(monkeypatch)
     x0 = du.compute_x0(model)
     x = x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + 0.5
     psol = pr.solve_primal(model, LOG, x)
-    rec = hn.recover_primal_from_dual(model, LOG, x, polytope=poly,
-                                      **({"x0": x0} if pass_x0 else {}))
+    rec = hn.recover_primal_from_dual(model, LOG, x, **({"x0": x0} if pass_x0 else {}))
     assert lps == ["default", "ghat"]
     assert rec.attainable and psol.value - rec.primal.value <= hn.DEFAULT_TOLERANCES["recovery"]

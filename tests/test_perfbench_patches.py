@@ -86,10 +86,10 @@ def test_solve_convex_results_fit_the_tracer(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(dual, "solve_convex", recording)
-    model, _, poly = harness._generate_instance(1, 3, 2, 0.3, 0.2)
+    model, _ = harness._generate_instance(1, 3, 2, 0.3, 0.2)
     log = utility.make_utility("log")
-    grid = dual.dual_grid(model, log, dual.default_y_grid(), polytope=poly)
-    dual.solve_dual(model, log, 1.0, polytope=poly)
+    grid = dual.dual_grid(model, log, dual.default_y_grid())
+    dual.solve_dual(model, log, 1.0)
     assert [len(r.statuses) for r in results] == [len(grid), 1]
     for res in results:
         assert type(res.status) is str and res.status == solver.OPTIMAL

@@ -324,6 +324,20 @@ def test_kept_argmax_is_handed_out_as_a_copy(monkeypatch):
     assert pr.max_min_wealth(model, 0.0)[1].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("g", [np.zeros(3), np.zeros(1), np.zeros((2, 3)), np.zeros((2, 2, 2)),
+                               np.float64(0.0), [np.nan, 0.0], [0.0, np.inf],
+                               [[0.0, 0.0], [-np.inf, 0.0]]],
+                         ids=["1d-long", "1d-short", "2d-long", "3d", "scalar", "nan", "inf",
+                              "2d-inf"])
+def test_malformed_claim_is_a_domain_error(g):
+    # a claim of another length than the leaf count, or with a non-finite
+    # entry, is refused before any LP, one claim or many
+    model = with_costs()
+    for call in (lambda: pr.max_min_wealth(model, 0.0, g), lambda: pr.is_attainable(model, g, 1.0)):
+        with pytest.raises(DomainError, match="payoff"):
+            call()
+
+
 def test_lp_with_a_claim_is_solved_on_every_call(monkeypatch):
     # the recovery's certificate and is_attainable pass a claim g: each call
     # is its own LP, and none of them stands in for the default claim's

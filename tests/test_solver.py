@@ -208,16 +208,15 @@ def test_sparse_and_dense_newton_steps_agree_on_deep_trees(monkeypatch, seed):
     # a 121-node tree: both KKT matrices (dual and primal) are of order 323,
     # above the constant, so the default run factors every step by SuperLU
     model = random_instance(seed, 4, 3, lam=0.3, rho=0.2)
-    poly = du.cps_polytope(model)
-    x = du.compute_x0(model, poly) + 1.0
+    x = du.compute_x0(model) + 1.0
     log = ut.make_utility("log")
     calls = _counting_splu(monkeypatch)
-    sparse_dual = du.solve_dual(model, log, 1.0, polytope=poly)
+    sparse_dual = du.solve_dual(model, log, 1.0)
     sparse_primal = pr.solve_primal(model, log, x)
     assert calls and set(calls) == {323}
     calls.clear()
     monkeypatch.setattr(solver, "_SPARSE_KKT_ORDER", 10 ** 9)
-    dense_dual = du.solve_dual(model, log, 1.0, polytope=poly)
+    dense_dual = du.solve_dual(model, log, 1.0)
     dense_primal = pr.solve_primal(model, log, x)
     assert not calls
     assert sparse_dual.iterations == dense_dual.iterations
@@ -232,7 +231,6 @@ def test_children_first_factors_stay_sparse_on_deep_trees(monkeypatch, seed):
     # SuperLU factor of the 121-node dual and primal steps holds at most
     # three times K's nonzeros (a fill-reducing column order read 6 to 8)
     model = random_instance(seed, 4, 3, lam=0.3, rho=0.2)
-    poly = du.cps_polytope(model)
     log = ut.make_utility("log")
     fill, splu = [], solver.splu
 
@@ -242,7 +240,7 @@ def test_children_first_factors_stay_sparse_on_deep_trees(monkeypatch, seed):
         return lu
 
     monkeypatch.setattr(solver, "splu", measuring)
-    du.solve_dual(model, log, 1.0, polytope=poly)
+    du.solve_dual(model, log, 1.0)
     steps = len(fill)
     pr.solve_primal(model, log, du.compute_x0(model) + 1.0)
     assert 0 < steps < len(fill)
@@ -256,10 +254,9 @@ def test_selftest_size_solves_never_factor_sparsely(monkeypatch):
 
     monkeypatch.setattr(solver, "splu", refuse)
     model = random_instance(1, 3, 2, lam=0.3, rho=0.2)
-    poly = du.cps_polytope(model)
     log = ut.make_utility("log")
-    assert du.solve_dual(model, log, 1.0, polytope=poly).iterations > 0
-    assert pr.solve_primal(model, log, du.compute_x0(model, poly) + 1.0).iterations > 0
+    assert du.solve_dual(model, log, 1.0).iterations > 0
+    assert pr.solve_primal(model, log, du.compute_x0(model) + 1.0).iterations > 0
 
 
 def test_require_optimal_raises_with_context():
