@@ -9,9 +9,10 @@ assembles a full report (value grids, gaps, residuals) for a market
 instance.  A report makes three kinds of batched interior-point call: its
 dual grid, its primal solves over the x grid, and its yhat searches, which
 run in lockstep, one batched dual solve per search step over the x still
-searching.  A search warm-starts each solve from the previous optimum, and
-its first from the report's grid points that bracket its root (else from
-the interior point); one trade-side LP certifies all the recovered payoffs.
+searching.  A search warm-starts each solve from the previous optimum; a
+report's search starts its first from the primal optimum at its x, a one-x
+search from the interior point.  Each recovered payoff is certified by its
+own trade-side LP.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -88,8 +89,8 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:
     dual solves.  Returns U'(T(z)) on the root solve's density z, the yhat
     ``recover_primal_from_dual`` reports.  It is the one-x case of
     ``_yhat_searches``, which runs the searches of many x in lockstep, and
-    starts from the interior point: only a report, which has solved its dual
-    grid, starts its searches from the grid.
+    starts from the interior point: only a report, which has solved the
+    primal at each x, starts its searches from those optima.
     """
     return unwrap(_yhat_searches(model, spec, [x]))[0][0]
 
@@ -107,23 +108,26 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
 
 
 def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                   grid: list | None = None) -> list:
+                   primals: list | None = None) -> list:
     """``find_yhat``'s search at each x of ``xs``, in lockstep: each search
     step is one batched dual solve (``dual._solve_duals``) over the x still
     searching, and an x leaves the batch when its search stops.  Each x keeps
     its own t, secant pair, warm start and stop test.
 
-    ``grid``, a dual grid ascending in y (``dual.dual_grid``'s solutions), gives
-    each x its start where it brackets the root: the first pair of grid
-    points where v'(y) + x changes sign.  The search then starts at the
-    secant t between the two, in t = I(y), with the nearer of them (the
-    smaller |v'(y) + x|) as its first secant pair and 0.9 times that point's
-    optimum plus 0.1 times the interior point as its warm start.  Without a
-    grid, or with a root outside it, the x starts from the interior point as
-    ``find_yhat`` does.  Returns per x its yhat, the dual solve at the root
-    of its search, the solves and interior-point iterations the search took
-    and where it started ("grid" or "interior"), or the error its own search
-    raises."""
+    ``primals``, the ``PrimalSolution`` at each x, starts each search from
+    its own optimum w*: by duality yhat = E[U'(w*)], and the pair (Z0*, Z1*)
+    that ``primal.shadow_cps`` reads off w* and the multipliers nu is the
+    dual optimizer up to the primal solve's residuals.  Its first t is T of
+    the leaf density U'(w*) / E[U'(w*)], and its first solve starts at 0.9
+    times (Z0*, Z1*), Z0* alone at lam = 0, plus 0.1 times the interior
+    point.  Where that start is not strictly inside G z < h, the x starts
+    from the interior point as ``find_yhat`` does.  The start only chooses
+    where the search begins: the dual optimizer is unique (acceptance
+    criterion 09), every solve runs to tolerance 1e-10, and the search stops
+    on its own test |v'(y) + x| <= 1e-9 (1 + |x|) whatever its start.
+    Returns per x its yhat, the dual solve at the root of its search, the
+    solves and interior-point iterations the search took and where it
+    started ("primal" or "interior"), or the error its own search raises."""
     out = [None if np.isfinite(x) else DomainError(f"yhat search needs a finite x, got x={x!r}")
            for x in xs]
     if None not in out:
@@ -139,29 +143,22 @@ def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
     interior = du.require_interior(poly)
     p = model.tree.leaf_prob()
     e = model.endowment_vector()
-    grid = grid or []
-    grid_t = np.array([ut.i_eval(spec, sol.y) for sol in grid])
-    grid_vp = np.array([sol.derivative for sol in grid])
 
-    def start(x: float) -> tuple:
-        """An x's first t, its first secant pair, its warm start and where it started."""
-        g = grid_vp + x
-        below = g < 0
-        bracket = np.flatnonzero(below[:-1] != below[1:])
-        if not bracket.size:
-            return (_optimal_wealth(spec, x, p, e, poly.leaf_density(interior)),
-                    None, interior, "interior")
-        lo, hi = bracket[0], bracket[0] + 1
-        t = grid_t[lo] - g[lo] * (grid_t[hi] - grid_t[lo]) / (g[hi] - g[lo])
-        near = lo if abs(g[lo]) <= abs(g[hi]) else hi
-        return t, (grid_t[near], g[near]), 0.9 * grid[near].z + 0.1 * interior, "grid"
+    def start(k: int) -> tuple:
+        """x k's first t, its warm start and where it started."""
+        if primals is not None:
+            z0, z1 = pr.shadow_cps(model, spec, primals[k])
+            z = 0.9 * np.concatenate([z0, z1])[:poly.n_vars] + 0.1 * interior
+            if (poly.h - poly.G @ z).min() > 0:
+                return _optimal_wealth(spec, xs[k], p, e, poly.leaf_density(z0)), z, "primal"
+        return _optimal_wealth(spec, xs[k], p, e, poly.leaf_density(interior)), interior, "interior"
 
     # Per searching x: its t, its last (t, g) pair, its start and its iterations so far.
     searching, started = {}, {}
     for k, o in enumerate(out):
         if o is None:
-            t, last, z, started[k] = start(xs[k])
-            searching[k] = (t, last, z, 0)
+            t, z, started[k] = start(k)
+            searching[k] = (t, None, z, 0)
     for solves in range(1, YHAT_MAX_SOLVES + 1):
         ks = list(searching)
         sols = du._solve_duals(model, spec, [ut.u_prime(spec, searching[k][0]) for k in ks],
@@ -208,7 +205,7 @@ class RecoveryResult:
     attainability_slack: float   # superreplication price of ghat (<= 0 up to tol)
     yhat_dual_solves: int        # dual solves of the yhat search, the root solve included
     yhat_ipm_iterations: int     # their interior-point iterations, summed
-    yhat_start: str              # where the search started: "grid" or "interior"
+    yhat_start: str              # where the search started: "primal" or "interior"
 
 
 def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
@@ -225,35 +222,27 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
 
 
 def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                grid: list | None = None) -> list:
+                primals: list | None = None) -> list:
     """``recover_primal_from_dual`` at each x of ``xs``: the yhat searches run
-    in lockstep (``_yhat_searches``, each x starting from ``grid`` where it
-    brackets the root), and one max-min LP over the claims ghat of every x
-    whose search ended certifies them all and builds their strategies.  A
-    claim whose shared margin lies within that LP's duality-gap gate of
-    ``-ATTAINABILITY_TOL`` is solved alone, so its own LP decides whether it
-    is attainable.  Per x its ``RecoveryResult``, or the error its own search
-    raises."""
+    in lockstep (``_yhat_searches``, each x starting from its own optimum in
+    ``primals`` when given), and each claim ghat whose search ended is
+    certified, and its strategy built, by its own max-min LP.  Per x its
+    ``RecoveryResult``, or the error its own search raises."""
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
     n = tree.n_nodes
-    out = _yhat_searches(model, spec, xs, grid)
-    found = [k for k, o in enumerate(out) if not isinstance(o, Exception)]
-    if not found:
-        return out
-    ghats = np.array([ut.i_eval(spec, out[k][0] * out[k][1].z0_T) - xs[k] - e for k in found])
-    # The margin max_u min_leaf (C u - ghat) is minus the superreplication
-    # price of ghat, and the argmax u generates a payoff dominating ghat up
-    # to that margin.
-    margins, us = pr.max_min_wealth(model, 0.0, ghats)
-    for k, ghat, margin, u in zip(found, ghats, margins, us):
-        if len(found) > 1 and abs(margin + ATTAINABILITY_TOL) <= 1e-8 * (1.0 + abs(margin)):
-            # The shared LP's margin is certified only to its duality gap,
-            # which here reaches the attainability limit: ghat's own LP decides.
-            margin, u = pr.max_min_wealth(model, 0.0, ghat)
-        yhat, dsol, solves, iterations, start = out[k]
+    out = _yhat_searches(model, spec, xs, primals)
+    for k, found in enumerate(out):
+        if isinstance(found, Exception):
+            continue
+        yhat, dsol, solves, iterations, start = found
         x = xs[k]
+        ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
+        # The margin max_u min_leaf (C u - ghat) is minus the superreplication
+        # price of ghat, and the argmax u generates a payoff dominating ghat up
+        # to that margin.
+        margin, u = pr.max_min_wealth(model, 0.0, ghat)
         wealth = x + ghat + e
         psol = pr.PrimalSolution(
             x=float(x), strategy=pr.strategy_from_trades(model, x, u[:n], u[n:]), ghat=ghat,
@@ -371,7 +360,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above])))
     solved = [k for k in above if not isinstance(primals[k], Exception)]
     recoveries = dict(zip(solved, _recoveries(model, spec, [xs[k] for k in solved],
-                                              grid=y_solutions)))
+                                              [primals[k] for k in solved])))
     for k, x in enumerate(xs):
         if k not in primals:
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})

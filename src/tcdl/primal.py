@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import utility as ut
 from .errors import (
@@ -85,6 +84,7 @@ class PrimalSolution:
     kkt_residual: float
     iterations: int              # interior-point iterations, 0 when not solved by one
     stall_accepted: bool = False  # a stalled IPM iterate was accepted as optimal
+    nu: np.ndarray | None = None  # IPM multipliers of the flat-at-leaf rows D u = 0, per leaf
 
 
 def _trade_matrices(model: MarketModel):
@@ -127,6 +127,27 @@ def strategy_from_trades(model: MarketModel, x: float,
         buy=tuple(float(v) for v in buy),
         sell=tuple(float(v) for v in sell),
     )
+
+
+def shadow_cps(model: MarketModel, spec: ut.UtilitySpec,
+               sol: PrimalSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (Z0, Z1) per node read off a primal optimum: the shadow price
+    of Cvitanić & Karatzas (Math. Finance 6, 1996).
+
+    With Q_k and N_k the sums over the leaves below node k of p U'(w) and of
+    ``sol.nu``, and P_k node k's probability, Z0_k = Q_k / (P_k E[U'(w)])
+    and Z1_k = -N_k / (P_k E[U'(w)]).  Both are martingales and Z0 is 1 at
+    the root.  The KKT rows of the buy and sell columns read
+    -S_k Q_k <= N_k <= -(1 - lam) S_k Q_k, so Z1 / Z0 lies in the bid-ask
+    spread, but only up to the solve's residuals: the pair is a candidate
+    dual point, not a certified one.
+    """
+    p = model.tree.leaf_prob()
+    # D's buy block: row l marks leaf l and its ancestors.
+    paths = _trade_matrices(model)[1][:, :model.tree.n_nodes]
+    q, nu, prob = np.array([p * ut.u_prime(spec, sol.wealth), sol.nu, p]) @ paths
+    scale = prob * q[model.tree.root]
+    return q / scale, -nu / scale
 
 
 def liquidation_value(model: MarketModel, strategy: TradingStrategy, node: int) -> float:
@@ -176,7 +197,7 @@ def is_attainable(model: MarketModel, g, x: float, tol: float = 1e-8) -> bool:
     return max_min_wealth(model, x, g)[0] >= -tol
 
 
-def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
+def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndarray]:
     """LP value max_u min_leaf (x + C u - g) over strategies from x, and an argmax u.
 
     By LP duality the value is x minus the superreplication price of g, so it
@@ -187,16 +208,8 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
     infeasibility certificate.  x only shifts the value, so the LP is solved
     at x = 0 and x added after; the argmax does not depend on x.  The LP is
     unbounded iff the closed CPS polytope is empty: ``NoConsistentPriceSystemError``;
-    a claim of the wrong length or with a non-finite entry is a ``DomainError``.
-
-    g may also be a 2-D array of claims, one per row.  Then one sparse LP,
-    block diagonal over the claims, gives an array of values and one argmax
-    row per claim, each block held to the gates of the claim's own LP and a
-    claim that fails them solved alone.  The blocks share no variable, but
-    HiGHS does not pivot them as it pivots each alone, so a claim's value is
-    its own LP's only up to the solver's tolerances (measured within 6e-11),
-    not bit for bit, and where that LP has many optima the argmax may be
-    another of them.  A single claim is the one-block LP, passed dense.
+    a claim that is not one entry per leaf, or has a non-finite entry, is a
+    ``DomainError``.
 
     The default claim's LP is solved once per ``MarketModel`` object: its
     value at x = 0 and argmax stay on the object, and later calls return
@@ -206,82 +219,35 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple:
     """
     if g is not None:
         g = np.asarray(g, dtype=float)
-        if g.ndim not in (1, 2) or g.shape[-1] != len(model.tree.leaves):
+        if g.shape != (len(model.tree.leaves),):
             raise DomainError(f"payoff has {g.shape} entries, expected {len(model.tree.leaves)}")
         if not np.isfinite(g).all():
             raise DomainError("payoff has a non-finite entry")
-        values, u = _max_min_lp(model, np.atleast_2d(g))
-        return (x + values, u) if g.ndim == 2 else (x + float(values[0]), u[0])
+        value, u = _max_min_lp(model, g)
+        return x + value, u
     if "lp" not in model._phase1:
-        values, u = _max_min_lp(model, -model.endowment_vector()[None])
-        model._phase1["lp"] = (float(values[0]), u[0])
+        model._phase1["lp"] = _max_min_lp(model, -model.endowment_vector())
     value, u = model._phase1["lp"]
     return x + value, u.copy()
 
 
-def _max_min_lp(model: MarketModel, claims: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``max_min_wealth``'s LP at x = 0 over the claims, one per row of ``claims``:
-    per claim its value and an argmax u.
-
-    Several claims share one sparse block-diagonal LP, so its size grows
-    linearly in their number.  Each block is then held to ``solve_lp``'s
-    optimality gates as its own LP would be (``_block_certified``), and a
-    claim whose block fails them, or every claim when the shared LP has no
-    solution, is solved alone."""
+def _max_min_lp(model: MarketModel, g: np.ndarray) -> tuple[float, np.ndarray]:
+    """``max_min_wealth``'s LP at x = 0: its value and an argmax u."""
     C, D = _trade_matrices(model)
-    m, nu = len(claims), C.shape[1]
-    # Variables [u; t] per claim: maximize t subject to t - (C u)_l <= -g_l.
-    A_ub = np.hstack([-C, np.ones((C.shape[0], 1))])
-    A_eq = np.hstack([D, np.zeros((D.shape[0], 1))])
+    nu = C.shape[1]
+    # Variables [u; t]: maximize t subject to t - (C u)_l <= -g_l.
     lb = np.zeros(nu + 1)
     lb[-1] = -np.inf
     res = solve_lp(LinearProgram(
-        c=np.tile(np.concatenate([np.zeros(nu), [1.0]]), m),
-        A_ub=A_ub if m == 1 else _block_diagonal(A_ub, m),
-        b_ub=-claims.ravel(),
-        A_eq=A_eq if m == 1 else _block_diagonal(A_eq, m),
-        b_eq=np.zeros(m * A_eq.shape[0]),
-        lb=np.tile(lb, m), sense="max",
+        c=np.concatenate([np.zeros(nu), [1.0]]),
+        A_ub=np.hstack([-C, np.ones((C.shape[0], 1))]), b_ub=-g,
+        A_eq=np.hstack([D, np.zeros((D.shape[0], 1))]), b_eq=np.zeros(D.shape[0]),
+        lb=lb, sense="max",
     ))
     if res.status == UNBOUNDED:
         raise NoConsistentPriceSystemError("market admits arbitrage: max-min wealth LP unbounded")
-    if m == 1:
-        require_optimal(res, "max-min wealth LP")
-        return res.z[None, -1].copy(), res.z[None, :nu].copy()
-    values, us = np.empty(m), np.empty((m, nu))
-    z = None if res.z is None else res.z.reshape(m, nu + 1)
-    lam = None if res.ineq_duals is None else res.ineq_duals.reshape(m, -1)
-    for k, g in enumerate(claims):
-        if z is not None and _block_certified(A_ub, A_eq, g, z[k], lam[k]):
-            values[k], us[k] = z[k, -1], z[k, :nu]
-        else:
-            (values[k],), (us[k],) = _max_min_lp(model, g[None])
-    return values, us
-
-
-def _block_diagonal(block: np.ndarray, m: int) -> sparse.csr_matrix:
-    """m copies of ``block`` down the diagonal, storing only its nonzeros."""
-    rows, cols = np.nonzero(block)
-    shift = np.arange(m)[:, None]
-    return sparse.csr_matrix(
-        (np.tile(block[rows, cols], m),
-         ((rows + shift * block.shape[0]).ravel(), (cols + shift * block.shape[1]).ravel())),
-        shape=(m * block.shape[0], m * block.shape[1]))
-
-
-def _block_certified(A_ub: np.ndarray, A_eq: np.ndarray, g: np.ndarray, z: np.ndarray,
-                     lam: np.ndarray) -> bool:
-    """Whether one claim's block [u; t] of a shared max-min LP, with its
-    multipliers ``lam``, passes ``solve_lp``'s gates for that claim's own LP:
-    feasibility 1e-9, complementary slackness 1e-8 (1 + max |z|) and duality
-    gap 1e-8 (1 + |t|).  The bounds u >= 0 and b_eq = 0 add nothing to the
-    dual objective lam . g."""
-    slack = -g - A_ub @ z
-    feas = max(0.0, -slack.min(), float(np.abs(A_eq @ z).max(initial=0.0)))
-    t = z[-1]
-    return bool(feas <= 1e-9
-                and np.abs(lam * slack).max() <= 1e-8 * (1.0 + np.abs(z).max())
-                and abs(t + lam @ g) <= 1e-8 * (1.0 + abs(t)))
+    require_optimal(res, "max-min wealth LP")
+    return float(res.z[-1]), res.z[:nu].copy()
 
 
 def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
@@ -385,6 +351,7 @@ def _solve_primals(model: MarketModel, spec: ut.UtilitySpec, xs: list,
             kkt_residual=kkt,
             iterations=int(res.problem_iterations[row]),
             stall_accepted=stall_accepted,
+            nu=res.eq_duals[row],
         )
     return out
 

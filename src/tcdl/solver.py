@@ -222,7 +222,9 @@ class ConvexProgram:
 @dataclass
 class ConvexResult:
     """``status`` is OPTIMAL iff every problem's is, and ``iterations`` sums
-    theirs; the other fields hold one entry (a row of ``z``) per problem."""
+    theirs; the other fields hold one entry (a row of ``z``) per problem.
+    ``eq_duals`` are the multipliers nu of ``A z = b`` in the dual residual
+    grad + G' lam + A' nu."""
 
     status: str
     z: np.ndarray
@@ -231,6 +233,7 @@ class ConvexResult:
     iterations: int
     statuses: tuple[str, ...]
     problem_iterations: np.ndarray
+    eq_duals: np.ndarray
 
 
 def _gram_pairs(X: np.ndarray):
@@ -360,6 +363,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
 
     total = len(params)
     z_out, f_out, kkt_out = np.empty((total, n)), np.empty(total), np.empty(total)
+    nu_out = np.empty((total, p))
     it_out, status_out = np.zeros(total, dtype=int), np.full(total, INDETERMINATE, dtype=object)
 
     def run(rows: np.ndarray):
@@ -384,8 +388,8 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         def stop(mask, status, kkt, it):
             if mask.any():
                 k = rows[mask]
-                z_out[k], f_out[k], kkt_out[k], it_out[k], status_out[k] = (
-                    Z[mask], F[mask], kkt[mask], it, status)
+                z_out[k], nu_out[k], f_out[k], kkt_out[k], it_out[k], status_out[k] = (
+                    Z[mask], nu[mask], F[mask], kkt[mask], it, status)
 
         for it in range(1, _MAX_ITER + 2):
             Anu = np.vecmat(nu, A)
@@ -488,7 +492,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         run(np.arange(first, min(first + size, total)))
     return ConvexResult(status=next((s for s in status_out if s != OPTIMAL), OPTIMAL),
                         z=z_out, value=f_out, kkt_residual=kkt_out, iterations=int(it_out.sum()),
-                        statuses=tuple(status_out), problem_iterations=it_out)
+                        statuses=tuple(status_out), problem_iterations=it_out, eq_duals=nu_out)
 
 
 def require_optimal(result, what: str):

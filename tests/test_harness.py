@@ -368,15 +368,9 @@ def _identical(a, b) -> bool:
 @pytest.mark.parametrize("spec", [LOG, ut.make_utility("power", 0.5)], ids=lambda s: s.label())
 def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     # criterion 02's instances 2008..2015 at a report's three x: one batched
-    # primal solve and the lockstep yhat searches give each x, bit for bit,
-    # what its own solve_primal and recover_primal_from_dual give.  The
-    # recoveries share one certificate LP, whose blocks are the one-x LPs
-    # but which HiGHS pivots otherwise: each margin is its own LP's up to
-    # HiGHS's feasibility tolerance 1e-10 (measured up to 5.1e-11 here; the
-    # one-x LP's own argmax misses its value by up to 9.7e-11), it decides
-    # attainability as its own LP does, and the strategy, maybe another
-    # optimum, still ends flat at every leaf and dominates ghat up to the
-    # attainability tolerance.
+    # primal solve, the lockstep yhat searches and each x's own certificate
+    # LP give each x, bit for bit, what its own solve_primal and
+    # recover_primal_from_dual give.
     calls = []
     solve = solver.solve_convex
 
@@ -400,21 +394,12 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
         # one batched call per lockstep step, over the x still searching
         assert calls[1:] == [sum(n >= step for n in solves) for step in range(1, max(solves) + 1)]
         calls.clear()
-        leaves = list(model.tree.leaves)
         for x, psol, rec in zip(xs, primals, recoveries):
             where = f"instance {2000 + k} at x={x}"
             assert _identical(psol, pr.solve_primal(model, spec, x)), where
             own = hn.recover_primal_from_dual(model, spec, x)
             assert rec.yhat_start == own.yhat_start == "interior", where
-            assert _identical(dataclasses.replace(rec, primal=None, attainability_slack=0.0),
-                              dataclasses.replace(own, primal=None, attainability_slack=0.0)), where
-            assert _identical(dataclasses.replace(rec.primal, strategy=None),
-                              dataclasses.replace(own.primal, strategy=None)), where
-            assert abs(rec.attainability_slack - own.attainability_slack) <= 1e-10, where
-            assert rec.attainable == own.attainable, where
-            assert pr.check_self_financing(model, rec.primal.strategy) == [], where
-            payoff = np.array(rec.primal.strategy.phi0)[leaves] - x
-            assert np.all(payoff >= rec.primal.ghat - hn.ATTAINABILITY_TOL), where
+            assert _identical(rec, own), where
             stalled |= psol.stall_accepted
         spread |= len(set(solves)) > 1
     # instance 2012's primal stalls under power:0.5 (see the report test below)
@@ -422,44 +407,11 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     assert spread
 
 
-def test_recovery_near_the_attainability_limit_is_decided_by_its_own_lp(monkeypatch):
-    # with the limit -ATTAINABILITY_TOL at the shared LP's margin of the
-    # second x, every claim whose margin lies within that LP's duality-gap
-    # gate of the limit is solved alone: its margin and verdict are its
-    # one-x recovery's, bit for bit; the first claim, whose shared margin is
-    # moved 1e-6 clear of the limit, keeps the shared LP's
-    model, _ = hn._generate_instance(2009, 2, 3, 0.1, 0.3, 600)
-    x0 = du.compute_x0(model)
-    xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
-    lps = _counting_lps(monkeypatch)
-    max_min = pr.max_min_wealth
-
-    def first_clear(model, x, g=None):
-        value, u = max_min(model, x, g)
-        shared = np.ndim(g) == 2 and len(g) == 3
-        return (value + np.array([1e-6, 0.0, 0.0]), u) if shared else (value, u)
-
-    monkeypatch.setattr(pr, "max_min_wealth", first_clear)
-    shared = hn._recoveries(model, LOG, xs)
-    assert lps.count("ghat") == 1
-    limit = shared[1].attainability_slack
-    near = [abs(rec.attainability_slack - limit) <= 1e-8 * (1.0 + abs(rec.attainability_slack))
-            for rec in shared]
-    assert near == [False, True, True]
-    monkeypatch.setattr(hn, "ATTAINABILITY_TOL", limit)
-    lps.clear()
-    recs = hn._recoveries(model, LOG, xs)
-    assert lps.count("ghat") == 1 + sum(near)
-    for x, rec, before, alone in zip(xs, recs, shared, near):
-        own = hn.recover_primal_from_dual(model, LOG, x) if alone else before
-        assert rec.attainability_slack == own.attainability_slack
-        assert rec.attainable == (rec.attainability_slack <= limit)
-
-
 def test_report_searches_start_from_the_grid():
-    # selftest seeds 1..3: each x starts from the default grid's bracket and
-    # lands where its one-x recovery, started from the interior point, lands,
-    # in no more dual solves in all
+    # selftest seeds 1..3: a report's searches start not from its grid but
+    # each from the primal optimum at its x, and land where the one-x
+    # recovery, started from the interior point, lands, in no more dual
+    # solves in all
     own_solves = report_solves = 0
     for seed in (1, 2, 3):
         config = dict(hn.SELFTEST_CONFIG, seed=dict(hn.SELFTEST_CONFIG["seed"], seed=seed))
@@ -470,7 +422,7 @@ def test_report_searches_start_from_the_grid():
             x, u = rec["x"], rec["u"]
             own = hn.recover_primal_from_dual(model, LOG, x)
             budget = 1e-9 * (1.0 + abs(u))
-            assert rec["yhat_start"] == "grid" and own.yhat_start == "interior"
+            assert rec["yhat_start"] == "primal" and own.yhat_start == "interior"
             assert rec["yhat"] == pytest.approx(own.yhat, rel=1e-9, abs=0.0)
             assert abs((u - rec["recovery_value"]) - (u - own.primal.value)) <= budget
             own_gap = abs(u - (own.dual.value + x * own.yhat)) / (1.0 + abs(u))
@@ -480,44 +432,59 @@ def test_report_searches_start_from_the_grid():
     assert report_solves <= own_solves
 
 
-def test_grid_start_is_the_secant_of_the_first_bracket(monkeypatch):
-    # selftest seed 1's default grid: each x's first dual solve runs at the
-    # secant t of the first grid pair where v'(y) + x changes sign, from 0.9
-    # times the optimum of the pair's point nearer the root plus 0.1 times
-    # the interior point (log: t = I(y) = 1/y)
-    model, _ = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+def _default_xs(model) -> list:
     x0 = du.compute_x0(model)
-    grid = du.dual_grid(model, LOG, du.default_y_grid())
-    xs = [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
-    first = []
-    solve = du._solve_duals
-
-    def recording(model, spec, ys, poly, starts, tol):
-        first.append((ys, starts))
-        return solve(model, spec, ys, poly, starts, tol)
-
-    monkeypatch.setattr(du, "_solve_duals", recording)
-    found = hn._yhat_searches(model, LOG, xs, grid)
-    ys, starts = first[0]
-    for x, y, start, result in zip(xs, ys, starts, found):
-        g = [sol.derivative + x for sol in grid]
-        lo = next(i for i in range(len(g) - 1) if (g[i] < 0) != (g[i + 1] < 0))
-        t_lo, t_hi = 1.0 / grid[lo].y, 1.0 / grid[lo + 1].y
-        t = t_lo - g[lo] * (t_hi - t_lo) / (g[lo + 1] - g[lo])
-        assert y == pytest.approx(1.0 / t, rel=1e-12)
-        near = lo if abs(g[lo]) <= abs(g[lo + 1]) else lo + 1
-        assert np.array_equal(start, 0.9 * grid[near].z + 0.1 * du.cps_polytope(model).interior)
-        assert result[-1] == "grid"
+    return [x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + o for o in hn.DEFAULT_X_OFFSETS]
 
 
-def test_report_search_outside_the_grid_starts_from_the_interior():
-    # v'(y) + x < 0 on all of y in {0.001, 0.002}: no grid pair brackets the root
-    config = dict(hn.SELFTEST_CONFIG, seed=dict(hn.SELFTEST_CONFIG["seed"], seed=1),
-                  y_grid=[0.001, 0.002])
-    report = hn.run_experiment(config)
-    assert all(y["v_prime"] + x["x"] < 0 for y in report.y_records for x in report.x_records)
-    assert [rec["yhat_start"] for rec in report.x_records] == ["interior"] * 3
+@pytest.mark.parametrize("corrupt", [lambda nu: -nu, lambda nu: np.full_like(nu, np.nan)],
+                         ids=["negated", "nan"])
+def test_report_search_from_a_start_outside_the_polytope_starts_as_one_x(monkeypatch, corrupt):
+    # a corrupted nu puts the second x's primal start outside G z < h: that
+    # x starts from the interior point and gets, bit for bit, its one-x
+    # recovery, while the other x still start from their optima
+    model, _ = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    xs = _default_xs(model)
+    primals = pr._solve_primals(model, LOG, xs)
+    shadow = pr.shadow_cps
+
+    def corrupted(model, spec, sol):
+        return shadow(model, spec, dataclasses.replace(sol, nu=corrupt(sol.nu))
+                      if sol.x == xs[1] else sol)
+
+    monkeypatch.setattr(pr, "shadow_cps", corrupted)
+    recs = hn._recoveries(model, LOG, xs, primals)
+    assert [rec.yhat_start for rec in recs] == ["primal", "interior", "primal"]
+    assert _identical(recs[1], hn.recover_primal_from_dual(model, LOG, xs[1]))
+
+
+def test_report_x_records_depend_on_neither_the_y_grid_nor_the_other_x():
+    # selftest seeds 1..3: each x's search starts from its own primal
+    # optimum and its ghat is certified by its own LP, so its x record is
+    # the same byte for byte under the default y grid, under a grid that
+    # brackets no root, and in a report of that x alone
+    for seed in (1, 2, 3):
+        model, _ = hn._generate_instance(seed, 3, 2, 0.3, 0.2)
+        xs = _default_xs(model)
+        grid = du.default_y_grid()
+
+        def records(x_grid, y_grid):
+            return hn.conjugacy_check(model, LOG, x_grid, y_grid).x_records
+
+        want = json.dumps(records(xs, grid))
+        assert json.dumps(records(xs, [0.001, 0.002])) == want
+        assert json.dumps([r for x in xs for r in records([x], grid)]) == want
+
+
+def test_report_certifies_instance_2038_under_power():
+    # criterion 02's instance 2038 under power:0.5 as a report: each x's
+    # search starts from its primal optimum, nu included, and every x certifies
+    lam, depth, branching = _COMBOS[38 % 4]
+    model, _ = hn._generate_instance(2038, depth, branching, lam, 0.3, 600)
+    report = hn.conjugacy_check(model, ut.make_utility("power", 0.5), _default_xs(model),
+                                du.default_y_grid())
     assert report.passed
+    assert [rec["yhat_start"] for rec in report.x_records] == ["primal"] * 3
 
 
 def test_envelope_marginal_agrees_with_finite_difference():
@@ -838,13 +805,13 @@ def _counting_lps(monkeypatch) -> list:
 
 def test_report_solves_the_trade_lp_once(monkeypatch):
     # x0 and every primal solve's phase 1 come from one max-min wealth LP
-    # with the default claim; one more LP, over the three claims ghat,
-    # certifies the three recoveries
+    # with the default claim; each of the three recoveries is certified by
+    # its own LP over its claim ghat
     lps = _counting_lps(monkeypatch)
     report = hn.run_experiment({"seed": {"seed": 1, "depth": 3, "branching": 2,
                                          "lambda": 0.3, "rho": 0.2}})
     assert report.passed and len(report.x_records) == 3
-    assert [c for c in lps if c != "other"] == ["default", "ghat"]
+    assert [c for c in lps if c != "other"] == ["default", "ghat", "ghat", "ghat"]
 
 
 @pytest.mark.parametrize("pass_x0", [True, False], ids=["x0", "no-x0"])

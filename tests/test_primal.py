@@ -2,17 +2,14 @@
 
 import dataclasses
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from tcdl.errors import BelowX0Error, DomainError, MarketError, NoConsistentPriceSystemError
 from tcdl.market import binomial_market, build_market, market_to_dict, single_node_market
 from tcdl import primal as pr
 from tcdl import dual as du
-from tcdl import solver
 from tcdl import harness as hn
 from tcdl import utility as ut
 
@@ -195,6 +192,29 @@ def test_primal_marginal_matches_log_closed_form():
     assert pr.primal_marginal(model, LOG, 2.0) == pytest.approx(0.5, abs=1e-6)
 
 
+def test_shadow_cps_is_a_dual_point_up_to_the_solve():
+    # criterion 02's instances 2000..2007 at a report's three x: the pair
+    # read off each primal optimum meets the polytope's equalities to
+    # rounding and its inequalities to 1e-8 relative, and its leaf density
+    # is U'(w*) / E[U'(w*)]
+    combos = [(0.01, 2, 3), (0.1, 2, 3), (0.3, 3, 2), (0.3, 3, 3)]
+    for k in range(8):
+        lam, depth, branching = combos[k % 4]
+        model = hn.random_instance(2000 + k, depth=depth, branching=branching, lam=lam,
+                                   rho=0.3, max_attempts=600)
+        poly = du.cps_polytope(model)
+        x0 = du.compute_x0(model)
+        for spec in (LOG, ut.make_utility("power", 0.5)):
+            for sol in pr._solve_primals(model, spec, [x0 + 0.5, x0 + 2.0]):
+                z0, z1 = pr.shadow_cps(model, spec, sol)
+                z = np.concatenate([z0, z1])[:poly.n_vars]
+                assert np.abs(poly.A @ z - poly.b).max() <= 1e-12
+                assert (poly.G @ z - poly.h).max() <= 1e-8 * np.abs(z).max()
+                marginal = ut.u_prime(spec, sol.wealth)
+                density = marginal / (model.tree.leaf_prob() @ marginal)
+                assert np.allclose(poly.leaf_density(z0), density, rtol=1e-12, atol=0.0)
+
+
 def test_primal_curvature_is_the_derivative_of_its_gradient(monkeypatch):
     # the Hessian the primal program hands the solver, (1 - a) p U'(w) / w,
     # against a central difference of its gradient -p U'(w), at the leaf
@@ -326,12 +346,12 @@ def test_kept_argmax_is_handed_out_as_a_copy(monkeypatch):
 
 @pytest.mark.parametrize("g", [np.zeros(3), np.zeros(1), np.zeros((2, 3)), np.zeros((2, 2, 2)),
                                np.float64(0.0), [np.nan, 0.0], [0.0, np.inf],
-                               [[0.0, 0.0], [-np.inf, 0.0]]],
+                               [[0.0, 0.0], [-np.inf, 0.0]], np.zeros((2, 2))],
                          ids=["1d-long", "1d-short", "2d-long", "3d", "scalar", "nan", "inf",
-                              "2d-inf"])
+                              "2d-inf", "2d"])
 def test_malformed_claim_is_a_domain_error(g):
-    # a claim of another length than the leaf count, or with a non-finite
-    # entry, is refused before any LP, one claim or many
+    # a claim that is not one finite entry per leaf is refused before any
+    # LP, a well-formed 2-D array of claims included: each claim is its own LP
     model = with_costs()
     for call in (lambda: pr.max_min_wealth(model, 0.0, g), lambda: pr.is_attainable(model, g, 1.0)):
         with pytest.raises(DomainError, match="payoff"):
@@ -353,79 +373,3 @@ def test_lp_with_a_claim_is_solved_on_every_call(monkeypatch):
     pr.max_min_wealth(model, 0.0)
     pr.max_min_wealth(model, 0.0)
     assert len(calls) == 4
-
-
-def _own_lps(model, claims):
-    """Each claim's own one-claim LP: its value and argmax."""
-    return [pr.max_min_wealth(model, 0.0, g) for g in claims]
-
-
-def test_claims_share_one_sparse_lp(monkeypatch):
-    # 100 claims on a 121-node tree: one LP whose matrices store each
-    # claim's block once, as its own LP's nonzeros, so memory grows linearly
-    # in the claims (dense, each matrix would hold 2e8 entries, 1.6 GB)
-    model = hn.random_instance(7, depth=4, branching=3, lam=0.3, rho=0.2)
-    claims = np.random.default_rng(0).normal(size=(100, len(model.tree.leaves)))
-    calls = _counting_lps(monkeypatch)
-    own = _own_lps(model, claims[:3])
-    tracemalloc.start()
-    try:
-        values, us = pr.max_min_wealth(model, 0.0, claims)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(calls) == 4 and peak < 64e6
-    one, shared = calls[0], calls[3]
-    for name in ("A_ub", "A_eq"):
-        matrix = getattr(shared, name)
-        assert sparse.issparse(matrix)
-        assert matrix.nnz == 100 * np.count_nonzero(getattr(one, name))
-    assert values.shape == (100,) and us.shape == (100, one.c.size - 1)
-    for (value, _), shared_value in zip(own, values):
-        assert shared_value == pytest.approx(value, abs=1e-9)
-
-
-def test_shared_lp_without_a_solution_solves_each_claim_alone(monkeypatch):
-    # a shared LP HiGHS leaves indeterminate fails no claim its own LP
-    # would certify: each claim is solved alone and gets its own LP's result
-    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
-    claims = np.random.default_rng(1).normal(size=(3, len(model.tree.leaves)))
-    own = _own_lps(model, claims)
-    calls, solve_lp = [], pr.solve_lp
-
-    def shared_fails(lp):
-        calls.append(lp)
-        one = lp.c.size == own[0][1].size + 1
-        return solve_lp(lp) if one else solver.LpResult(status=solver.INDETERMINATE)
-
-    monkeypatch.setattr(pr, "solve_lp", shared_fails)
-    values, us = pr.max_min_wealth(model, 0.0, claims)
-    assert len(calls) == 4
-    assert values.tobytes() == np.array([v for v, _ in own]).tobytes()
-    assert us.tobytes() == np.array([u for _, u in own]).tobytes()
-
-
-def test_a_claim_failing_its_own_gates_is_solved_alone(monkeypatch):
-    # each block of the shared LP is held to its own LP's gates: a block
-    # whose margin t is off by 1e-6 fails them, and only that claim is
-    # solved again, alone
-    model = hn.random_instance(1, depth=3, branching=2, lam=0.3, rho=0.2)
-    claims = np.random.default_rng(2).normal(size=(3, len(model.tree.leaves)))
-    own = _own_lps(model, claims)
-    shared = pr.max_min_wealth(model, 0.0, claims)
-    n = own[0][1].size + 1
-    calls, solve_lp = [], pr.solve_lp
-
-    def nudged(lp):
-        calls.append(lp)
-        res = solve_lp(lp)
-        if lp.c.size > n:
-            res.z[2 * n - 1] += 1e-6
-        return res
-
-    monkeypatch.setattr(pr, "solve_lp", nudged)
-    values, us = pr.max_min_wealth(model, 0.0, claims)
-    assert len(calls) == 2 and calls[1].c.size == n
-    assert values[1] == own[1][0] and us[1].tobytes() == own[1][1].tobytes()
-    for k in (0, 2):
-        assert values[k] == shared[0][k] and us[k].tobytes() == shared[1][k].tobytes()

@@ -131,6 +131,9 @@ def test_convex_quadratic_with_equality():
     assert res.status == OPTIMAL
     expected = t + (1.0 - t.sum()) / 3.0
     assert np.allclose(res.z[0], expected, atol=1e-8)
+    # the equality multiplier closes the dual residual grad + A' nu
+    assert res.eq_duals.shape == (1, 1)
+    assert np.allclose(2.0 * (res.z[0] - t) + res.eq_duals[0], 0.0, atol=1e-8)
 
 
 def test_convex_entropy_on_simplex_matches_golden_section():
@@ -397,6 +400,7 @@ def test_batch_solves_each_problem_as_alone():
         assert alone.statuses == (batch.statuses[k],) and alone.status == batch.statuses[k]
         assert alone.iterations == batch.problem_iterations[k]
         assert np.array_equal(alone.z[0], batch.z[k])
+        assert np.array_equal(alone.eq_duals[0], batch.eq_duals[k])
         assert alone.value[0] == batch.value[k]
         assert alone.kkt_residual[0] == batch.kkt_residual[k]
     c, g = params[2][0], np.array(params[2][1:])
