@@ -2,17 +2,18 @@
 
 Couples the primal and dual sides: locates yhat with v'(yhat) + x = 0 in the
 optimal wealth t = I(y), where the equation is affine up to the drift of the
-optimal density, by fixed-point and secant steps (at most YHAT_MAX_SOLVES
-dual solves, then SolverIndeterminateError); recovers the primal optimizer
-from the root solve's density, checks complementary slackness, and
-assembles a full report (value grids, gaps, residuals) for a market
-instance.  A report makes three kinds of batched interior-point call: its
-dual grid, its primal solves over the x grid, and its yhat searches, which
-run in lockstep, one batched dual solve per search step over the x still
-searching.  A search warm-starts each solve from the previous optimum; a
-report's search starts its first from the primal optimum at its x, a one-x
-search from the interior point.  Each recovered payoff is certified by its
-own trade-side LP.
+optimal density, by fixed-point steps from the primal optimum at x (at most
+YHAT_MAX_SOLVES dual solves, then SolverIndeterminateError); recovers the
+primal optimizer from the root solve's density, checks complementary
+slackness, and assembles a full report (value grids, gaps, residuals) for a
+market instance.  A report makes three kinds of batched interior-point
+call: its dual grid, its primal solves over the x grid, and its yhat
+searches, which run in lockstep, one batched dual solve per search step
+over the x still searching.  Each search starts its first solve from the
+primal optimum at its x and warm-starts each later one from the previous
+optimum; the one-x ``find_yhat`` and ``recover_primal_from_dual`` solve the
+primal at their x first, so they give a report's x record bit for bit.
+Each recovered payoff is certified by its own trade-side LP.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -30,8 +31,7 @@ from . import dual as du
 from . import primal as pr
 from . import utility as ut
 from .errors import (
-    BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError, TcdlError,
-    unwrap,
+    BelowX0Error, ConfigError, MarketError, SolverIndeterminateError, TcdlError, unwrap,
 )
 from .market import (
     MarketModel, _integer, _mapping, _number, build_market, market_to_dict, read_json,
@@ -77,22 +77,21 @@ def model_hash(model: MarketModel) -> str:
 def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:
     """Root of v'(y) + x = 0, found in the optimal wealth t = I(y), y = U'(t).
 
-    For the shipped utilities I(y z) = I(y) I(z), so g(t) = v'(U'(t)) + x
-    equals -t E[z I(z)] + E[z e] + x, with z the optimal leaf density at
-    U'(t).  Were z fixed, the root would be T(z) = (x + E[z e]) / E[z I(z)].
-    The search starts at T of the polytope's interior density, then takes
-    secant steps on its last two (t, g) pairs, falling back to T of the
-    latest density when the secant step is not positive.  Every dual solve
-    runs at tolerance 1e-10, each after the first from 0.9 times the previous
-    optimum plus 0.1 times the interior point.  It stops at |g| <= 1e-9
-    (1 + |x|) and raises ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES``
-    dual solves.  Returns U'(T(z)) on the root solve's density z, the yhat
-    ``recover_primal_from_dual`` reports.  It is the one-x case of
-    ``_yhat_searches``, which runs the searches of many x in lockstep, and
-    starts from the interior point: only a report, which has solved the
-    primal at each x, starts its searches from those optima.
+    The one-x case of ``_yhat_searches``, started from the primal optimum at
+    x, which one ``primal._solve_primals`` call gives: an x at which the
+    primal raises (below x0, not finite, a stalled solve) raises that error.
+    A polytope with an empty relative interior raises before the primal is
+    solved.  Returns the yhat ``recover_primal_from_dual`` and a report
+    record at x, bit for bit.
     """
-    return unwrap(_yhat_searches(model, spec, [x]))[0][0]
+    return unwrap(_yhat_searches(model, spec, _primal_at(model, spec, x)))[0][0]
+
+
+def _primal_at(model: MarketModel, spec: ut.UtilitySpec, x: float) -> list:
+    """The one-x primal batch that starts ``find_yhat``'s and
+    ``recover_primal_from_dual``'s search, after the polytope's interior check."""
+    du.require_interior(du.cps_polytope(model))
+    return unwrap(pr._solve_primals(model, spec, [x]))
 
 
 def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
@@ -107,91 +106,85 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
     return float((x + pd @ e) / (pd @ ut.i_eval(spec, d)))
 
 
-def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                   primals: list | None = None) -> list:
-    """``find_yhat``'s search at each x of ``xs``, in lockstep: each search
-    step is one batched dual solve (``dual._solve_duals``) over the x still
-    searching, and an x leaves the batch when its search stops.  Each x keeps
-    its own t, secant pair, warm start and stop test.
+def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list:
+    """The yhat search at the x of each ``PrimalSolution`` in ``primals``, in
+    lockstep: each search step is one batched dual solve
+    (``dual._solve_duals``) over the x still searching, and an x leaves the
+    batch when its search stops.  Each x keeps its own y, warm start and
+    stop test.
 
-    ``primals``, the ``PrimalSolution`` at each x, starts each search from
-    its own optimum w*: by duality yhat = E[U'(w*)], and the pair (Z0*, Z1*)
-    that ``primal.shadow_cps`` reads off w* and the multipliers nu is the
-    dual optimizer up to the primal solve's residuals.  Its first t is T of
-    the leaf density U'(w*) / E[U'(w*)], and its first solve starts at 0.9
-    times (Z0*, Z1*), Z0* alone at lam = 0, plus 0.1 times the interior
-    point.  Where that start is not strictly inside G z < h, the x starts
-    from the interior point as ``find_yhat`` does.  The start only chooses
-    where the search begins: the dual optimizer is unique (acceptance
-    criterion 09), every solve runs to tolerance 1e-10, and the search stops
-    on its own test |v'(y) + x| <= 1e-9 (1 + |x|) whatever its start.
-    Returns per x its yhat, the dual solve at the root of its search, the
-    solves and interior-point iterations the search took and where it
-    started ("primal" or "interior"), or the error its own search raises."""
-    out = [None if np.isfinite(x) else DomainError(f"yhat search needs a finite x, got x={x!r}")
-           for x in xs]
-    if None not in out:
-        return out
+    For the shipped utilities I(y z) = I(y) I(z), so g(t) = v'(U'(t)) + x
+    equals -t E[z I(z)] + E[z e] + x, with z the optimal leaf density at
+    U'(t).  Were z fixed, the root would be T(z) = (x + E[z e]) / E[z I(z)]
+    (``_optimal_wealth``), and every step solves the dual at y = U'(T(z)) of
+    the latest density z.  Each x starts from its own primal optimum w*: by
+    duality yhat = E[U'(w*)], and the pair (Z0*, Z1*) that
+    ``primal.shadow_cps`` reads off w* and the multipliers nu is the dual
+    optimizer up to the primal solve's residuals.  Its first z is the leaf
+    density U'(w*) / E[U'(w*)], and its first solve starts at 0.9 times
+    (Z0*, Z1*), Z0* alone at lam = 0, plus 0.1 times the interior point.
+    Where that start is not strictly inside G z < h, the x starts from the
+    interior point and its density instead.  Every dual solve runs at
+    tolerance 1e-10, each after the first from 0.9 times the previous
+    optimum plus 0.1 times the interior point.  The start only chooses where
+    the search begins: the dual optimizer is unique (acceptance criterion
+    09), and the search stops on its own test |v'(y) + x| <= 1e-9 (1 + |x|),
+    or raises ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES`` dual
+    solves.  Returns per x its yhat, U'(T(z)) on the root solve's density z,
+    the dual solve at the root, the solves and interior-point iterations the
+    search took and where it started ("primal" or "interior"), or the error
+    its own search raises."""
     poly = du.cps_polytope(model)
-    x0 = du.compute_x0(model)
-    for k, x in enumerate(xs):
-        if out[k] is None and x <= x0:
-            out[k] = BelowX0Error(
-                f"below-x0: x={x} <= x0={x0}, the infimum of v(y)+xy is -infinity")
-    if None not in out:
-        return out
     interior = du.require_interior(poly)
     p = model.tree.leaf_prob()
     e = model.endowment_vector()
 
-    def start(k: int) -> tuple:
-        """x k's first t, its warm start and where it started."""
-        if primals is not None:
-            z0, z1 = pr.shadow_cps(model, spec, primals[k])
-            z = 0.9 * np.concatenate([z0, z1])[:poly.n_vars] + 0.1 * interior
-            if (poly.h - poly.G @ z).min() > 0:
-                return _optimal_wealth(spec, xs[k], p, e, poly.leaf_density(z0)), z, "primal"
-        return _optimal_wealth(spec, xs[k], p, e, poly.leaf_density(interior)), interior, "interior"
+    def next_y(x: float, d: np.ndarray) -> float:
+        """U'(T(d)) at x: the y of the fixed point of the leaf density d."""
+        return float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, d)))
 
-    # Per searching x: its t, its last (t, g) pair, its start and its iterations so far.
-    searching, started = {}, {}
-    for k, o in enumerate(out):
-        if o is None:
-            t, z, started[k] = start(k)
-            searching[k] = (t, None, z, 0)
+    # Per searching x: its next y, its warm start, its iterations so far and
+    # its last v'(y) + x.
+    out: list = [None] * len(primals)
+    searching, started = {}, []
+    for k, sol in enumerate(primals):
+        z0, z1 = pr.shadow_cps(model, spec, sol)
+        z = 0.9 * np.concatenate([z0, z1])[:poly.n_vars] + 0.1 * interior
+        inside = (poly.h - poly.G @ z).min() > 0
+        if not inside:
+            z0 = z = interior
+        searching[k] = (next_y(sol.x, poly.leaf_density(z0)), z, 0, None)
+        started.append("primal" if inside else "interior")
     for solves in range(1, YHAT_MAX_SOLVES + 1):
         ks = list(searching)
-        sols = du._solve_duals(model, spec, [ut.u_prime(spec, searching[k][0]) for k in ks],
-                               poly, np.array([searching[k][2] for k in ks]), 1e-10)
-        for k, sol in zip(ks, sols):
-            t, last, _, iterations = searching.pop(k)
-            if isinstance(sol, Exception):
-                out[k] = sol
+        sols = du._solve_duals(model, spec, [searching[k][0] for k in ks], poly,
+                               np.array([searching[k][1] for k in ks]), 1e-10)
+        for k, dsol in zip(ks, sols):
+            _, _, iterations, _ = searching.pop(k)
+            if isinstance(dsol, Exception):
+                out[k] = dsol
                 continue
-            x = xs[k]
-            iterations += sol.iterations
-            g = sol.derivative + x
+            x = primals[k].x
+            iterations += dsol.iterations
+            g = dsol.derivative + x
+            # At the stop, U'(T(z)) corrects yhat holding the leaf densities
+            # fixed, so that the recovered payoff has E[z0 ghat] = 0: the dual
+            # derivative carries a small flat-direction bias that would
+            # otherwise leak into it.
+            y = next_y(x, dsol.z0_T)
             if abs(g) <= YHAT_STOP * (1.0 + abs(x)):
-                # Correct yhat holding the leaf densities fixed, so that the
-                # recovered payoff has E[z0 ghat] = 0: the dual derivative
-                # carries a small flat-direction bias that would otherwise
-                # leak into it.
-                yhat = float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, sol.z0_T)))
-                out[k] = (yhat, sol, solves, iterations, started[k])
+                out[k] = (y, dsol, solves, iterations, started[k])
                 continue
-            secant = last is not None and g != last[1]
-            step = t - g * (t - last[0]) / (g - last[1]) if secant else 0.0
-            if not 0.0 < step < np.inf:
-                step = _optimal_wealth(spec, x, p, e, sol.z0_T)
             # Near-degenerate polytopes leave flat directions in the dual
             # objective; a cold start pins the leaf densities only loosely
             # along them.
-            searching[k] = (step, (t, g), 0.9 * sol.z + 0.1 * interior, iterations)
+            searching[k] = (y, 0.9 * dsol.z + 0.1 * interior, iterations, g)
         if not searching:
             break
-    for k, (_, (_, g), _, _) in searching.items():
+    for k, (_, _, _, g) in searching.items():
+        stop = YHAT_STOP * (1.0 + abs(primals[k].x))
         out[k] = SolverIndeterminateError(
-            f"yhat search: |v'(y) + x| = {abs(g):.3e} above {YHAT_STOP * (1.0 + abs(xs[k])):.3e} "
+            f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
             f"after {YHAT_MAX_SOLVES} dual solves")
     return out
 
@@ -214,30 +207,30 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual.
 
     yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
-    search, which starts from the interior point, so the recovery makes no
-    dual solve of its own.  It is the one-x case of ``_recoveries``.
-    ``polytope`` and ``x0`` are unread, kept only for the benchmark's calls.
+    search, which starts from the primal optimum at x, so the recovery makes
+    no dual solve of its own.  It is the one-x case of ``_recoveries``, and
+    equals a report's recovery at x bit for bit.  ``polytope`` and ``x0``
+    are unread, kept only for the benchmark's calls.
     """
-    return unwrap(_recoveries(model, spec, [x]))[0]
+    return unwrap(_recoveries(model, spec, _primal_at(model, spec, x)))[0]
 
 
-def _recoveries(model: MarketModel, spec: ut.UtilitySpec, xs: list,
-                primals: list | None = None) -> list:
-    """``recover_primal_from_dual`` at each x of ``xs``: the yhat searches run
-    in lockstep (``_yhat_searches``, each x starting from its own optimum in
-    ``primals`` when given), and each claim ghat whose search ended is
+def _recoveries(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list:
+    """``recover_primal_from_dual`` at the x of each ``PrimalSolution`` in
+    ``primals``: the yhat searches run in lockstep (``_yhat_searches``, each
+    x from its own optimum), and each claim ghat whose search ended is
     certified, and its strategy built, by its own max-min LP.  Per x its
     ``RecoveryResult``, or the error its own search raises."""
     tree = model.tree
     e = model.endowment_vector()
     p = tree.leaf_prob()
     n = tree.n_nodes
-    out = _yhat_searches(model, spec, xs, primals)
+    out = _yhat_searches(model, spec, primals)
     for k, found in enumerate(out):
         if isinstance(found, Exception):
             continue
         yhat, dsol, solves, iterations, start = found
-        x = xs[k]
+        x = primals[k].x
         ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
         # The margin max_u min_leaf (C u - ghat) is minus the superreplication
         # price of ghat, and the argmax u generates a payoff dominating ghat up
@@ -352,22 +345,21 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
         report.add_check("x0_matches_large_y_slope", err <= tol["x0_slope"], err,
                          tol["x0_slope"], location=f"y={ys[-1]:g}")
 
-    # One batched primal solve over the x above x0, then the recoveries of
-    # the x it solved, their yhat searches in lockstep.  Each x meets its own
-    # failure where its own solves would have raised it.
+    # One batched primal solve over the x grid, then the recoveries of the x
+    # it solved, their yhat searches in lockstep.  Each x meets its own
+    # failure where its own solves would have raised it; an x the primal
+    # refuses as below x0 is recorded so, and one outside its domain raises.
     xs = [float(x) for x in x_grid]
-    above = [k for k, x in enumerate(xs) if x > x0 + 1e-12]
-    primals = dict(zip(above, pr._solve_primals(model, spec, [xs[k] for k in above])))
-    solved = [k for k in above if not isinstance(primals[k], Exception)]
-    recoveries = dict(zip(solved, _recoveries(model, spec, [xs[k] for k in solved],
-                                              [primals[k] for k in solved])))
+    primals = pr._solve_primals(model, spec, xs)
+    solved = [k for k, sol in enumerate(primals) if not isinstance(sol, Exception)]
+    recoveries = dict(zip(solved, _recoveries(model, spec, [primals[k] for k in solved])))
     for k, x in enumerate(xs):
-        if k not in primals:
+        if isinstance(primals[k], BelowX0Error):
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})
             continue
         try:
             psol, rec = unwrap([primals[k], recoveries.get(k)])
-        except (BelowX0Error, SolverIndeterminateError) as exc:
+        except SolverIndeterminateError as exc:
             report.add_check("pipeline", False, float("nan"), 0.0,
                              location=f"x={x:g}: {exc}")
             report.x_records.append({"x": x, "status": "failed", "error": str(exc)})

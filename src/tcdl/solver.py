@@ -16,11 +16,13 @@ image X z (+inf outside its open domain; the line search backtracks into
 the domain).  The primal's X is the trade-to-wealth map, the dual's the
 leaf selector.  A report's dual grid is one batch (q holding y), its primal
 solves another (q holding x, a start per x) and each step of its yhat
-searches a third (a warm start per x).  The state has one row per problem
-and every product is taken row by row (``np.matvec``, ``np.vecmat``,
-``np.vecdot``), so a problem's iterates do not depend on its batch.  Each
-step factors one reduced KKT matrix K = [[H, A'], [A, 0]] per problem,
-whose upper-left block is one Gram over the stacked rows:
+searches a third (a warm start per x, the first read off that x's primal
+optimum); a one-x recovery makes the last two for its one x.  The state
+has one row per problem and every product is taken row by row
+(``np.matvec``, ``np.vecmat``, ``np.vecdot``), so a problem's iterates do
+not depend on its batch.  Each step factors one reduced KKT matrix
+K = [[H, A'], [A, 0]] per problem, whose upper-left block is one Gram over
+the stacked rows:
 
     H = X' diag(value'') X + G' diag(lam/s) G = [X; G]' diag([value''; lam/s]) [X; G].
 
