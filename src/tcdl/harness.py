@@ -133,7 +133,10 @@ def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> l
     solves.  Returns per x its yhat, U'(T(z)) on the root solve's density z,
     the dual solve at the root, the solves and interior-point iterations the
     search took and where it started ("primal" or "interior"), or the error
-    its own search raises."""
+    its own search raises.  An empty batch returns [] without building the
+    polytope."""
+    if not primals:
+        return []
     poly = du.cps_polytope(model)
     interior = du.require_interior(poly)
     p = model.tree.leaf_prob()
@@ -209,8 +212,9 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
     yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
     search, which starts from the primal optimum at x, so the recovery makes
     no dual solve of its own.  It is the one-x case of ``_recoveries``, and
-    equals a report's recovery at x bit for bit.  ``polytope`` and ``x0``
-    are unread, kept only for the benchmark's calls.
+    equals a report's recovery at x bit for bit.  A primal solve that fails
+    at x fails the recovery with the primal's error.  ``polytope`` and
+    ``x0`` are unread, kept only for the benchmark's calls.
     """
     return unwrap(_recoveries(model, spec, _primal_at(model, spec, x)))[0]
 

@@ -328,6 +328,34 @@ def test_conjugacy_check_reports_a_failed_x(monkeypatch):
     assert all(c["passed"] for c in report.checks if c["name"] != "pipeline")
 
 
+def test_conjugacy_check_records_a_grid_with_no_x_above_x0():
+    # no x reaches a yhat search: the empty batch searches nothing, and the
+    # report still records the x as below x0
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x0 = du.compute_x0(model)
+    report = hn.conjugacy_check(model, LOG, [x0 - 0.1], [0.5, 1.0, 2.0])
+    assert report.x_records == [{"x": x0 - 0.1, "status": "below-x0", "u": "-inf"}]
+    assert report.passed
+
+
+def test_conjugacy_check_records_a_one_x_grid_whose_primal_fails(monkeypatch):
+    # the only x's primal fails, so no x reaches a yhat search: the x gets its
+    # failed record and the report fails its pipeline check
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    x = du.compute_x0(model) + 1.0
+
+    def failing(model, spec, batch, *args, **kwargs):
+        return [SolverIndeterminateError("primal solve: solver status numerically-indeterminate")
+                for _ in batch]
+
+    monkeypatch.setattr(pr, "_solve_primals", failing)
+    report = hn.conjugacy_check(model, LOG, [x], [0.5, 1.0, 2.0])
+    assert [r["status"] for r in report.x_records] == ["failed"]
+    assert "numerically-indeterminate" in report.x_records[0]["error"]
+    assert [c["passed"] for c in report.checks if c["name"] == "pipeline"] == [False]
+    assert not report.passed
+
+
 @pytest.mark.parametrize("side, fail_tol", [("primal", 1e-9), ("yhat search", 1e-10)])
 def test_a_failed_row_fails_only_its_own_x(monkeypatch, side, fail_tol):
     # the middle x's row of the batched primal solve, or of the first lockstep
@@ -499,6 +527,23 @@ def test_recovery_certifies_instance_103012_under_power(offset):
     # recovery certifies, and closes the duality gap with the primal
     spec = ut.make_utility("power", 0.5)
     model = hn.random_instance(103012, 2, 3, lam=0.01, rho=0.3, max_attempts=600)
+    x0 = du.compute_x0(model)
+    x = x0 + 0.05 * (1.0 + abs(x0)) + offset
+    rec = hn.recover_primal_from_dual(model, spec, x)
+    u = pr.solve_primal(model, spec, x).value
+    tol = hn.DEFAULT_TOLERANCES
+    assert rec.attainable and rec.yhat_start == "primal"
+    assert rec.primal.value >= u - tol["recovery"]
+    assert abs(u - (rec.dual.value + x * rec.yhat)) <= tol["strong_duality"] * (1.0 + abs(u))
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.0, 2.0])
+def test_recovery_certifies_a_frictionless_instance_under_power(offset):
+    # a lam = 0 tree whose yhat search from the interior point stalls on its
+    # first dual solve at these three x; from the primal optimum one dual
+    # solve lands on the root and the recovery certifies
+    spec = ut.make_utility("power", 0.5)
+    model = hn.random_instance(500, 1, 3, lam=0.0, rho=0.2)
     x0 = du.compute_x0(model)
     x = x0 + 0.05 * (1.0 + abs(x0)) + offset
     rec = hn.recover_primal_from_dual(model, spec, x)
