@@ -108,8 +108,22 @@ class CpsPolytope:
 
 
 def cps_polytope(model: MarketModel) -> CpsPolytope:
-    """Build the polytope and probe it, by a phase-1 LP solved once per model object
-    (``MarketModel._phase1``): emptiness flag plus a strict interior point, handed out as a copy."""
+    """The polytope, built and probed by a phase-1 LP once per model object
+    (``MarketModel._phase1``), G and A kept by their nonzero entries (1.1 MB
+    dense at 121 nodes); hands out fresh matrices and a copy of the interior point."""
+    if "cps" not in model._phase1:
+        model._phase1["cps"] = _probed_polytope(model)
+    nv, reduced, G, h, A, b, nonempty, interior, margin = model._phase1["cps"]
+    # Each entry lands once at its flat index, so the sums are the entries.
+    G, A = (np.bincount(at, entries, rows * cols).reshape(rows, cols)
+            for (rows, cols), at, entries in (G, A))
+    return CpsPolytope(model, nv, reduced, G, h.copy(), A, b.copy(), nonempty=nonempty,
+                       interior=None if interior is None else interior.copy(),
+                       interior_margin=margin)
+
+
+def _probed_polytope(model: MarketModel) -> tuple:
+    """``cps_polytope``'s kept fields, G and A as shape, flat indices and entries."""
     tree = model.tree
     n = tree.n_nodes
     s = model.ask()
@@ -158,27 +172,23 @@ def cps_polytope(model: MarketModel) -> CpsPolytope:
     h = np.zeros(G.shape[0])
 
     # Phase 1: maximize the scaled slack margin over the polytope.
-    if "cps" not in model._phase1:
-        G1 = np.hstack([G, scales[:, None]])
-        A1 = np.hstack([A, np.zeros((A.shape[0], 1))])
-        c1 = np.zeros(nv + 1)
-        c1[-1] = 1.0
-        lb = np.full(nv + 1, -np.inf)
-        lb[-1] = -1.0
-        ub = np.full(nv + 1, np.inf)
-        ub[-1] = 0.1
-        res = solve_lp(LinearProgram(c=c1, A_ub=G1, b_ub=h, A_eq=A1, b_eq=b,
-                                     lb=lb, ub=ub, sense="max"))
-        if res.status == INFEASIBLE:
-            model._phase1["cps"] = (False, None, -np.inf)
-        else:
-            margin = float(require_optimal(res, "CPS polytope phase-1 LP").z[-1])
-            model._phase1["cps"] = (margin >= -1e-11,
-                                    res.z[:-1].copy() if margin > 1e-9 else None, margin)
-    nonempty, interior, margin = model._phase1["cps"]
-    return CpsPolytope(model, nv, reduced, G, h, A, b, nonempty=nonempty,
-                       interior=None if interior is None else interior.copy(),
-                       interior_margin=margin)
+    G1 = np.hstack([G, scales[:, None]])
+    A1 = np.hstack([A, np.zeros((A.shape[0], 1))])
+    c1 = np.zeros(nv + 1)
+    c1[-1] = 1.0
+    lb = np.full(nv + 1, -np.inf)
+    lb[-1] = -1.0
+    ub = np.full(nv + 1, np.inf)
+    ub[-1] = 0.1
+    res = solve_lp(LinearProgram(c=c1, A_ub=G1, b_ub=h, A_eq=A1, b_eq=b,
+                                 lb=lb, ub=ub, sense="max"))
+    if res.status == INFEASIBLE:
+        nonempty, interior, margin = False, None, -np.inf
+    else:
+        margin = float(require_optimal(res, "CPS polytope phase-1 LP").z[-1])
+        nonempty, interior = margin >= -1e-11, res.z[:-1].copy() if margin > 1e-9 else None
+    G, A = ((M.shape, np.flatnonzero(M), M[M != 0]) for M in (G, A))
+    return nv, reduced, G, h, A, b, nonempty, interior, margin
 
 
 def _require_nonempty(poly: CpsPolytope):

@@ -11,8 +11,8 @@ call: its dual grid, its primal solves over the x grid, and its yhat
 searches, which run in lockstep, one batched dual solve per search step
 over the x still searching.  Each search starts its first solve from the
 primal optimum at its x and warm-starts each later one from the previous
-optimum; the one-x ``find_yhat`` and ``recover_primal_from_dual`` solve the
-primal at their x first, so they give a report's x record bit for bit.
+optimum; ``find_yhat`` and ``recover_primal_from_dual`` start from the kept
+(or a new) primal solve at their x, so they give a report's x record bit for bit.
 Each recovered payoff is certified by its own trade-side LP.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
@@ -78,20 +78,24 @@ def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:
     """Root of v'(y) + x = 0, found in the optimal wealth t = I(y), y = U'(t).
 
     The one-x case of ``_yhat_searches``, started from the primal optimum at
-    x, which one ``primal._solve_primals`` call gives: an x at which the
-    primal raises (below x0, not finite, a stalled solve) raises that error.
-    A polytope with an empty relative interior raises before the primal is
-    solved.  Returns the yhat ``recover_primal_from_dual`` and a report
-    record at x, bit for bit.
+    x (``_primal_at``: the solve kept on the model object, or a new one): an x
+    at which the primal raises (below x0, not finite, a stalled solve) raises
+    that error.  A polytope with an empty relative interior raises before the
+    primal is solved.  Returns the yhat ``recover_primal_from_dual`` and a
+    report record at x, bit for bit.
     """
     return unwrap(_yhat_searches(model, spec, _primal_at(model, spec, x)))[0][0]
 
 
 def _primal_at(model: MarketModel, spec: ut.UtilitySpec, x: float) -> list:
     """The one-x primal batch that starts ``find_yhat``'s and
-    ``recover_primal_from_dual``'s search, after the polytope's interior check."""
+    ``recover_primal_from_dual``'s search, after the polytope's interior check:
+    a copy of the solve kept at exactly (spec, x), else a new one, which it keeps."""
     du.require_interior(du.cps_polytope(model))
-    return unwrap(pr._solve_primals(model, spec, [x]))
+    kept = model._phase1.get("primal")
+    if kept is None or kept[:2] != (spec, x):
+        kept = model._phase1["primal"] = (spec, x, unwrap(pr._solve_primals(model, spec, [x]))[0])
+    return [pr._copied(kept[2])]
 
 
 def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
@@ -211,10 +215,11 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
 
     yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
     search, which starts from the primal optimum at x, so the recovery makes
-    no dual solve of its own.  It is the one-x case of ``_recoveries``, and
-    equals a report's recovery at x bit for bit.  A primal solve that fails
-    at x fails the recovery with the primal's error.  ``polytope`` and
-    ``x0`` are unread, kept only for the benchmark's calls.
+    no dual solve of its own, nor, after ``solve_primal`` at this (spec, x) on
+    this model object, a primal one.  It is the one-x case of ``_recoveries``,
+    and equals a report's recovery at x bit for bit.  A primal solve that fails
+    at x fails the recovery with the primal's error.  ``polytope`` and ``x0``
+    are unread, kept only for the benchmark's calls.
     """
     return unwrap(_recoveries(model, spec, _primal_at(model, spec, x)))[0]
 

@@ -298,11 +298,11 @@ class MarketModel:
     """Scenario tree with ask prices, proportional cost level, and endowment.
 
     ``lam = 0`` is allowed as a frictionless baseline.  ``rho`` is the sup
-    norm of the terminal endowment.  ``_phase1`` holds the two LP outcomes
-    kept per object, ``primal.max_min_wealth``'s and ``dual.cps_polytope``'s
-    phase 1, an empty polytope's verdict included; a solve that raises keeps
-    nothing.  It takes no part in equality, hashing or repr, and a new object
-    starts without it.
+    norm of the terminal endowment.  ``_phase1`` keeps per object the outcomes
+    of ``primal.max_min_wealth``'s and ``dual.cps_polytope``'s phase-1 LPs, an
+    empty polytope's verdict and its matrices included, and the last one-x
+    primal solve; a solve that raises keeps nothing.  It takes no part in
+    equality, hashing or repr, and a new object starts without it.
     """
 
     tree: ScenarioTree

@@ -16,7 +16,7 @@ imposes a bound on liquidation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -254,8 +254,18 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
                  tie_break: bool = False) -> PrimalSolution:
     """Maximize expected utility of terminal liquidation wealth from capital x,
     from the argmax of ``max_min_wealth(model, 0)``, whose LP is solved once
-    per model object; the one-problem case of ``_solve_primals``."""
-    return unwrap(_solve_primals(model, spec, [x], tie_break))[0]
+    per model object; the one-problem case of ``_solve_primals``.  It always
+    solves; without the tie break it keeps a copy of its solution on the model
+    object, ``_phase1["primal"] = (spec, x, solution)``, for ``harness._primal_at``."""
+    sol = unwrap(_solve_primals(model, spec, [x], tie_break))[0]
+    if not tie_break:
+        model._phase1["primal"] = (spec, x, _copied(sol))
+    return sol
+
+
+def _copied(sol: PrimalSolution) -> PrimalSolution:
+    """``sol`` with its own copies of ``ghat``, ``wealth`` and ``nu``."""
+    return replace(sol, ghat=sol.ghat.copy(), wealth=sol.wealth.copy(), nu=sol.nu.copy())
 
 
 def _solve_primals(model: MarketModel, spec: ut.UtilitySpec, xs: list,

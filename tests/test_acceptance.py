@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
-from tcdl.errors import BelowX0Error, SolverIndeterminateError, unwrap
+from tcdl.errors import BelowX0Error, SolverIndeterminateError
 from tcdl.market import binomial_market
 from tcdl import dual as du
 from tcdl import harness as hn
@@ -80,8 +80,8 @@ def duality_runs():
             for offset in (0.5, 1.0, 2.0):
                 x = x0 + margin + offset
                 psol = pr.solve_primal(model, spec, x)
-                # recover_primal_from_dual at x, from the primal already solved
-                rec = unwrap(hn._recoveries(model, spec, [psol]))[0]
+                # the recovery at x starts from the primal solve just made
+                rec = hn.recover_primal_from_dual(model, spec, x)
                 slack = hn.slackness_check(model, rec.primal, rec.dual)
                 gap = psol.value - (rec.dual.value + x * rec.yhat)
                 records.append({

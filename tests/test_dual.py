@@ -423,6 +423,25 @@ def test_kept_interior_point_is_handed_out_as_a_copy(monkeypatch):
     assert sol.z.tobytes() == expected.z.tobytes() and sol.value == expected.value
 
 
+def test_kept_matrices_are_handed_out_fresh(monkeypatch):
+    # the polytope's matrices are kept by their nonzero entries: each call
+    # hands out its own dense G, h, A and b, so writing into one leaves the
+    # next call's polytope and the dual solves that read it unchanged
+    model = binomial_market(4.0, 8.0, 2.0, lam=0.1, endowment=(0.25, -0.5))
+    expected = du.solve_dual(dataclasses.replace(model), LOG, 1.0)
+    poly = du.cps_polytope(model)
+    want = {name: getattr(poly, name).copy() for name in "GhAb"}
+    for name in want:
+        getattr(poly, name)[...] = 7.0
+    lps = _counting_phase1(monkeypatch)
+    again = du.cps_polytope(model)
+    for name, matrix in want.items():
+        assert getattr(again, name).tobytes() == matrix.tobytes(), name
+    sol = du.solve_dual(model, LOG, 1.0)
+    assert lps == []
+    assert sol.z.tobytes() == expected.z.tobytes() and sol.value == expected.value
+
+
 def test_trade_lp_refuses_exactly_the_markets_without_cps():
     # LP duality: the max-min wealth LP is unbounded iff the closed CPS
     # polytope is empty.  600 draws, 10 per (lam, depth, branching), the first

@@ -894,3 +894,99 @@ def test_criterion_02_run_solves_two_lps(monkeypatch, pass_x0):
     rec = hn.recover_primal_from_dual(model, LOG, x, **({"x0": x0} if pass_x0 else {}))
     assert lps == ["default", "ghat"]
     assert rec.attainable and psol.value - rec.primal.value <= hn.DEFAULT_TOLERANCES["recovery"]
+
+
+def _counting_primal_ipm(monkeypatch) -> list:
+    """The batch size of each primal interior-point call from here on."""
+    calls = []
+    solve = pr.solve_convex
+
+    def counting(cp, tol=1e-8):
+        calls.append(len(cp.params))
+        return solve(cp, tol=tol)
+
+    monkeypatch.setattr(pr, "solve_convex", counting)
+    return calls
+
+
+def _kept_instance():
+    """A fresh 15-node model object and an x above its x0."""
+    model = hn.random_instance(2002, depth=3, branching=2, lam=0.3, rho=0.3, max_attempts=600)
+    x0 = du.compute_x0(model)
+    return model, x0 + hn.X0_MARGIN_COEFF * (1.0 + abs(x0)) + 0.5
+
+
+def test_recovery_after_solve_primal_reuses_its_solve(monkeypatch):
+    # solve_primal keeps its solve on the model object: the recovery and
+    # find_yhat at the same (spec, x) make no primal interior-point call
+    model, x = _kept_instance()
+    pr.solve_primal(model, LOG, x)
+    calls = _counting_primal_ipm(monkeypatch)
+    rec = hn.recover_primal_from_dual(model, LOG, x)
+    assert hn.find_yhat(model, LOG, x) == rec.yhat
+    assert calls == []
+
+
+def test_reused_primal_recovers_what_a_fresh_object_recovers(monkeypatch):
+    # the kept solve stands in for one the recovery would make itself: an
+    # equal new object, with nothing kept, recovers the same bit for bit
+    model, x = _kept_instance()
+    pr.solve_primal(model, LOG, x)
+    calls = _counting_primal_ipm(monkeypatch)
+    kept = hn.recover_primal_from_dual(model, LOG, x)
+    fresh = hn.recover_primal_from_dual(dataclasses.replace(model), LOG, x)
+    assert calls == [1]
+    assert (kept.yhat, kept.yhat_dual_solves, kept.yhat_ipm_iterations, kept.yhat_start) == (
+        fresh.yhat, fresh.yhat_dual_solves, fresh.yhat_ipm_iterations, fresh.yhat_start)
+    assert kept.dual.z.tobytes() == fresh.dual.z.tobytes()
+    assert kept.primal.ghat.tobytes() == fresh.primal.ghat.tobytes()
+    assert _identical(kept, fresh)
+
+
+@pytest.mark.parametrize("change", ["x", "utility", "tie_break", "object"])
+def test_recovery_solves_afresh_unless_its_x_was_kept(monkeypatch, change):
+    # a kept solve is read only at exactly its (spec, x) on its own object,
+    # and a tie-broken solve is not kept
+    model, x = _kept_instance()
+    pr.solve_primal(model, ut.make_utility("power", 0.5) if change == "utility" else LOG,
+                    np.nextafter(x, np.inf) if change == "x" else x,
+                    tie_break=change == "tie_break")
+    target = dataclasses.replace(model) if change == "object" else model
+    calls = _counting_primal_ipm(monkeypatch)
+    hn.recover_primal_from_dual(target, LOG, x)
+    assert calls == [1]
+    # the recovery keeps the solve it made
+    hn.find_yhat(target, LOG, x)
+    assert calls == [1]
+
+
+def test_writing_into_a_primal_solution_leaves_the_kept_one_unchanged(monkeypatch):
+    # solve_primal and the recovery's start hand out copies of the kept solve
+    model, x = _kept_instance()
+    expected = hn.recover_primal_from_dual(dataclasses.replace(model), LOG, x)
+    sol = pr.solve_primal(model, LOG, x)
+    for array in (sol.ghat, sol.wealth, sol.nu):
+        array[:] = 7.0
+    calls = _counting_primal_ipm(monkeypatch)
+    assert _identical(hn.recover_primal_from_dual(model, LOG, x), expected)
+    start = hn._primal_at(model, LOG, x)[0]
+    for array in (start.ghat, start.wealth, start.nu):
+        array[:] = 7.0
+    assert _identical(hn.recover_primal_from_dual(model, LOG, x), expected)
+    assert calls == []
+
+
+def test_a_primal_solve_that_raises_keeps_nothing():
+    # below x0 neither solve_primal nor the recovery's own solve keeps
+    # anything, and an earlier kept solve stays
+    model, x = _kept_instance()
+    below = du.compute_x0(model) - 1e-3
+    with pytest.raises(BelowX0Error):
+        pr.solve_primal(model, LOG, below)
+    assert "primal" not in model._phase1
+    pr.solve_primal(model, LOG, x)
+    kept = model._phase1["primal"]
+    for solve in (pr.solve_primal, hn.recover_primal_from_dual):
+        with pytest.raises(BelowX0Error):
+            solve(model, LOG, below)
+        assert model._phase1["primal"] is kept

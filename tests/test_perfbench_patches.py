@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,11 +20,17 @@ TRACER = PERFBENCH / "tracer.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def _patches():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[name] = module
     spec.loader.exec_module(module)
-    return module.PATCHES
+    return module
+
+
+def _patches():
+    return _load("perfbench_tracer", TRACER).PATCHES
 
 
 @pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in _patches()])
@@ -96,3 +103,31 @@ def test_solve_convex_results_fit_the_tracer(monkeypatch):
         assert type(res.iterations) is int
         assert res.iterations == sum(int(i) for i in res.problem_iterations)
     assert results[0].iterations == sum(sol.iterations for sol in grid)
+
+
+def test_sweep_item_solves_the_primal_once(monkeypatch):
+    # a recovery-sweep item calls solve_primal and then recovers at the same
+    # x, which reuses that solve: one primal interior-point solve per item
+    from tcdl import dual, harness, primal
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    sweep = workloads.RecoverySweep()
+    instances = []
+    for k in (0, 2):
+        lam, depth, branching = workloads.COMBOS[k]
+        model = harness.random_instance(workloads.SWEEP_POOL_BASE + k, depth=depth,
+                                        branching=branching, lam=lam,
+                                        rho=workloads.SWEEP_RHO, max_attempts=600)
+        poly = dual.cps_polytope(model)
+        instances.append((model, poly, dual.compute_x0(model, poly)))
+    calls = []
+    for module in (primal, dual):
+        solve = module.solve_convex
+        monkeypatch.setattr(module, "solve_convex",
+                            lambda cp, tol=1e-8, module=module, solve=solve:
+                            calls.append(module.__name__) or solve(cp, tol=tol))
+    state = {"instances": instances}
+    for item in ((0, workloads.LOG, 0.5), (1, workloads.POWER, 1.0)):
+        calls.clear()
+        assert sweep.run_item(state, item).ok
+        assert calls.count("tcdl.primal") == 1, item
+        assert calls.count("tcdl.dual") >= 1, item
