@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from tcdl import dual as du
+from tcdl import harness as hn
 from tcdl import primal as pr
 from tcdl import solver
 from tcdl import utility as ut
@@ -19,11 +21,12 @@ from tcdl.solver import (
     UNBOUNDED,
     ConvexProgram,
     LinearProgram,
+    LpResult,
     require_optimal,
     solve_convex,
     solve_lp,
 )
-from tcdl.errors import SolverIndeterminateError
+from tcdl.errors import DomainError, SolverIndeterminateError
 
 from oracles import (
     binomial_cps_polytope_matrices,
@@ -98,6 +101,191 @@ def test_lp_deterministic():
     second = solve_lp(LinearProgram(c=c, A_ub=G, b_ub=h, lb=None, sense="max"))
     assert first.value == second.value
     assert np.array_equal(first.z, second.z)
+
+
+def test_lp_refuses_an_unknown_sense():
+    for sense in ("maximize", "MAX", "Min", ""):
+        with pytest.raises(DomainError, match="sense"):
+            solve_lp(LinearProgram(c=np.array([1.0]), ub=1.0, sense=sense))
+    # max of z on [0, 1] is 1, not the minimum 0
+    assert solve_lp(LinearProgram(c=np.array([1.0]), ub=1.0, sense="max")).value == 1.0
+
+
+def _malformed(**change):
+    """A well-posed two-variable LP with one field replaced."""
+    fields = dict(c=np.array([1.0, 2.0]),
+                  A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([3.0]),
+                  A_eq=np.array([[1.0, -1.0]]), b_eq=np.array([0.5]),
+                  lb=0.0, ub=np.array([5.0, 5.0]))
+    fields.update(change)
+    return LinearProgram(**fields)
+
+
+@pytest.mark.parametrize("lp", [
+    _malformed(b_ub=np.array([np.nan])),
+    _malformed(b_ub=np.array([np.inf])),
+    _malformed(b_eq=np.array([-np.inf])),
+    _malformed(A_ub=np.array([[1.0, np.nan]])),
+    _malformed(A_eq=np.array([[np.inf, 1.0]])),
+    _malformed(A_ub=np.array([[1.0, 1.0, 1.0]])),
+    _malformed(A_ub=np.array([1.0, 1.0])),
+    _malformed(b_ub=np.array([3.0, 4.0])),
+    _malformed(b_eq=None),
+    _malformed(A_eq=None),
+    _malformed(lb=np.zeros(3)),
+    _malformed(ub=np.array([1.0, np.nan])),
+    _malformed(c=np.array([1.0, np.inf])),
+    _malformed(c=np.zeros((2, 1))),
+], ids=["b_ub-nan", "b_ub-inf", "b_eq-inf", "A_ub-nan", "A_eq-inf", "A_ub-columns",
+        "A_ub-1d", "b_ub-length", "b_eq-missing", "A_eq-missing", "lb-length", "ub-nan",
+        "c-inf", "c-2d"])
+def test_lp_malformed_input_raises_domain_error(lp):
+    with pytest.raises(DomainError, match="LP"):
+        solve_lp(lp)
+
+
+def test_lp_infinite_bounds_stay_legal():
+    res = solve_lp(_malformed(lb=np.array([-np.inf, 0.0]), ub=np.inf))
+    assert res.status == OPTIMAL
+    # z1 = 0.5 + z2 and the objective 0.5 + 3 z2: z2 sits at its bound 0
+    assert res.value == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(res.z, [0.5, 0.0], atol=1e-12)
+
+
+def test_lp_highs_errors_are_indeterminate(monkeypatch):
+    # an infinite lower bound of +inf is a HiGHS model error, which linprog
+    # reported as infeasible; an option HiGHS refuses is an error too
+    assert solve_lp(LinearProgram(c=np.array([1.0]), lb=np.inf)).status == INDETERMINATE
+    assert linprog([1.0], bounds=[(np.inf, np.inf)], method="highs").status == 2
+    options = solver._highs_options()
+    options.presolve = "sometimes"
+    monkeypatch.setattr(solver, "_HIGHS_OPTIONS", options)
+    assert solve_lp(_malformed()).status == INDETERMINATE
+
+
+def _linprog_reference(lp: LinearProgram) -> LpResult:
+    """``solve_lp`` as it stood on ``scipy.optimize.linprog(method="highs")``."""
+    c = np.asarray(lp.c, dtype=float)
+    n = c.size
+    sign = -1.0 if lp.sense == "max" else 1.0
+    bounds = np.empty((n, 2))
+    bounds[:, 0] = -np.inf if lp.lb is None else lp.lb
+    bounds[:, 1] = np.inf if lp.ub is None else lp.ub
+    res = linprog(sign * c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status in (2, 3):
+        return LpResult(status=INFEASIBLE if res.status == 2 else UNBOUNDED)
+    if res.status != 0:
+        return LpResult(status=INDETERMINATE)
+    z, value = np.asarray(res.x), sign * res.fun
+    lam = -np.asarray(res.ineqlin.marginals) if lp.A_ub is not None else None
+    nu = -np.asarray(res.eqlin.marginals) if lp.A_eq is not None else None
+    residuals, feas = {}, 0.0
+    if lp.A_ub is not None:
+        slack = np.asarray(lp.b_ub) - lp.A_ub @ z
+        feas = max(feas, float(max(0.0, -slack.min(initial=0.0))))
+        residuals["comp_slack"] = float(np.max(np.abs(lam * slack), initial=0.0))
+    if lp.A_eq is not None:
+        feas = max(feas, float(np.max(np.abs(lp.A_eq @ z - lp.b_eq), initial=0.0)))
+    residuals["primal_feasibility"] = feas
+    dual_obj = 0.0
+    if lp.b_ub is not None and lam is not None:
+        dual_obj -= float(lam @ np.asarray(lp.b_ub))
+    if lp.b_eq is not None and nu is not None:
+        dual_obj -= float(nu @ np.asarray(lp.b_eq))
+    for side, marginals in ((0, res.lower.marginals), (1, res.upper.marginals)):
+        finite = np.isfinite(bounds[:, side])
+        dual_obj += float(np.asarray(marginals)[finite] @ bounds[finite, side])
+    gap = abs(sign * value - dual_obj) / (1.0 + abs(value))
+    residuals["duality_gap"] = float(gap)
+    ok = (feas <= 1e-9
+          and residuals.get("comp_slack", 0.0) <= 1e-8 * (1.0 + float(np.abs(z).max(initial=0.0)))
+          and gap <= 1e-8)
+    return LpResult(status=OPTIMAL if ok else INDETERMINATE, z=z, value=float(value),
+                    ineq_duals=lam, eq_duals=nu, residuals=residuals)
+
+
+def _assert_same_as_linprog(lp: LinearProgram) -> str:
+    ours, ref = solve_lp(lp), _linprog_reference(lp)
+    assert ours.status == ref.status
+    for name in ("z", "ineq_duals", "eq_duals"):
+        a, b = getattr(ours, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    assert ours.value == ref.value or (ours.value is None and ref.value is None)
+    assert ours.residuals == ref.residuals
+    return ours.status
+
+
+def _small_lps():
+    """The LPs of this file's tests above, and degenerate and infeasible-and-unbounded ones."""
+    yield LinearProgram(c=np.array([1.0, 1.0]), A_ub=np.array([[1.0, 2.0]]),
+                        b_ub=np.array([1.0]), sense="max")
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        n = 4
+        A_eq = rng.normal(size=(1, n))
+        G = np.vstack([-np.eye(n), np.eye(n), rng.normal(size=(2, n))])
+        h = np.concatenate([np.zeros(n), np.full(n, 2.0), np.abs(rng.normal(size=2)) + 1.0])
+        yield LinearProgram(c=rng.normal(size=n), A_ub=G, b_ub=h, A_eq=A_eq,
+                            b_eq=np.array([1.0]), lb=None, sense="max")
+    yield LinearProgram(c=np.array([1.0]), A_ub=np.array([[1.0], [-1.0]]),
+                        b_ub=np.array([-1.0, -1.0]), lb=None)
+    yield LinearProgram(c=np.array([1.0, 0.0]), lb=None, sense="max")
+    yield LinearProgram(c=np.array([3.0, 1.0, 4.0]), A_eq=np.array([[1.0, 1.0, 1.0]]),
+                        b_eq=np.array([1.0]))
+    # primal degenerate: three constraints active at the optimum (1, 1)
+    yield LinearProgram(c=np.array([1.0, 1.0]),
+                        A_ub=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                        b_ub=np.array([1.0, 1.0, 2.0]), sense="max")
+    # dual degenerate: every point of z1 + z2 = 1, z >= 0 is optimal
+    yield LinearProgram(c=np.array([1.0, 1.0]), A_ub=np.array([[1.0, 1.0]]),
+                        b_ub=np.array([1.0]), sense="max")
+    # infeasible (z2 <= -1, z2 >= 0) and unbounded (z1 -> inf)
+    yield LinearProgram(c=np.array([-1.0, 0.0]), A_ub=np.array([[-1.0, 0.0], [0.0, 1.0]]),
+                        b_ub=np.array([0.0, -1.0]))
+
+
+def test_lp_small_cases_match_linprog_bit_for_bit():
+    statuses = [_assert_same_as_linprog(lp) for lp in _small_lps()]
+    assert statuses[26:] == [INFEASIBLE, UNBOUNDED, OPTIMAL, OPTIMAL, OPTIMAL, INFEASIBLE]
+    assert statuses[:26].count(OPTIMAL) >= 20
+
+
+def _recorded_lps(run) -> list:
+    """Every LinearProgram ``run()`` hands to the dual's and the primal's ``solve_lp``."""
+    lps = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (du, pr):
+            mp.setattr(module, "solve_lp", lambda lp: lps.append(lp) or solve_lp(lp))
+        run()
+    return lps
+
+
+# Criterion 02's instances 2000 + k, one per COMBO, and a 121-node tree.
+@pytest.mark.parametrize("seed, depth, branching, lam, rho", [
+    (2000, 2, 3, 0.01, 0.3), (2001, 2, 3, 0.1, 0.3), (2002, 3, 2, 0.3, 0.3),
+    (2003, 3, 3, 0.3, 0.3), (1, 4, 3, 0.3, 0.2),
+])
+def test_lp_model_lps_match_linprog_bit_for_bit(seed, depth, branching, lam, rho):
+    # the polytope's phase-1 LP (random_instance's check for a CPS), x0's
+    # max-min LP, a recovery's certificate and the minimal-turnover tie break
+    log = ut.make_utility("log")
+
+    def run():
+        model = hn.random_instance(seed, depth, branching, lam=lam, rho=rho, max_attempts=600)
+        x = du.compute_x0(model) + 1.0
+        pr.solve_primal(model, log, x)
+        assert hn.recover_primal_from_dual(model, log, x).attainable
+        pr.solve_primal(model, log, x, tie_break=True)
+
+    lps = _recorded_lps(run)
+    assert len(lps) == 4
+    assert [_assert_same_as_linprog(lp) for lp in lps] == [OPTIMAL] * 4
 
 
 def test_binomial_price_polytope_against_oracle():
