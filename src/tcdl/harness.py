@@ -7,13 +7,15 @@ YHAT_MAX_SOLVES dual solves, then SolverIndeterminateError); recovers the
 primal optimizer from the root solve's density, checks complementary
 slackness, and assembles a full report (value grids, gaps, residuals) for a
 market instance.  A report makes three kinds of batched interior-point
-call: its dual grid, its primal solves over the x grid, and its yhat
-searches, which run in lockstep, one batched dual solve per search step
-over the x still searching.  Each search starts its first solve from the
-primal optimum at its x and warm-starts each later one from the previous
-optimum; ``find_yhat`` and ``recover_primal_from_dual`` start from the kept
-(or a new) primal solve at their x, so they give a report's x record bit for bit.
-Each recovered payoff is certified by its own trade-side LP.
+call: its dual grid, its primal solves over the x grid, and the steps of
+its recoveries, whose yhat searches run in lockstep, one batched dual solve
+per step over the x still searching.  Each search starts its first solve
+from the primal optimum at its x and warm-starts each later one from the
+previous optimum; the moment it stops, its recovered payoff is certified by
+its own trade-side LP.  ``recover_primal_from_dual`` is the one-x case,
+started from the kept (or a new) primal solve at its x
+(``primal._kept_solve``), so it gives a report's x record bit for bit, and
+``find_yhat`` returns its yhat.
 Also provides the seeded random-instance generator and the CLI's selftest driver.
 """
 
@@ -31,7 +33,8 @@ from . import dual as du
 from . import primal as pr
 from . import utility as ut
 from .errors import (
-    BelowX0Error, ConfigError, MarketError, SolverIndeterminateError, TcdlError, unwrap,
+    BelowX0Error, ConfigError, DomainError, MarketError, SolverIndeterminateError, TcdlError,
+    unwrap,
 )
 from .market import (
     MarketModel, _integer, _mapping, _number, build_market, market_to_dict, read_json,
@@ -77,25 +80,10 @@ def model_hash(model: MarketModel) -> str:
 def find_yhat(model: MarketModel, spec: ut.UtilitySpec, x: float) -> float:
     """Root of v'(y) + x = 0, found in the optimal wealth t = I(y), y = U'(t).
 
-    The one-x case of ``_yhat_searches``, started from the primal optimum at
-    x (``_primal_at``: the solve kept on the model object, or a new one): an x
-    at which the primal raises (below x0, not finite, a stalled solve) raises
-    that error.  A polytope with an empty relative interior raises before the
-    primal is solved.  Returns the yhat ``recover_primal_from_dual`` and a
-    report record at x, bit for bit.
+    The yhat of ``recover_primal_from_dual`` at x, which also solves that
+    recovery's certificate LP, and raises what the recovery raises.
     """
-    return unwrap(_yhat_searches(model, spec, _primal_at(model, spec, x)))[0][0]
-
-
-def _primal_at(model: MarketModel, spec: ut.UtilitySpec, x: float) -> list:
-    """The one-x primal batch that starts ``find_yhat``'s and
-    ``recover_primal_from_dual``'s search, after the polytope's interior check:
-    a copy of the solve kept at exactly (spec, x), else a new one, which it keeps."""
-    du.require_interior(du.cps_polytope(model))
-    kept = model._phase1.get("primal")
-    if kept is None or kept[:2] != (spec, x):
-        kept = model._phase1["primal"] = (spec, x, unwrap(pr._solve_primals(model, spec, [x]))[0])
-    return [pr._copied(kept[2])]
+    return recover_primal_from_dual(model, spec, x).yhat
 
 
 def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray,
@@ -108,92 +96,6 @@ def _optimal_wealth(spec: ut.UtilitySpec, x: float, p: np.ndarray, e: np.ndarray
     """
     pd = p * d
     return float((x + pd @ e) / (pd @ ut.i_eval(spec, d)))
-
-
-def _yhat_searches(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list:
-    """The yhat search at the x of each ``PrimalSolution`` in ``primals``, in
-    lockstep: each search step is one batched dual solve
-    (``dual._solve_duals``) over the x still searching, and an x leaves the
-    batch when its search stops.  Each x keeps its own y, warm start and
-    stop test.
-
-    For the shipped utilities I(y z) = I(y) I(z), so g(t) = v'(U'(t)) + x
-    equals -t E[z I(z)] + E[z e] + x, with z the optimal leaf density at
-    U'(t).  Were z fixed, the root would be T(z) = (x + E[z e]) / E[z I(z)]
-    (``_optimal_wealth``), and every step solves the dual at y = U'(T(z)) of
-    the latest density z.  Each x starts from its own primal optimum w*: by
-    duality yhat = E[U'(w*)], and the pair (Z0*, Z1*) that
-    ``primal.shadow_cps`` reads off w* and the multipliers nu is the dual
-    optimizer up to the primal solve's residuals.  Its first z is the leaf
-    density U'(w*) / E[U'(w*)], and its first solve starts at 0.9 times
-    (Z0*, Z1*), Z0* alone at lam = 0, plus 0.1 times the interior point.
-    Where that start is not strictly inside G z < h, the x starts from the
-    interior point and its density instead.  Every dual solve runs at
-    tolerance 1e-10, each after the first from 0.9 times the previous
-    optimum plus 0.1 times the interior point.  The start only chooses where
-    the search begins: the dual optimizer is unique (acceptance criterion
-    09), and the search stops on its own test |v'(y) + x| <= 1e-9 (1 + |x|),
-    or raises ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES`` dual
-    solves.  Returns per x its yhat, U'(T(z)) on the root solve's density z,
-    the dual solve at the root, the solves and interior-point iterations the
-    search took and where it started ("primal" or "interior"), or the error
-    its own search raises.  An empty batch returns [] without building the
-    polytope."""
-    if not primals:
-        return []
-    poly = du.cps_polytope(model)
-    interior = du.require_interior(poly)
-    p = model.tree.leaf_prob()
-    e = model.endowment_vector()
-
-    def next_y(x: float, d: np.ndarray) -> float:
-        """U'(T(d)) at x: the y of the fixed point of the leaf density d."""
-        return float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, d)))
-
-    # Per searching x: its next y, its warm start, its iterations so far and
-    # its last v'(y) + x.
-    out: list = [None] * len(primals)
-    searching, started = {}, []
-    for k, sol in enumerate(primals):
-        z0, z1 = pr.shadow_cps(model, spec, sol)
-        z = 0.9 * np.concatenate([z0, z1])[:poly.n_vars] + 0.1 * interior
-        inside = (poly.h - poly.G @ z).min() > 0
-        if not inside:
-            z0 = z = interior
-        searching[k] = (next_y(sol.x, poly.leaf_density(z0)), z, 0, None)
-        started.append("primal" if inside else "interior")
-    for solves in range(1, YHAT_MAX_SOLVES + 1):
-        ks = list(searching)
-        sols = du._solve_duals(model, spec, [searching[k][0] for k in ks], poly,
-                               np.array([searching[k][1] for k in ks]), 1e-10)
-        for k, dsol in zip(ks, sols):
-            _, _, iterations, _ = searching.pop(k)
-            if isinstance(dsol, Exception):
-                out[k] = dsol
-                continue
-            x = primals[k].x
-            iterations += dsol.iterations
-            g = dsol.derivative + x
-            # At the stop, U'(T(z)) corrects yhat holding the leaf densities
-            # fixed, so that the recovered payoff has E[z0 ghat] = 0: the dual
-            # derivative carries a small flat-direction bias that would
-            # otherwise leak into it.
-            y = next_y(x, dsol.z0_T)
-            if abs(g) <= YHAT_STOP * (1.0 + abs(x)):
-                out[k] = (y, dsol, solves, iterations, started[k])
-                continue
-            # Near-degenerate polytopes leave flat directions in the dual
-            # objective; a cold start pins the leaf densities only loosely
-            # along them.
-            searching[k] = (y, 0.9 * dsol.z + 0.1 * interior, iterations, g)
-        if not searching:
-            break
-    for k, (_, _, _, g) in searching.items():
-        stop = YHAT_STOP * (1.0 + abs(primals[k].x))
-        out[k] = SolverIndeterminateError(
-            f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
-            f"after {YHAT_MAX_SOLVES} dual solves")
-    return out
 
 
 @dataclass
@@ -213,48 +115,121 @@ def recover_primal_from_dual(model: MarketModel, spec: ut.UtilitySpec, x: float,
                              x0: float | None = None) -> RecoveryResult:
     """Reconstruct the primal optimizer ghat = I(yhat z0_T) - x - e_T from the dual.
 
-    yhat and z0_T come from the dual solve at the root of ``find_yhat``'s
-    search, which starts from the primal optimum at x, so the recovery makes
-    no dual solve of its own, nor, after ``solve_primal`` at this (spec, x) on
-    this model object, a primal one.  It is the one-x case of ``_recoveries``,
-    and equals a report's recovery at x bit for bit.  A primal solve that fails
-    at x fails the recovery with the primal's error.  ``polytope`` and ``x0``
-    are unread, kept only for the benchmark's calls.
+    The one-x case of ``_recoveries``, started from ``primal._kept_solve`` at
+    x (the solve ``solve_primal`` kept at this (spec, x) on this model
+    object, else a new one) after the polytope's interior check, so it makes
+    no dual solve beyond its yhat search, and equals a report's recovery at
+    x bit for bit.  A polytope with an empty relative interior raises first,
+    then an x at which the primal raises (below x0, not finite, a stalled
+    solve) raises that error.  ``polytope`` and ``x0`` are unread, kept only
+    for the benchmark's calls.
     """
-    return unwrap(_recoveries(model, spec, _primal_at(model, spec, x)))[0]
+    du.require_interior(du.cps_polytope(model))
+    return unwrap(_recoveries(model, spec, [pr._kept_solve(model, spec, x)]))[0]
 
 
 def _recoveries(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list:
-    """``recover_primal_from_dual`` at the x of each ``PrimalSolution`` in
-    ``primals``: the yhat searches run in lockstep (``_yhat_searches``, each
-    x from its own optimum), and each claim ghat whose search ended is
-    certified, and its strategy built, by its own max-min LP.  Per x its
-    ``RecoveryResult``, or the error its own search raises."""
-    tree = model.tree
+    """``recover_primal_from_dual`` at each x of ``primals``, a primal batch
+    as ``primal._solve_primals`` returns it: an x whose primal raised keeps
+    that error as its outcome.
+
+    The yhat searches of the solved x run in lockstep: each search step is
+    one batched dual solve (``dual._solve_duals``) over the x still
+    searching, and each x keeps its own y, warm start and stop test.  For
+    the shipped utilities I(y z) = I(y) I(z), so g(t) = v'(U'(t)) + x equals
+    -t E[z I(z)] + E[z e] + x, with z the optimal leaf density at U'(t).
+    Were z fixed, the root would be T(z) = (x + E[z e]) / E[z I(z)]
+    (``_optimal_wealth``), and every step solves the dual at y = U'(T(z)) of
+    the latest density z.  Each x starts from its own primal optimum w*: by
+    duality yhat = E[U'(w*)], and the pair (Z0*, Z1*) that
+    ``primal.shadow_cps`` reads off w* and the multipliers nu is the dual
+    optimizer up to the primal solve's residuals.  Its first z is the leaf
+    density U'(w*) / E[U'(w*)], and its first solve starts at 0.9 times
+    (Z0*, Z1*), Z0* alone at lam = 0, plus 0.1 times the interior point.
+    Where that start is not strictly inside G z < h, the x starts from the
+    interior point and its density instead.  Every dual solve runs at
+    tolerance 1e-10, each after the first from 0.9 times the previous
+    optimum plus 0.1 times the interior point.  The start only chooses where
+    the search begins: the dual optimizer is unique (acceptance criterion
+    09), and the search stops on its own test |v'(y) + x| <= 1e-9 (1 + |x|),
+    or fails with ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES`` dual
+    solves.
+
+    The moment an x's search stops, its yhat is U'(T(z)) on the root
+    solve's density z, and its claim ghat is certified, and its strategy
+    built, by its own max-min LP.  Per x its ``RecoveryResult``, or the
+    error its primal or its own search raised.  A batch without a solved x
+    returns without building the polytope."""
+    out = list(primals)
+    if all(isinstance(sol, Exception) for sol in primals):
+        return out
+    poly = du.cps_polytope(model)
+    interior = du.require_interior(poly)
+    p = model.tree.leaf_prob()
     e = model.endowment_vector()
-    p = tree.leaf_prob()
-    n = tree.n_nodes
-    out = _yhat_searches(model, spec, primals)
-    for k, found in enumerate(out):
-        if isinstance(found, Exception):
+    n = model.tree.n_nodes
+
+    def next_y(x: float, d: np.ndarray) -> float:
+        """U'(T(d)) at x: the y of the fixed point of the leaf density d."""
+        return float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, d)))
+
+    # Per searching x: its next y, its warm start, where it started, its
+    # iterations so far and its last v'(y) + x.
+    searching = {}
+    for k, sol in enumerate(primals):
+        if isinstance(sol, Exception):
             continue
-        yhat, dsol, solves, iterations, start = found
-        x = primals[k].x
-        ghat = ut.i_eval(spec, yhat * dsol.z0_T) - x - e
-        # The margin max_u min_leaf (C u - ghat) is minus the superreplication
-        # price of ghat, and the argmax u generates a payoff dominating ghat up
-        # to that margin.
-        margin, u = pr.max_min_wealth(model, 0.0, ghat)
-        wealth = x + ghat + e
-        psol = pr.PrimalSolution(
-            x=float(x), strategy=pr.strategy_from_trades(model, x, u[:n], u[n:]), ghat=ghat,
-            wealth=wealth, value=float(p @ ut.u_eval(spec, wealth)),
-            kkt_residual=float("nan"), iterations=0,
-        )
-        out[k] = RecoveryResult(yhat=yhat, dual=dsol, primal=psol,
-                                attainable=bool(margin >= -ATTAINABILITY_TOL),
-                                attainability_slack=-float(margin), yhat_dual_solves=solves,
-                                yhat_ipm_iterations=iterations, yhat_start=start)
+        z0, z1 = pr.shadow_cps(model, spec, sol)
+        z = 0.9 * np.concatenate([z0, z1])[:poly.n_vars] + 0.1 * interior
+        start = "primal" if (poly.h - poly.G @ z).min() > 0 else "interior"
+        if start == "interior":
+            z0 = z = interior
+        searching[k] = (next_y(sol.x, poly.leaf_density(z0)), z, start, 0, None)
+    for solves in range(1, YHAT_MAX_SOLVES + 1):
+        ks = list(searching)
+        sols = du._solve_duals(model, spec, [searching[k][0] for k in ks], poly,
+                               np.array([searching[k][1] for k in ks]), 1e-10)
+        for k, dsol in zip(ks, sols):
+            _, _, start, iterations, _ = searching.pop(k)
+            if isinstance(dsol, Exception):
+                out[k] = dsol
+                continue
+            x = primals[k].x
+            iterations += dsol.iterations
+            g = dsol.derivative + x
+            # At the stop, U'(T(z)) corrects yhat holding the leaf densities
+            # fixed, so that the recovered payoff has E[z0 ghat] = 0: the dual
+            # derivative carries a small flat-direction bias that would
+            # otherwise leak into it.
+            y = next_y(x, dsol.z0_T)
+            if not abs(g) <= YHAT_STOP * (1.0 + abs(x)):
+                # Near-degenerate polytopes leave flat directions in the dual
+                # objective; a cold start pins the leaf densities only loosely
+                # along them.
+                searching[k] = (y, 0.9 * dsol.z + 0.1 * interior, start, iterations, g)
+                continue
+            ghat = ut.i_eval(spec, y * dsol.z0_T) - x - e
+            # The margin max_u min_leaf (C u - ghat) is minus the superreplication
+            # price of ghat, and the argmax u generates a payoff dominating ghat up
+            # to that margin.
+            margin, u = pr.max_min_wealth(model, 0.0, ghat)
+            wealth = x + ghat + e
+            psol = pr.PrimalSolution(
+                x=float(x), strategy=pr.strategy_from_trades(model, x, u[:n], u[n:]),
+                ghat=ghat, wealth=wealth, value=float(p @ ut.u_eval(spec, wealth)),
+                kkt_residual=float("nan"), iterations=0,
+            )
+            out[k] = RecoveryResult(yhat=y, dual=dsol, primal=psol,
+                                    attainable=bool(margin >= -ATTAINABILITY_TOL),
+                                    attainability_slack=-float(margin), yhat_dual_solves=solves,
+                                    yhat_ipm_iterations=iterations, yhat_start=start)
+        if not searching:
+            break
+    for k, (_, _, _, _, g) in searching.items():
+        stop = YHAT_STOP * (1.0 + abs(primals[k].x))
+        out[k] = SolverIndeterminateError(
+            f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
+            f"after {YHAT_MAX_SOLVES} dual solves")
     return out
 
 
@@ -315,11 +290,16 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
-    monotonicity and large-y slope checks read it in that order.  Its two
-    phase-1 LPs, the CPS polytope's (dual grid and yhat searches) and the
-    trade side's (x0 and the primal start), are solved once per model object.
+    monotonicity and large-y slope checks read it in that order, and a y
+    that appears twice is a ``DomainError`` naming it.  Its two phase-1 LPs,
+    the CPS polytope's (dual grid and yhat searches) and the trade side's
+    (x0 and the primal start), are solved once per model object.
     """
     tol = DEFAULT_TOLERANCES
+    y_grid = np.sort(y_grid)
+    repeated = y_grid[1:][np.diff(y_grid) == 0]
+    if repeated.size:
+        raise DomainError(f"y grid repeats y={float(repeated[0])!r}")
     x0 = du.compute_x0(model)
     p = model.tree.leaf_prob()
     report = DualityReport(metadata=dict(metadata or {}), x0=x0)
@@ -328,7 +308,7 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     report.metadata["lambda"] = model.lam
     report.metadata["rho"] = model.rho
 
-    y_solutions = du.dual_grid(model, spec, np.sort(y_grid))
+    y_solutions = du.dual_grid(model, spec, y_grid)
     for sol in y_solutions:
         report.y_records.append({
             "y": sol.y, "v": sol.value, "v_prime": sol.derivative,
@@ -354,25 +334,22 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
         report.add_check("x0_matches_large_y_slope", err <= tol["x0_slope"], err,
                          tol["x0_slope"], location=f"y={ys[-1]:g}")
 
-    # One batched primal solve over the x grid, then the recoveries of the x
-    # it solved, their yhat searches in lockstep.  Each x meets its own
-    # failure where its own solves would have raised it; an x the primal
-    # refuses as below x0 is recorded so, and one outside its domain raises.
+    # One batched primal solve over the x grid, then the recoveries, their
+    # yhat searches in lockstep.  Each x meets its own failure where its own
+    # solves would have raised it; an x the primal refuses as below x0 is
+    # recorded so, and one outside its domain raises.
     xs = [float(x) for x in x_grid]
     primals = pr._solve_primals(model, spec, xs)
-    solved = [k for k, sol in enumerate(primals) if not isinstance(sol, Exception)]
-    recoveries = dict(zip(solved, _recoveries(model, spec, [primals[k] for k in solved])))
-    for k, x in enumerate(xs):
-        if isinstance(primals[k], BelowX0Error):
+    for x, psol, rec in zip(xs, primals, _recoveries(model, spec, primals)):
+        if isinstance(rec, BelowX0Error):
             report.x_records.append({"x": x, "status": "below-x0", "u": "-inf"})
             continue
-        try:
-            psol, rec = unwrap([primals[k], recoveries.get(k)])
-        except SolverIndeterminateError as exc:
+        if isinstance(rec, SolverIndeterminateError):
             report.add_check("pipeline", False, float("nan"), 0.0,
-                             location=f"x={x:g}: {exc}")
-            report.x_records.append({"x": x, "status": "failed", "error": str(exc)})
+                             location=f"x={x:g}: {rec}")
+            report.x_records.append({"x": x, "status": "failed", "error": str(rec)})
             continue
+        unwrap([rec])
         yhat, dsol = rec.yhat, rec.dual
         u_val = psol.value
         gap = u_val - (dsol.value + x * yhat)

@@ -7,8 +7,12 @@ derived from each other and cross-checked.  A market adds a strictly
 positive ask price per node, a proportional cost level ``lam`` (selling at
 the bid ``(1 - lam) * S``), and a terminal endowment per leaf.
 
-Both ``ScenarioTree`` and ``MarketModel`` are frozen after construction and
-safe to share between workers.
+The fields of ``ScenarioTree`` and ``MarketModel`` are frozen after
+construction.  ``MarketModel._phase1`` is not: it is a per-object store of
+solves that fills on first use, in the process that uses the object, and a
+pickled copy carries what it held then.  A selftest worker process receives
+only its seed and output directory and builds its own market, so no store
+crosses processes there.
 """
 
 from __future__ import annotations

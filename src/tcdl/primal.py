@@ -256,11 +256,22 @@ def solve_primal(model: MarketModel, spec: ut.UtilitySpec, x: float,
     from the argmax of ``max_min_wealth(model, 0)``, whose LP is solved once
     per model object; the one-problem case of ``_solve_primals``.  It always
     solves; without the tie break it keeps a copy of its solution on the model
-    object, ``_phase1["primal"] = (spec, x, solution)``, for ``harness._primal_at``."""
+    object, ``_phase1["primal"] = (spec, x, solution)``, for ``_kept_solve``."""
     sol = unwrap(_solve_primals(model, spec, [x], tie_break))[0]
     if not tie_break:
         model._phase1["primal"] = (spec, x, _copied(sol))
     return sol
+
+
+def _kept_solve(model: MarketModel, spec: ut.UtilitySpec, x: float) -> PrimalSolution:
+    """A copy of the primal solve kept on the model object at exactly (spec, x),
+    else a new solve, which it keeps in its place; the start of a one-x
+    recovery.  An x at which the primal raises raises that error, and keeps
+    nothing."""
+    kept = model._phase1.get("primal")
+    if kept is None or kept[:2] != (spec, x):
+        kept = model._phase1["primal"] = (spec, x, unwrap(_solve_primals(model, spec, [x]))[0])
+    return _copied(kept[2])
 
 
 def _copied(sol: PrimalSolution) -> PrimalSolution:

@@ -32,7 +32,9 @@ the domain).  The primal's X is the trade-to-wealth map, the dual's the
 leaf selector.  A report's dual grid is one batch (q holding y), its primal
 solves another (q holding x, a start per x) and each step of its yhat
 searches a third (a warm start per x, the first read off that x's primal
-optimum); a one-x recovery makes the last two for its one x.  The state
+optimum).  A one-x recovery makes the search steps for its one x, and the
+primal solve too unless ``solve_primal`` kept one at the same (utility, x)
+on the model object.  The state
 has one row per problem and every product is taken row by row
 (``np.matvec``, ``np.vecmat``, ``np.vecdot``), so a problem's iterates do
 not depend on its batch.  Each step factors one reduced KKT matrix

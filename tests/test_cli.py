@@ -159,9 +159,12 @@ _SMALL_REPORT = {"seed": {"seed": 1, "depth": 1, "branching": 2, "lambda": 0.1, 
      "config field 'y_grid.n' must be at least 1, got 0"),
     ({"x_grid": [1.0], "x_offsets": [0.5]},
      "config must name at most one of 'x_grid' or 'x_offsets'"),
+    ({"y_grid": [1.0, 1000.0, 1000.0]}, "y grid repeats y=1000.0"),
+    ({"y_grid": {"min": 2, "max": 2, "n": 3}}, "y grid repeats y=2.0"),
 ], ids=["seed-abc", "x-grid-q", "seed-5", "x-offsets-scalar", "utility-5", "y-min-0",
         "check-marginals-string", "unknown-key", "x-grid-huge-integer", "branching-0",
-        "rho-negative", "y-grid-n-huge", "y-grid-n-2-63", "y-grid-n-0", "x-grid-and-offsets"])
+        "rho-negative", "y-grid-n-huge", "y-grid-n-2-63", "y-grid-n-0", "x-grid-and-offsets",
+        "y-grid-repeated", "y-grid-min-equals-max"])
 def test_malformed_report_config_exits_2(tmp_path, out, capsys, change, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL_REPORT, **change)))

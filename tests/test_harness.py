@@ -328,6 +328,17 @@ def test_conjugacy_check_reports_a_failed_x(monkeypatch):
     assert all(c["passed"] for c in report.checks if c["name"] != "pipeline")
 
 
+def test_a_repeated_y_is_an_input_error():
+    # a y grid that holds a point twice divides by zero in the convexity
+    # and slope checks: after sorting, the report refuses it by name
+    model = hn.random_instance(1, 3, 2, lam=0.3, rho=0.2)
+    x0 = du.compute_x0(model)
+    with pytest.raises(DomainError, match=r"y grid repeats y=1000\.0$"):
+        hn.conjugacy_check(model, LOG, [x0 + 1], [1, 1000, 1000])
+    with pytest.raises(DomainError, match=r"y grid repeats y=2\.0$"):
+        hn.run_experiment({"seed": {"seed": 1}, "y_grid": {"min": 2, "max": 2, "n": 3}})
+
+
 def test_conjugacy_check_records_a_grid_with_no_x_above_x0():
     # no x reaches a yhat search: the empty batch searches nothing, and the
     # report still records the x as below x0
@@ -444,6 +455,22 @@ def test_batches_over_x_equal_the_per_x_solves(monkeypatch, spec):
     # under log only 2017's three searches differ in length
     assert stalled is (spec.label() == "power:0.5")
     assert spread
+
+
+def test_recoveries_keep_each_primal_error_as_its_own_outcome():
+    # a primal batch with one x below x0, one whose primal failed and two
+    # solved x: each error comes back, the same object, as its own x's
+    # outcome, and each solved x recovers, bit for bit, what its one-x
+    # recovery gives
+    model, _ = hn._generate_instance(1, 3, 2, 0.3, 0.2)
+    xs = [du.compute_x0(model) - 0.1] + _default_xs(model)
+    primals = pr._solve_primals(model, LOG, xs)
+    primals[2] = SolverIndeterminateError("primal solve: solver status numerically-indeterminate")
+    assert isinstance(primals[0], BelowX0Error)
+    recs = hn._recoveries(model, LOG, primals)
+    assert recs[0] is primals[0] and recs[2] is primals[2]
+    for k in (1, 3):
+        assert _identical(recs[k], hn.recover_primal_from_dual(model, LOG, xs[k])), k
 
 
 def test_report_x_records_equal_the_one_x_recoveries():
@@ -927,6 +954,28 @@ def test_recovery_after_solve_primal_reuses_its_solve(monkeypatch):
     assert calls == []
 
 
+def test_recovery_after_solve_primal_makes_only_its_search_and_certificate(monkeypatch):
+    # with the polytope, the x0 LP and the primal solve kept on the model
+    # object, a recovery makes its search's dual solves and one LP, the
+    # certificate of its ghat, and no primal interior-point call
+    model, x = _kept_instance()
+    pr.solve_primal(model, LOG, x)
+    lps = _counting_lps(monkeypatch)
+    calls = _counting_primal_ipm(monkeypatch)
+    duals = []
+    solve = du._solve_duals
+
+    def counting(model, spec, ys, *args):
+        duals.extend(ys)
+        return solve(model, spec, ys, *args)
+
+    monkeypatch.setattr(du, "_solve_duals", counting)
+    rec = hn.recover_primal_from_dual(model, LOG, x)
+    assert lps == ["ghat"]
+    assert calls == []
+    assert len(duals) == rec.yhat_dual_solves
+
+
 def test_reused_primal_recovers_what_a_fresh_object_recovers(monkeypatch):
     # the kept solve stands in for one the recovery would make itself: an
     # equal new object, with nothing kept, recovers the same bit for bit
@@ -969,7 +1018,7 @@ def test_writing_into_a_primal_solution_leaves_the_kept_one_unchanged(monkeypatc
         array[:] = 7.0
     calls = _counting_primal_ipm(monkeypatch)
     assert _identical(hn.recover_primal_from_dual(model, LOG, x), expected)
-    start = hn._primal_at(model, LOG, x)[0]
+    start = pr._kept_solve(model, LOG, x)
     for array in (start.ghat, start.wealth, start.nu):
         array[:] = 7.0
     assert _identical(hn.recover_primal_from_dual(model, LOG, x), expected)
