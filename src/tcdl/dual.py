@@ -260,11 +260,35 @@ def solve_dual(model: MarketModel, spec: ut.UtilitySpec, y: float,
     return unwrap(_solve_duals(model, spec, [y], poly, starts, tol))[0]
 
 
+def trade_multipliers(poly: CpsPolytope, y: float, buy, sell) -> np.ndarray:
+    """Multipliers of the rows ``G z <= h`` of a polytope with lam > 0 for the
+    dual objective E[V(y Z0_T)] + y E[Z0_T e_T], read off the primal
+    optimum's per-node trades ``buy`` and ``sell``: y P_k buy_k on node k's
+    ask row z1 <= S z0, y P_k sell_k on its bid row z1 >= (1 - lam) S z0
+    and 0 on its sign rows, with P_k the node's probability.
+
+    By complementary slackness a node buys only where Z1 = S Z0 and sells
+    only where Z1 = (1 - lam) S Z0 (``primal.shadow_cps``); with the
+    equality multipliers -y P_k times the node's post-trade holdings, these
+    make the dual's stationarity residual vanish at the shadow point.
+    """
+    n = poly.model.tree.n_nodes
+    band = y * np.array(poly.model.tree.node_prob) * np.array([sell, buy])
+    # Per node, the rows z0 >= 0, z1 >= 0, bid and ask (``_probed_polytope``).
+    return np.concatenate([np.zeros((2, n)), band]).T.ravel()
+
+
 def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPolytope,
-                 starts: np.ndarray | None, tol: float) -> list:
+                 starts: np.ndarray | None, tol: float, multipliers: list | None = None) -> list:
     """``solve_dual`` at each y of ``ys`` as one batched interior-point solve,
     problem k from row k of ``starts`` (from the interior point when None).
-    Returns per y its ``DualSolution``, or the error its own solve raises."""
+    ``multipliers``, given with ``starts``, holds per y None or the start
+    multipliers of ``G z <= h`` for its objective E[V(y Z0_T)] + y E[Z0_T e_T]
+    (``trade_multipliers``): they are divided by the objective's scale, as
+    the objective is, and raised to at least 1e-9 / s, so that no row's
+    complementarity starts below 1e-9.  A y given None, and every y when
+    ``multipliers`` is None, starts from lam = 1/s.  Returns per y its
+    ``DualSolution``, or the error its own solve raises."""
     interior = require_interior(poly)
     tree = model.tree
     p = tree.leaf_prob()
@@ -288,7 +312,15 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
         # iteration stalls at machine precision, far below it the tolerance
         # never pins the density.  A zero start gradient keeps scale 1.
         g = np.abs(p * (y * e - m)).max(axis=1, keepdims=True)
-        w = p / np.where(g > 0, g, 1.0)
+        scale = np.where(g > 0, g, 1.0)
+        w = p / scale
+        lam = None
+        if multipliers is not None and any(row is not None for row in multipliers):
+            # Each start's slacks as solve_convex computes them.
+            slacks = np.array([poly.h - poly.G @ z for z in z_start])
+            lam = np.array([1.0 / np.maximum(s, 1e-12) if row is None
+                            else np.maximum(row / c, 1e-9 / s)
+                            for row, c, s in zip(multipliers, scale[:, 0], slacks)])
 
     def value(d: np.ndarray, q: np.ndarray) -> np.ndarray:
         y, w = q[:, :1], q[:, 1:]
@@ -304,7 +336,8 @@ def _solve_duals(model: MarketModel, spec: ut.UtilitySpec, ys: list, poly: CpsPo
             np.eye(poly.n_vars)[leaves], value, slopes, G=poly.G, h=poly.h, A=poly.A, b=poly.b,
             start=interior if starts is None else z_start[finite],
             params=np.hstack([y, w])[finite],
-            order=tree.children_first(poly.n_vars)), tol=tol)
+            order=tree.children_first(poly.n_vars),
+            multipliers=None if lam is None else lam[finite]), tol=tol)
     out, row = [], np.cumsum(finite) - 1   # y k is problem row[k] of the batch
     for k, y in enumerate(ys):
         if not finite[k]:

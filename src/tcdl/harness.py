@@ -10,7 +10,8 @@ market instance.  A report makes three kinds of batched interior-point
 call: its dual grid, its primal solves over the x grid, and the steps of
 its recoveries, whose yhat searches run in lockstep, one batched dual solve
 per step over the x still searching.  Each search starts its first solve
-from the primal optimum at its x and warm-starts each later one from the
+from the primal optimum at its x, with the start multipliers its trades
+give by complementary slackness, and warm-starts each later one from the
 previous optimum; the moment it stops, its recovered payoff is certified by
 its own trade-side LP.  ``recover_primal_from_dual`` is the one-x case,
 started from the kept (or a new) primal solve at its x
@@ -144,16 +145,23 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list
     duality yhat = E[U'(w*)], and the pair (Z0*, Z1*) that
     ``primal.shadow_cps`` reads off w* and the multipliers nu is the dual
     optimizer up to the primal solve's residuals.  Its first z is the leaf
-    density U'(w*) / E[U'(w*)], and its first solve starts at 0.9 times
-    (Z0*, Z1*), Z0* alone at lam = 0, plus 0.1 times the interior point.
-    Where that start is not strictly inside G z < h, the x starts from the
-    interior point and its density instead.  Every dual solve runs at
-    tolerance 1e-10, each after the first from 0.9 times the previous
-    optimum plus 0.1 times the interior point.  The start only chooses where
-    the search begins: the dual optimizer is unique (acceptance criterion
-    09), and the search stops on its own test |v'(y) + x| <= 1e-9 (1 + |x|),
-    or fails with ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES`` dual
-    solves.
+    density U'(w*) / E[U'(w*)], giving the first y.  On a polytope with
+    lam > 0 its first solve starts at (1 - eps) (Z0*, Z1*) + eps times the
+    interior point, eps twice the least weight that puts every slack above
+    0, within [1e-6, 0.1], and from the multipliers that
+    ``dual.trade_multipliers`` reads off the primal's trades at that y: by
+    complementary slackness the start is then near the end of the dual's
+    central path, not only near its optimum.  At lam = 0 the first solve
+    starts at 0.9 Z0* + 0.1 times the interior point, from lam = 1/s.
+    Where the first start is not strictly inside G z < h, the x starts from
+    the interior point, its density and lam = 1/s instead.  Every dual
+    solve runs at tolerance 1e-10, each after the first from 0.9 times the
+    previous optimum plus 0.1 times the interior point and lam = 1/s.  The
+    start only chooses where the search begins: the dual optimizer is
+    unique (acceptance criterion 09), and the search stops on its own test
+    |v'(y) + x| <= 1e-9 (1 + |x|), or fails with
+    ``SolverIndeterminateError`` past ``YHAT_MAX_SOLVES`` dual solves; a
+    solve that stalls raises, warm start or not.
 
     The moment an x's search stops, its yhat is U'(T(z)) on the root
     solve's density z, and its claim ghat is certified, and its strategy
@@ -173,24 +181,42 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list
         """U'(T(d)) at x: the y of the fixed point of the leaf density d."""
         return float(ut.u_prime(spec, _optimal_wealth(spec, x, p, e, d)))
 
-    # Per searching x: its next y, its warm start, where it started, its
-    # iterations so far and its last v'(y) + x.
+    interior_slack = poly.h - poly.G @ interior
+
+    # Per searching x: its next y, its warm start and start multipliers
+    # (None: 1/s), where it started, its iterations so far and its last
+    # v'(y) + x.
     searching = {}
     for k, sol in enumerate(primals):
         if isinstance(sol, Exception):
             continue
         z0, z1 = pr.shadow_cps(model, spec, sol)
-        z = 0.9 * np.concatenate([z0, z1])[:poly.n_vars] + 0.1 * interior
+        if poly.reduced:
+            z = 0.9 * z0 + 0.1 * interior
+        else:
+            # The least weight on the interior point that puts the shadow
+            # point strictly inside, doubled, within [1e-6, 0.1].
+            z = np.concatenate([z0, z1])
+            slack = poly.h - poly.G @ z
+            below = slack < 0
+            eps = 2.0 * np.max(-slack[below] / (interior_slack[below] - slack[below]), initial=0.0)
+            eps = min(0.1, max(1e-6, eps))
+            z = (1.0 - eps) * z + eps * interior
         start = "primal" if (poly.h - poly.G @ z).min() > 0 else "interior"
         if start == "interior":
             z0 = z = interior
-        searching[k] = (next_y(sol.x, poly.leaf_density(z0)), z, start, 0, None)
+        y = next_y(sol.x, poly.leaf_density(z0))
+        lam = None
+        if start == "primal" and not poly.reduced:
+            lam = du.trade_multipliers(poly, y, sol.strategy.buy, sol.strategy.sell)
+        searching[k] = (y, z, lam, start, 0, None)
     for solves in range(1, YHAT_MAX_SOLVES + 1):
         ks = list(searching)
         sols = du._solve_duals(model, spec, [searching[k][0] for k in ks], poly,
-                               np.array([searching[k][1] for k in ks]), 1e-10)
+                               np.array([searching[k][1] for k in ks]), 1e-10,
+                               [searching[k][2] for k in ks])
         for k, dsol in zip(ks, sols):
-            _, _, start, iterations, _ = searching.pop(k)
+            _, _, _, start, iterations, _ = searching.pop(k)
             if isinstance(dsol, Exception):
                 out[k] = dsol
                 continue
@@ -206,7 +232,7 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list
                 # Near-degenerate polytopes leave flat directions in the dual
                 # objective; a cold start pins the leaf densities only loosely
                 # along them.
-                searching[k] = (y, 0.9 * dsol.z + 0.1 * interior, start, iterations, g)
+                searching[k] = (y, 0.9 * dsol.z + 0.1 * interior, None, start, iterations, g)
                 continue
             ghat = ut.i_eval(spec, y * dsol.z0_T) - x - e
             # The margin max_u min_leaf (C u - ghat) is minus the superreplication
@@ -225,7 +251,7 @@ def _recoveries(model: MarketModel, spec: ut.UtilitySpec, primals: list) -> list
                                     yhat_ipm_iterations=iterations, yhat_start=start)
         if not searching:
             break
-    for k, (_, _, _, _, g) in searching.items():
+    for k, (*_, g) in searching.items():
         stop = YHAT_STOP * (1.0 + abs(primals[k].x))
         out[k] = SolverIndeterminateError(
             f"yhat search: |v'(y) + x| = {abs(g):.3e} above {stop:.3e} "
@@ -290,12 +316,21 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
-    monotonicity and large-y slope checks read it in that order, and a y
-    that appears twice is a ``DomainError`` naming it.  Its two phase-1 LPs,
+    monotonicity and large-y slope checks read it in that order.  A grid
+    that is not a nonempty 1-D list of numbers, and one with a non-finite y
+    or a y that appears twice, is a ``DomainError``.  Its two phase-1 LPs,
     the CPS polytope's (dual grid and yhat searches) and the trade side's
     (x0 and the primal start), are solved once per model object.
     """
     tol = DEFAULT_TOLERANCES
+    try:
+        y_grid = np.asarray(y_grid, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"y grid is not a list of numbers: {y_grid!r}") from None
+    if y_grid.ndim != 1 or not y_grid.size:
+        raise DomainError(f"y grid must be a nonempty 1-D list, got shape {y_grid.shape}")
+    if not np.isfinite(y_grid).all():
+        raise DomainError(f"y grid has a non-finite y={float(y_grid[~np.isfinite(y_grid)][0])!r}")
     y_grid = np.sort(y_grid)
     repeated = y_grid[1:][np.diff(y_grid) == 0]
     if repeated.size:

@@ -22,7 +22,7 @@ way.  A HiGHS error in loading or running the LP is
 
 ``solve_convex`` is a primal-dual interior-point method for a batch of B
 programs that share X, G, h, A and b and differ only in a parameter row q
-each and, optionally, in their start points:
+each and, optionally, in their start points and start multipliers:
 
     minimize sum(value(X z, q))  subject to  G z <= h,  A z = b,
 
@@ -31,11 +31,11 @@ image X z (+inf outside its open domain; the line search backtracks into
 the domain).  The primal's X is the trade-to-wealth map, the dual's the
 leaf selector.  A report's dual grid is one batch (q holding y), its primal
 solves another (q holding x, a start per x) and each step of its yhat
-searches a third (a warm start per x, the first read off that x's primal
-optimum).  A one-x recovery makes the search steps for its one x, and the
-primal solve too unless ``solve_primal`` kept one at the same (utility, x)
-on the model object.  The state
-has one row per problem and every product is taken row by row
+searches a third (a warm start per x; the first, and its multipliers,
+read off that x's primal optimum).  A one-x recovery makes the search
+steps for its one x, and the primal solve too unless ``solve_primal`` kept
+one at the same (utility, x) on the model object.  The state has one row
+per problem and every product is taken row by row
 (``np.matvec``, ``np.vecmat``, ``np.vecdot``), so a problem's iterates do
 not depend on its batch.  Each step factors one reduced KKT matrix
 K = [[H, A'], [A, 0]] per problem, whose upper-left block is one Gram over
@@ -270,9 +270,12 @@ class ConvexProgram:
     one row each, with their rows Q of ``params``, and returns the per-entry
     values, +inf outside the open domain; ``slopes(V, Q)`` the first and
     second derivatives.  ``start`` is one point for every problem or one row
-    per problem; each problem's slacks and its first multipliers 1/s come
-    from its own start.  Starts must be strictly feasible, inside their
-    problem's domain and on ``A z = b``; ``A`` must have full row rank.
+    per problem; each problem's slacks come from its own start.  Starts must
+    be strictly feasible, inside their problem's domain and on ``A z = b``;
+    ``A`` must have full row rank.  ``multipliers`` holds the start
+    multipliers lam of ``G z <= h``, one positive row per problem; None
+    starts every problem from lam = 1/s.  The multipliers nu of ``A z = b``
+    start at 0: a full Newton step sets nu + dnu whatever nu was.
     ``order`` lists the variables in elimination order for a sparse KKT
     factorisation, one row per group (a tree node's variables, say); each
     equality row follows the group holding the first of its variables.
@@ -290,6 +293,7 @@ class ConvexProgram:
     start: np.ndarray | None = None
     params: np.ndarray | None = None
     order: np.ndarray | None = None
+    multipliers: np.ndarray | None = None
 
 
 @dataclass
@@ -435,6 +439,11 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     centering = _MU * max(m, 1)
 
     total = len(params)
+    if cp.multipliers is not None:
+        lam0 = np.asarray(cp.multipliers, dtype=float)
+        if lam0.shape != (total, m) or not (np.isfinite(lam0) & (lam0 > 0)).all():
+            raise DomainError(f"start multipliers must be {total} rows of {m} positive finite "
+                              f"entries, got shape {lam0.shape}")
     z_out, f_out, kkt_out = np.empty((total, n)), np.empty(total), np.empty(total)
     nu_out = np.empty((total, p))
     it_out, status_out = np.zeros(total, dtype=int), np.full(total, INDETERMINATE, dtype=object)
@@ -447,7 +456,7 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
         F, L = cp.value(V, P).sum(axis=1), np.log(S).sum(axis=1)
         if not np.isfinite(F).all():
             raise DomainError("start point is outside the objective domain")
-        lam = 1.0 / np.maximum(S, 1e-12)
+        lam = 1.0 / np.maximum(S, 1e-12) if cp.multipliers is None else lam0[rows]
         nu = np.zeros((B, p))
         # V = X z, F, sum(log s) and the derivatives at the current iterates;
         # each accepted line-search point hands its own to the next iteration.

@@ -91,6 +91,7 @@ def duality_runs():
                     "attainable": rec.attainable,
                     "recovery_value": rec.primal.value,
                     "r1": slack.r1, "r2": slack.r2,
+                    "yhat_start": rec.yhat_start,
                 })
     return records, time.monotonic() - t0
 
@@ -101,6 +102,11 @@ def test_criterion_02_strong_duality(duality_runs):
     _report(2, "strong duality", worst <= 1e-5 and elapsed < 300.0,
             f"worst relative gap {worst:.3e} <= 1e-5 over "
             f"{len(records)} (instance, utility, x) runs, {elapsed:.1f}s < 300s")
+
+
+def test_every_criterion_02_search_starts_from_its_primal_optimum(duality_runs):
+    records, _ = duality_runs
+    assert [r for r in records if r["yhat_start"] != "primal"] == []
 
 
 def test_criterion_03_optimizer_recovery(duality_runs):

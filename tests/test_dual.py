@@ -717,3 +717,35 @@ def test_dual_certifies_a_start_that_is_already_optimal():
     sol = du.solve_dual(model, ut.make_utility("log"), 1.0)
     assert sol.value == 0.0 and sol.derivative == 0.0
     assert sol.kkt_residual <= 1e-9
+
+
+def test_trade_multipliers_make_the_shadow_point_stationary():
+    # criterion 02's fifty instances at x0 + margin + 1: at each primal
+    # optimum's shadow point, with y = E[U'(w*)], the band multipliers read
+    # off the trades and a least-squares nu leave the dual's stationarity
+    # residual grad + G' lam + A' nu within 1e-6 of the gradient; with
+    # lam = 0 it reaches the gradient's order
+    worst, worst_without = 0.0, 0.0
+    for k in range(50):
+        model = _criterion_02_instance(k)
+        poly = du.cps_polytope(model)
+        x0 = du.compute_x0(model)
+        x = x0 + 0.05 * (1.0 + abs(x0)) + 1.0
+        p, e, leaves = model.tree.leaf_prob(), model.endowment_vector(), list(model.tree.leaves)
+        for spec in (LOG, POWER):
+            sol = pr.solve_primal(model, spec, x)
+            z0, _ = pr.shadow_cps(model, spec, sol)
+            y = float(p @ ut.u_prime(spec, sol.wealth))
+            grad = np.zeros(poly.n_vars)
+            grad[leaves] = p * y * (e - ut.i_eval(spec, y * z0[leaves]))
+            lam = du.trade_multipliers(poly, y, sol.strategy.buy, sol.strategy.sell)
+            for multipliers in (lam, np.zeros_like(lam)):
+                r = grad + poly.G.T @ multipliers
+                nu = np.linalg.lstsq(poly.A.T, -r, rcond=None)[0]
+                residual = np.abs(r + poly.A.T @ nu).max() / np.abs(grad).max()
+                if multipliers is lam:
+                    worst = max(worst, residual)
+                else:
+                    worst_without = max(worst_without, residual)
+    assert worst <= 1e-6
+    assert worst_without >= 0.5

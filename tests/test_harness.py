@@ -337,6 +337,16 @@ def test_a_repeated_y_is_an_input_error():
         hn.conjugacy_check(model, LOG, [x0 + 1], [1, 1000, 1000])
     with pytest.raises(DomainError, match=r"y grid repeats y=2\.0$"):
         hn.run_experiment({"seed": {"seed": 1}, "y_grid": {"min": 2, "max": 2, "n": 3}})
+    # so is a grid that is empty, not 1-D, not numbers, or holds a
+    # non-finite y, before any solve
+    for grid, message in (([], r"nonempty 1-D list, got shape \(0,\)$"),
+                          ([[1, 2], [3, 4]], r"nonempty 1-D list, got shape \(2, 2\)$"),
+                          (5.0, r"nonempty 1-D list, got shape \(\)$"),
+                          (["a"], r"not a list of numbers"),
+                          ([1, float("nan")], r"non-finite y=nan$"),
+                          ([float("inf"), 1], r"non-finite y=inf$")):
+        with pytest.raises(DomainError, match=message):
+            hn.conjugacy_check(model, LOG, [x0 + 1], grid)
 
 
 def test_conjugacy_check_records_a_grid_with_no_x_above_x0():
@@ -562,6 +572,20 @@ def test_recovery_certifies_instance_103012_under_power(offset):
     assert rec.attainable and rec.yhat_start == "primal"
     assert rec.primal.value >= u - tol["recovery"]
     assert abs(u - (rec.dual.value + x * rec.yhat)) <= tol["strong_duality"] * (1.0 + abs(u))
+
+
+@pytest.mark.parametrize("instance,spec", [(2012, ut.make_utility("power", 0.5)), (2034, LOG)],
+                         ids=["2012-power", "2034-log"])
+def test_searches_of_thin_polytopes_start_from_the_primal_optimum(instance, spec):
+    # criterion 02's instances whose shadow points miss the polytope by more
+    # than a fixed 1e-6 weight on the interior point would repair: the
+    # weight adapts to the miss, so every x still starts from its primal
+    # optimum, and certifies
+    lam, depth, branching = _COMBOS[instance % 4]
+    model, _ = hn._generate_instance(instance, depth, branching, lam, 0.3, 600)
+    for x in _default_xs(model):
+        rec = hn.recover_primal_from_dual(model, spec, x)
+        assert rec.yhat_start == "primal" and rec.attainable, x
 
 
 @pytest.mark.parametrize("offset", [0.5, 1.0, 2.0])

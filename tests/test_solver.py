@@ -612,3 +612,46 @@ def test_single_problem_primal_solve_is_pinned():
     assert sol.wealth.sum() == pytest.approx(PINNED_PRIMAL["wealth_sum"], rel=1e-12)
     assert sol.wealth.min() == pytest.approx(PINNED_PRIMAL["wealth_min"], rel=1e-12)
     assert sol.kkt_residual <= 1e-9
+
+
+def _bounded_quadratics(multipliers=None):
+    # two problems minimize sum(c / 2 (z - t)^2) on sum(z) = 1, z >= 0, each
+    # from its own start; z_3 >= 0 is active at both optima
+    t = np.array([0.3, 0.9, -0.1])
+    return ConvexProgram(
+        X=np.eye(3),
+        value=lambda v, q: 0.5 * q * (v - t) ** 2,
+        slopes=lambda v, q: (q * (v - t), q * np.ones(v.shape)),
+        G=-np.eye(3), h=np.zeros(3), A=np.ones((1, 3)), b=np.array([1.0]),
+        start=np.array([[1 / 3, 1 / 3, 1 / 3], [0.5, 0.4, 0.1]]),
+        params=np.array([[1.0], [3.0]]), multipliers=multipliers)
+
+
+def test_start_multipliers_of_one_over_s_are_the_default_start():
+    # start multipliers equal to 1/s at each start take the path of a
+    # solve given none, bit for bit
+    cold = solve_convex(_bounded_quadratics(), tol=1e-10)
+    starts = _bounded_quadratics().start
+    given = solve_convex(_bounded_quadratics(1.0 / starts), tol=1e-10)
+    assert cold.statuses == given.statuses == (OPTIMAL, OPTIMAL)
+    for field in ("z", "value", "kkt_residual", "problem_iterations", "eq_duals"):
+        assert np.array_equal(getattr(cold, field), getattr(given, field)), field
+    # from next to the optimum (0.2, 0.8, 0), with the multiplier 0.2 c of
+    # z_3 >= 0 there and 1e-9 / s elsewhere, a problem needs fewer steps
+    near = np.array([0.2, 0.8 - 1e-9, 1e-9])
+    warm = _bounded_quadratics(np.array([[*(1e-9 / near[:2]), 0.2], [*(1e-9 / near[:2]), 0.6]]))
+    warm.start = near
+    result = solve_convex(warm, tol=1e-10)
+    assert result.status == OPTIMAL
+    assert np.allclose(result.z, [0.2, 0.8, 0.0], atol=1e-9)
+    assert (result.problem_iterations < cold.problem_iterations).all()
+
+
+@pytest.mark.parametrize("multipliers", [np.ones((1, 3)), np.ones((2, 2)),
+                                         np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+                                         np.array([[1.0, 1.0, np.nan], [1.0, 1.0, 1.0]]),
+                                         np.array([[1.0, 1.0, np.inf], [1.0, 1.0, 1.0]])],
+                         ids=["one-row", "narrow", "zero", "nan", "inf"])
+def test_malformed_start_multipliers_are_a_domain_error(multipliers):
+    with pytest.raises(DomainError, match="start multipliers must be 2 rows of 3 positive"):
+        solve_convex(_bounded_quadratics(multipliers))
