@@ -226,7 +226,7 @@ def compute_x0(model: MarketModel, polytope: CpsPolytope | None = None) -> float
     """x0 = sup E[Z0_T (-e_T)] = -max_u min_leaf (C u + e_T) by LP duality: one trade-side LP
     (``primal.max_min_wealth``), solved once per model object and shared with the primal's
     start, and no polytope.  ``polytope`` is unread; the benchmark's workloads still pass one."""
-    return -pr.max_min_wealth(model, 0.0)[0]
+    return 0.0 - pr.max_min_wealth(model, 0.0)[0]   # +0.0, not -0.0, at a value of 0
 
 
 @dataclass

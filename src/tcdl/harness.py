@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -714,6 +713,10 @@ def selftest(seeds, output_dir: str, jobs: int = 1) -> dict:
     tasks = [(int(s), output_dir) for s in seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: it is most of what the library's import costs beyond
+        # numpy and scipy's two extensions, and one job never needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_selftest_one, tasks))
     else:

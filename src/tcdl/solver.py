@@ -20,6 +20,17 @@ half the time there; on a 121-node tree's LPs HiGHS's run dominates either
 way.  A HiGHS error in loading or running the LP is
 "numerically-indeterminate", never "infeasible".
 
+Of scipy the module loads only the two compiled extensions it calls, each
+from its file under its full name (``_extension``): HiGHS's binding
+``scipy.optimize._highspy._core`` and SuperLU's
+``scipy.sparse.linalg._dsolve._superlu``.  Importing them through their
+packages would run ``scipy.optimize``'s ``__init__``, which imports
+scipy.linalg, fft and f2py, none of which the library calls: on a 2-vCPU
+x86 machine a fresh ``import tcdl`` takes 0.10-0.30 s this way against
+0.40-0.80 s through the packages.  A module already in ``sys.modules`` is
+reused, so scipy's own imports before or after this one share it; a
+missing file is an ``ImportError`` naming its path.
+
 ``solve_convex`` is a primal-dual interior-point method for a batch of B
 programs that share X, G, h, A and b and differ only in a parameter row q
 each and, optionally, in their start points and start multipliers:
@@ -46,17 +57,18 @@ the stacked rows:
 ``newton_solver`` reads K's pattern once per solve and sums each step's
 entries for the whole batch with one ``np.bincount``.  K's order n + p picks
 only the factorisation: below ``_SPARSE_KKT_ORDER`` one batched LAPACK LU
-of the stacked dense matrices, at or above it SuperLU (``splu``) per
-problem, whose fixed cost loses on small matrices (timings in BENCH_14.json
-and BENCH_20.json).  SuperLU reorders no column of its own: it eliminates
-the variables group by group in the caller's order (``ConvexProgram.order``),
-each group followed by the equality rows whose first variable it holds.  On
-a tree, whose constraints link a node to its parent and children (the
-primal's trade map to its ancestors), the groups are the nodes, children
-before their parents; the factors measured
-in BENCH_20.json hold at most 2.5 times K's nonzeros.  A batch whose stacked
-K would pass ``_BATCH_BYTES`` runs in slices.  Callers build ``A`` with
-full row rank.
+of the stacked dense matrices, at or above it SuperLU per problem
+(``_factor``: ``gstrf`` with the options ``splu(K, permc_spec="NATURAL")``
+passes, on K's CSC pattern read once per solve), whose fixed cost loses
+on small matrices (timings in BENCH_14.json and BENCH_20.json).  SuperLU
+reorders no column of its own: it eliminates the variables group by group
+in the caller's order (``ConvexProgram.order``), each group followed by the
+equality rows whose first variable it holds.  On a tree, whose constraints
+link a node to its parent and children (the primal's trade map to its
+ancestors), the groups are the nodes, children before their parents; the
+factors measured in BENCH_20.json hold at most 2.5 times K's nonzeros.
+A batch whose stacked K would pass ``_BATCH_BYTES`` runs in slices.
+Callers build ``A`` with full row rank.
 
 Each problem takes its own steps.  The primal step is an Armijo
 backtracking on the barrier merit phi(z) = sum(value(X z)) - tau * sum(log
@@ -79,15 +91,40 @@ leaves the batch.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from .errors import DomainError, SolverIndeterminateError
+
+
+def _extension(name: str):
+    """scipy's compiled module ``name``, loaded from its file under its own
+    name, or the one already in ``sys.modules``: a second copy of a pybind11
+    module would break a later ``import scipy.optimize`` in the process."""
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("tcdl needs scipy", name="scipy")
+        root = scipy.submodule_search_locations[0]
+        path = os.path.join(root, *name.split(".")[1:]) + importlib.machinery.EXTENSION_SUFFIXES[0]
+        if not os.path.isfile(path):
+            raise ImportError(f"no file {path} for scipy's {name}", name=name, path=path)
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module
+
+
+_highs = _extension("scipy.optimize._highspy._core")
+_superlu = _extension("scipy.sparse.linalg._dsolve._superlu")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -332,6 +369,20 @@ def _gram_pairs(X: np.ndarray):
     return rows[first], vals[first] * vals[second], cols[first], cols[second]
 
 
+# The options ``splu(K, permc_spec="NATURAL")`` hands SuperLU.
+_SUPERLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm="NATURAL", PanelSize=None,
+                        Relax=None, SymmetricMode=True)
+
+
+def _factor(data: np.ndarray, rows: np.ndarray, ptr: np.ndarray):
+    """SuperLU's LU of the square CSC matrix (data, rows, ptr), indices of C
+    int in canonical order, eliminated in its own order: the factor
+    ``splu(K, permc_spec="NATURAL")`` returns, without its per-call copy and
+    input cleaning.  Its ``L`` and ``U`` are not built."""
+    return _superlu.gstrf(ptr.size - 1, data.size, data, rows, ptr, csc_construct_func=None,
+                          ilu=False, options=_SUPERLU_OPTIONS)
+
+
 def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None):
     """Return ``(W, RHS) -> (SOL, singular)``: row k of SOL is K_k^-1 RHS[k]
     for K_k = [[XG' diag(W[k]) XG, A'], [A, 0]], and ``singular`` is None or
@@ -372,8 +423,8 @@ def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None
         keys, slot = np.unique(slot, return_inverse=True)
         width = keys.size
         indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // dim, minlength=dim))])
-        # One matrix per solve; each factorisation overwrites its entries.
-        K_sparse = csc_array((np.zeros(width), keys % dim, indptr), shape=(dim, dim))
+        # K's pattern in CSC, as SuperLU reads it; each step supplies its entries.
+        lu_rows, lu_ptr = (keys % dim).astype(np.intc), indptr.astype(np.intc)
     pairs, constant = pair_row.size, np.concatenate([a_val, a_val])
     # Buffers for the batch size of the last call: the flat places of the
     # pairs' weights in W, the slots, and the weights.
@@ -401,8 +452,7 @@ def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None
                 if dense:
                     SOL[i] = np.linalg.solve(K[i], RHS[i])
                 else:
-                    K_sparse.data[:] = E[i]
-                    SOL[i, perm] = splu(K_sparse, permc_spec="NATURAL").solve(RHS[i, perm])
+                    SOL[i, perm] = _factor(E[i], lu_rows, lu_ptr).solve(RHS[i, perm])
             except (np.linalg.LinAlgError, RuntimeError):   # SuperLU: "Factor is exactly singular"
                 singular[i] = True
         return SOL, singular if singular.any() else None

@@ -72,7 +72,9 @@ def u_eval(spec: UtilitySpec, x) -> float | np.ndarray:
         np.log(x, out=out, where=pos)
     else:
         a = spec.alpha
-        out[pos] = x[pos] ** a / a + spec.shift
+        # x^a overflows for x < 1 and a far below 0: U is then -inf, as meant.
+        with np.errstate(over="ignore"):
+            out[pos] = x[pos] ** a / a + spec.shift
     return out if out.shape else float(out)
 
 

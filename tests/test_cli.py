@@ -1,8 +1,12 @@
 """CLI subcommands, output payloads, and exit codes."""
 
+import concurrent.futures
 import contextlib
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +102,31 @@ def test_x0_command(market_path, out, capsys):
     assert payload["x0"] == pytest.approx(du.compute_x0(load_market(market_path)))
     # x0 writes no file, so an --output naming a file does not matter
     assert run_cli(capsys, ["x0", "--market", market_path, "--output", market_path])[0] == 0
+
+
+def test_x0_of_zero_prints_plus_zero(tmp_path, capsys):
+    # no endowment: the trade LP's value is 0, and x0 reads 0.0, not -0.0
+    path = tmp_path / "m.json"
+    save_market(binomial_market(4.0, 8.0, 2.0, lam=0.1), str(path))
+    code, out_text, err = run_cli(capsys, ["x0", "--market", str(path)])
+    assert (code, err) == (0, "")
+    assert '"x0": 0.0' in out_text
+    assert np.copysign(1.0, json.loads(out_text)["x0"]) == 1.0
+
+
+def test_overflowing_power_utility_warns_nothing_before_its_error(tmp_path):
+    # U(x) = x^a / a overflows to -inf at a = -1e308 below x = 1, as meant:
+    # run as a user runs it, stderr holds the typed error and nothing else
+    path = tmp_path / "m.json"
+    save_market(binomial_market(4.0, 8.0, 2.0, lam=0.1), str(path))
+    src = os.path.dirname(os.path.dirname(hn.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "tcdl.cli", "primal", "--market", str(path),
+         "--utility", "power:-1e308", "--x", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: start point is outside the objective domain\n"
 
 
 def test_report_command(tmp_path, out, capsys):
@@ -225,7 +254,7 @@ def test_selftest_jobs_below_one_exits_2(out, capsys, monkeypatch, jobs):
     def no_pool(**kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(hn, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(hn, "_selftest_one", no_pool)
     code, out_text, err = run_cli(capsys, ["selftest", "--seeds", "1..2",
                                            "--jobs", jobs, "--output", out])

@@ -1,5 +1,6 @@
 """Conjugacy certification harness: yhat search, recovery, reports."""
 
+import concurrent.futures
 import dataclasses
 import json
 import pickle
@@ -858,7 +859,7 @@ class _LocalPool:
 
 
 def test_selftest_starts_at_most_one_worker_per_seed(monkeypatch, tmp_path):
-    monkeypatch.setattr(hn, "ProcessPoolExecutor", _LocalPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LocalPool)
     monkeypatch.setattr(_LocalPool, "sizes", [])
     assert hn.selftest([1, 2], str(tmp_path), jobs=500) == {1: True, 2: True}
     assert hn.selftest([3, 4, 5], str(tmp_path), jobs=2) == {3: True, 4: True, 5: True}
@@ -877,7 +878,7 @@ def test_selftest_keeps_the_other_seeds_when_one_raises(monkeypatch, tmp_path, j
         return run(config, output_dir=output_dir)
 
     monkeypatch.setattr(hn, "run_experiment", raising)
-    monkeypatch.setattr(hn, "ProcessPoolExecutor", _LocalPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LocalPool)
     monkeypatch.setattr(_LocalPool, "sizes", [])
     results = hn.selftest([1, 2, 3], str(tmp_path), jobs=jobs)
     assert _LocalPool.sizes == ([] if jobs == 1 else [2])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
 
 from tcdl import dual as du
 from tcdl import harness as hn
@@ -358,14 +359,19 @@ def test_convex_barrier_domain_respected():
     assert res.z[0, 0] == pytest.approx(1.5, abs=1e-8)
 
 
-def _counting_splu(monkeypatch):
-    calls, splu = [], solver.splu
+def _csc(data, rows, ptr):
+    """The matrix ``solver._factor`` is handed, as a CSC array of its own."""
+    return csc_array((data.copy(), rows, ptr), shape=(ptr.size - 1,) * 2)
 
-    def counting(K, **options):
-        calls.append(K.shape[0])
-        return splu(K, **options)
 
-    monkeypatch.setattr(solver, "splu", counting)
+def _counting_factors(monkeypatch):
+    calls, factor = [], solver._factor
+
+    def counting(data, rows, ptr):
+        calls.append(ptr.size - 1)
+        return factor(data, rows, ptr)
+
+    monkeypatch.setattr(solver, "_factor", counting)
     return calls
 
 
@@ -374,7 +380,7 @@ def test_rank_deficient_kkt_is_indeterminate(monkeypatch):
     # order n + 2, is singular, so the solve has no Newton step and stops
     # with its residual, whether K is factored densely (n = 2) or by
     # SuperLU (order at the constant)
-    calls = _counting_splu(monkeypatch)
+    calls = _counting_factors(monkeypatch)
     for n in (2, solver._SPARSE_KKT_ORDER - 2):
         start = np.zeros(n)
         start[:2] = [0.9, 0.1]
@@ -401,7 +407,7 @@ def test_sparse_and_dense_newton_steps_agree_on_deep_trees(monkeypatch, seed):
     model = random_instance(seed, 4, 3, lam=0.3, rho=0.2)
     x = du.compute_x0(model) + 1.0
     log = ut.make_utility("log")
-    calls = _counting_splu(monkeypatch)
+    calls = _counting_factors(monkeypatch)
     sparse_dual = du.solve_dual(model, log, 1.0)
     sparse_primal = pr.solve_primal(model, log, x)
     assert calls and set(calls) == {323}
@@ -423,14 +429,15 @@ def test_children_first_factors_stay_sparse_on_deep_trees(monkeypatch, seed):
     # three times K's nonzeros (a fill-reducing column order read 6 to 8)
     model = random_instance(seed, 4, 3, lam=0.3, rho=0.2)
     log = ut.make_utility("log")
-    fill, splu = [], solver.splu
+    fill = []
 
-    def measuring(K, **options):
-        lu = splu(K, **options)
+    def measuring(data, rows, ptr):
+        K = _csc(data, rows, ptr)
+        lu = splu(K, permc_spec="NATURAL")   # the same factor, with L and U built
         fill.append((lu.L.nnz + lu.U.nnz) / K.nnz)
         return lu
 
-    monkeypatch.setattr(solver, "splu", measuring)
+    monkeypatch.setattr(solver, "_factor", measuring)
     du.solve_dual(model, log, 1.0)
     steps = len(fill)
     pr.solve_primal(model, log, du.compute_x0(model) + 1.0)
@@ -438,12 +445,36 @@ def test_children_first_factors_stay_sparse_on_deep_trees(monkeypatch, seed):
     assert max(fill) <= 3.0
 
 
+def test_direct_factor_solves_as_splu_does_bit_for_bit(monkeypatch):
+    # every order-323 K of the 121-node dual and primal solves: SuperLU
+    # called directly and through splu with the natural order solve alike
+    model = random_instance(1, 4, 3, lam=0.3, rho=0.2)
+    log = ut.make_utility("log")
+    seen, factor = [], solver._factor
+
+    def keeping(data, rows, ptr):
+        seen.append((data.copy(), rows, ptr))
+        return factor(data, rows, ptr)
+
+    monkeypatch.setattr(solver, "_factor", keeping)
+    du.solve_dual(model, log, 1.0)
+    steps = len(seen)
+    pr.solve_primal(model, log, du.compute_x0(model) + 1.0)
+    assert 0 < steps < len(seen)
+    rhs = np.random.default_rng(0).standard_normal(323)
+    for data, rows, ptr in seen:
+        assert ptr.size - 1 == 323
+        direct = factor(data, rows, ptr).solve(rhs)
+        reference = splu(_csc(data, rows, ptr), permc_spec="NATURAL").solve(rhs)
+        assert direct.tobytes() == reference.tobytes()
+
+
 def test_selftest_size_solves_never_factor_sparsely(monkeypatch):
     # depth 3 x branching 2 (selftest's trees): KKT orders 38 to 45 stay dense
-    def refuse(K, **options):
-        raise AssertionError(f"splu called at order {K.shape[0]}")
+    def refuse(data, rows, ptr):
+        raise AssertionError(f"SuperLU called at order {ptr.size - 1}")
 
-    monkeypatch.setattr(solver, "splu", refuse)
+    monkeypatch.setattr(solver, "_factor", refuse)
     model = random_instance(1, 3, 2, lam=0.3, rho=0.2)
     log = ut.make_utility("log")
     assert du.solve_dual(model, log, 1.0).iterations > 0
@@ -475,6 +506,10 @@ def _capture(K, *args, **options):
     raise _Captured(K)
 
 
+def _capture_factor(data, rows, ptr):
+    raise _Captured(_csc(data, rows, ptr))
+
+
 def _elimination_order(A):
     """K's indices as the sparse path orders them at index order: each
     variable, then the equality rows whose first entry is in its column;
@@ -490,12 +525,12 @@ def _elimination_order(A):
 
 def _newton_matrix(XG, A, w, sparse):
     """K as ``newton_solver`` hands it to ``np.linalg.solve``, or with the
-    constant patched to 0 to ``splu``, there put back in index order;
-    neither factors it."""
+    constant patched to 0 to SuperLU (``solver._factor``), there put back in
+    index order; neither factors it."""
     rhs = np.zeros(XG.shape[1] + A.shape[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "solve", _capture)
-        mp.setattr(solver, "splu", _capture)
+        mp.setattr(solver, "_factor", _capture_factor)
         if sparse:
             mp.setattr(solver, "_SPARSE_KKT_ORDER", 0)
         with pytest.raises(_Captured) as caught:
@@ -531,7 +566,7 @@ def test_sparse_kkt_eliminates_the_groups_of_the_order_in_turn():
     w = np.array([1.0, 0.5, 2.0])
     K = _newton_matrix(XG, A, w, sparse=False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "splu", _capture)
+        mp.setattr(solver, "_factor", _capture_factor)
         mp.setattr(solver, "_SPARSE_KKT_ORDER", 0)
         with pytest.raises(_Captured) as caught:
             solver.newton_solver(XG, A, np.array([[3, 1], [0, 2]]))(w[None], np.zeros((1, 6)))
