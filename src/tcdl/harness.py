@@ -522,8 +522,8 @@ def _generate_instance(seed: int, depth: int, branching: int, lam: float, rho: f
     if not (1 <= depth <= 5 and 1 <= branching <= 3):
         raise MarketError("random_instance is desk scale: 1 <= depth <= 5, 1 <= branching <= 3, "
                           f"got depth {depth}, branching {branching}")
-    if not rho >= 0:
-        raise MarketError(f"random_instance needs an endowment bound rho >= 0, got {rho}")
+    if not 0 <= rho < np.inf:
+        raise MarketError(f"random_instance needs a finite endowment bound rho >= 0, got {rho}")
     # build_market's own check would see only the draws the spread pass keeps.
     if not 0.0 <= lam < 1.0:
         raise MarketError(f"invalid market: lambda {float(lam)} outside [0, 1)")

@@ -58,15 +58,17 @@ the stacked rows:
 entries for the whole batch with one ``np.bincount``.  K's order n + p picks
 only the factorisation: below ``_SPARSE_KKT_ORDER`` one batched LAPACK LU
 of the stacked dense matrices, at or above it SuperLU per problem
-(``_factor``: ``gstrf`` with the options ``splu(K, permc_spec="NATURAL")``
-passes, on K's CSC pattern read once per solve), whose fixed cost loses
-on small matrices (timings in BENCH_14.json and BENCH_20.json).  SuperLU
-reorders no column of its own: it eliminates the variables group by group
-in the caller's order (``ConvexProgram.order``), each group followed by the
-equality rows whose first variable it holds.  On a tree, whose constraints
-link a node to its parent and children (the primal's trade map to its
-ancestors), the groups are the nodes, children before their parents; the
-factors measured in BENCH_20.json hold at most 2.5 times K's nonzeros.
+(``_factor``: ``gstrf`` as ``splu(K, permc_spec="NATURAL",
+diag_pivot_thresh=0.001)`` calls it, on K's CSC pattern read once per
+solve), whose fixed cost loses on small matrices (timings in BENCH_14.json
+and BENCH_20.json).  SuperLU reorders no column of its own: it eliminates
+the variables group by group in the caller's order (``ConvexProgram.order``),
+each group followed by the equality rows whose first variable it holds, and
+keeps each diagonal pivot unless its column holds an entry more than 1000
+times larger.  On a tree, whose constraints link a node to its parent and
+children (the primal's trade map to its ancestors), the groups are the
+nodes, children before their parents; the factors of the 121-node trees in
+BENCH_34.json hold at most 2.6 times K's nonzeros.
 A batch whose stacked K would pass ``_BATCH_BYTES`` runs in slices.
 Callers build ``A`` with full row rank.
 
@@ -369,16 +371,22 @@ def _gram_pairs(X: np.ndarray):
     return rows[first], vals[first] * vals[second], cols[first], cols[second]
 
 
-# The options ``splu(K, permc_spec="NATURAL")`` hands SuperLU.
-_SUPERLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm="NATURAL", PanelSize=None,
+# The options ``splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.001)``
+# hands SuperLU.  The threshold is the default of UMFPACK's symmetric
+# strategy (Davis, ACM TOMS 30, 2004).  SuperLU's own, 1.0, is partial
+# pivoting: on a 121-node primal its row swaps with the leaf rows fill L+U
+# 1.75 times as much and take 2.4 times as long to factor, and a threshold
+# of 0.01 keeps most of that fill (BENCH_34.json).
+_SUPERLU_OPTIONS = dict(DiagPivotThresh=0.001, ColPerm="NATURAL", PanelSize=None,
                         Relax=None, SymmetricMode=True)
 
 
 def _factor(data: np.ndarray, rows: np.ndarray, ptr: np.ndarray):
     """SuperLU's LU of the square CSC matrix (data, rows, ptr), indices of C
-    int in canonical order, eliminated in its own order: the factor
-    ``splu(K, permc_spec="NATURAL")`` returns, without its per-call copy and
-    input cleaning.  Its ``L`` and ``U`` are not built."""
+    int in canonical order, eliminated in its own order with diagonal-
+    preferring threshold pivoting: the factor ``splu(K, permc_spec="NATURAL",
+    diag_pivot_thresh=0.001)`` returns, without its per-call copy and input
+    cleaning.  Its ``L`` and ``U`` are not built."""
     return _superlu.gstrf(ptr.size - 1, data.size, data, rows, ptr, csc_construct_func=None,
                           ilu=False, options=_SUPERLU_OPTIONS)
 

@@ -43,12 +43,15 @@ def make_utility(family: str, alpha: float | None = None) -> UtilitySpec:
     if family == "log":
         return UtilitySpec("log")
     if family == "power":
-        if alpha is None or alpha >= 1 or alpha == 0:
-            raise DomainError(f"power utility needs alpha < 1, alpha != 0, got {alpha}")
+        if alpha is None or not alpha < 1 or alpha == 0:
+            raise DomainError(f"power utility needs alpha < 1, alpha != 0, got alpha={alpha}")
         shift = 0.0
         if alpha < 0:
             # x^a/a < 0 everywhere; lift so that U(2) = 1.
             shift = 1.0 - 2.0 ** alpha / alpha
+        if not np.isfinite([alpha, 1.0 / alpha, shift]).all():
+            raise DomainError(f"power utility with alpha={alpha} is not finite: "
+                              f"1/alpha={1.0 / alpha}, shift={shift}")
         return UtilitySpec("power", float(alpha), shift)
     raise DomainError(f"unknown utility family {family!r}")
 
@@ -59,7 +62,11 @@ def parse_utility(text: str) -> UtilitySpec:
         return make_utility("log")
     m = re.fullmatch(r"power:([-+0-9.eE]+)", text)
     if m:
-        return make_utility("power", float(m.group(1)))
+        try:
+            alpha = float(m.group(1))
+        except ValueError:
+            raise DomainError(f"power utility exponent {m.group(1)!r} is not a number") from None
+        return make_utility("power", alpha)
     raise DomainError(f"cannot parse utility spec {text!r}")
 
 

@@ -129,6 +129,22 @@ def test_overflowing_power_utility_warns_nothing_before_its_error(tmp_path):
     assert done.stderr == "error: start point is outside the objective domain\n"
 
 
+@pytest.mark.parametrize("alpha, message", [
+    (".", "power utility exponent '.' is not a number"),
+    ("e", "power utility exponent 'e' is not a number"),
+    ("-", "power utility exponent '-' is not a number"),
+    ("1e5e5", "power utility exponent '1e5e5' is not a number"),
+    ("-1e-320", "power utility with alpha=-1e-320 is not finite: 1/alpha=-inf, shift=inf"),
+    ("1e-320", "power utility with alpha=1e-320 is not finite: 1/alpha=inf, shift=0.0"),
+])
+@pytest.mark.parametrize("command", [["primal", "--x", "1"], ["dual", "--y", "1"]],
+                         ids=["primal", "dual"])
+def test_unusable_power_exponent_exits_2(market_path, out, capsys, command, alpha, message):
+    code, out_text, err = run_cli(capsys, [command[0], "--market", market_path, "--utility",
+                                           f"power:{alpha}", *command[1:], "--output", out])
+    assert (code, out_text, err) == (2, "", f"error: {message}\n")
+
+
 def test_report_command(tmp_path, out, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -190,10 +206,13 @@ _SMALL_REPORT = {"seed": {"seed": 1, "depth": 1, "branching": 2, "lambda": 0.1, 
      "config must name at most one of 'x_grid' or 'x_offsets'"),
     ({"y_grid": [1.0, 1000.0, 1000.0]}, "y grid repeats y=1000.0"),
     ({"y_grid": {"min": 2, "max": 2, "n": 3}}, "y grid repeats y=2.0"),
+    ({"utility": "power:1e5e5"}, "power utility exponent '1e5e5' is not a number"),
+    ({"utility": "power:-1e-320"}, "power utility with alpha=-1e-320 is not finite"),
 ], ids=["seed-abc", "x-grid-q", "seed-5", "x-offsets-scalar", "utility-5", "y-min-0",
         "check-marginals-string", "unknown-key", "x-grid-huge-integer", "branching-0",
         "rho-negative", "y-grid-n-huge", "y-grid-n-2-63", "y-grid-n-0", "x-grid-and-offsets",
-        "y-grid-repeated", "y-grid-min-equals-max"])
+        "y-grid-repeated", "y-grid-min-equals-max", "utility-unreadable",
+        "utility-not-finite"])
 def test_malformed_report_config_exits_2(tmp_path, out, capsys, change, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(_SMALL_REPORT, **change)))

@@ -644,6 +644,8 @@ def test_random_instance_scale_guard():
         hn.random_instance(1, depth=1, branching=0, lam=0.1, rho=0.0)
     with pytest.raises(MarketError, match="rho >= 0"):
         hn.random_instance(1, depth=1, branching=2, lam=0.1, rho=-1.0)
+    with pytest.raises(MarketError, match="finite endowment bound rho >= 0, got inf"):
+        hn.random_instance(1, depth=2, branching=2, lam=0.1, rho=float("inf"))
     for lam in (-0.1, 1.0, float("nan")):
         with pytest.raises(MarketError, match=r"outside \[0, 1\)"):
             hn.random_instance(1, depth=1, branching=2, lam=lam, rho=0.0)

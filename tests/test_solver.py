@@ -364,6 +364,12 @@ def _csc(data, rows, ptr):
     return csc_array((data.copy(), rows, ptr), shape=(ptr.size - 1,) * 2)
 
 
+def _splu(K):
+    """``splu`` in the natural order with the library's pivot threshold."""
+    return splu(K, permc_spec="NATURAL",
+                diag_pivot_thresh=solver._SUPERLU_OPTIONS["DiagPivotThresh"])
+
+
 def _counting_factors(monkeypatch):
     calls, factor = [], solver._factor
 
@@ -433,7 +439,7 @@ def test_children_first_factors_stay_sparse_on_deep_trees(monkeypatch, seed):
 
     def measuring(data, rows, ptr):
         K = _csc(data, rows, ptr)
-        lu = splu(K, permc_spec="NATURAL")   # the same factor, with L and U built
+        lu = _splu(K)   # the same factor, with L and U built
         fill.append((lu.L.nnz + lu.U.nnz) / K.nnz)
         return lu
 
@@ -465,8 +471,27 @@ def test_direct_factor_solves_as_splu_does_bit_for_bit(monkeypatch):
     for data, rows, ptr in seen:
         assert ptr.size - 1 == 323
         direct = factor(data, rows, ptr).solve(rhs)
-        reference = splu(_csc(data, rows, ptr), permc_spec="NATURAL").solve(rhs)
+        reference = _splu(_csc(data, rows, ptr)).solve(rhs)
         assert direct.tobytes() == reference.tobytes()
+
+
+def test_diagonal_pivots_fill_less_than_partial_pivoting_on_deep_trees(monkeypatch):
+    # every order-323 K of the 121-node primal solve: keeping a diagonal
+    # pivot unless its column holds an entry 1000 times larger avoids the
+    # row swaps partial pivoting makes, and the fill they bring
+    model = random_instance(1, 4, 3, lam=0.3, rho=0.2)
+    fills, factor = [], solver._factor
+
+    def measuring(data, rows, ptr):
+        lu = factor(data, rows, ptr)
+        partial = splu(_csc(data, rows, ptr), permc_spec="NATURAL", diag_pivot_thresh=1.0)
+        fills.append((lu.nnz, partial.nnz))
+        return lu
+
+    monkeypatch.setattr(solver, "_factor", measuring)
+    pr.solve_primal(model, ut.make_utility("log"), du.compute_x0(model) + 1.0)
+    assert fills
+    assert all(ours < partial for ours, partial in fills)
 
 
 def test_selftest_size_solves_never_factor_sparsely(monkeypatch):

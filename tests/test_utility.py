@@ -22,9 +22,18 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["exp", "power:", "power:1", "power:0", "power:2", "log:0.5"]:
+    for bad in ["exp", "power:", "power:1", "power:0", "power:2", "log:0.5",
+                "power:.", "power:e", "power:-", "power:1e5e5", "power:-1e400"]:
         with pytest.raises(DomainError):
             ut.parse_utility(bad)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("-inf"), -1e-320, 1e-320])
+def test_power_utility_refuses_an_exponent_whose_utility_is_not_finite(alpha):
+    # NaN passes no comparison; at |alpha| < 1/DBL_MAX, 1/alpha (and, for
+    # alpha < 0, the shift 1 - 2^alpha / alpha) overflow
+    with pytest.raises(DomainError, match=f"alpha={alpha}"):
+        ut.make_utility("power", alpha)
 
 
 def test_u_is_minus_infinity_off_domain():
