@@ -10,6 +10,7 @@ TCDL_OUTPUT_DIR environment variable, or ./tcdl_out.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -117,11 +118,11 @@ def _write_failure_record(out_dir: str, name: str, detail: str) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
         new = not os.path.exists(path)
-        with open(path, "a") as fh:
+        with open(path, "a", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             if new:
-                fh.write("name,location,value,tolerance,passed\n")
-            detail = detail.replace(",", ";").replace("\n", " ")
-            fh.write(f"{name},{detail},nan,0.0,False\n")
+                writer.writerow(["name", "location", "value", "tolerance", "passed"])
+            writer.writerow([name, detail, float("nan"), 0.0, False])
     except OSError as exc:
         print(f"note: no failure record written: {exc}", file=sys.stderr)
 

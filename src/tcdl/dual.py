@@ -207,13 +207,12 @@ def require_interior(poly: CpsPolytope) -> np.ndarray:
 
 
 def superreplication_price(model: MarketModel, g) -> float:
-    """Cheapest superreplication capital: sup of E[Z0_T g] over the polytope."""
+    """Cheapest superreplication capital: sup of E[Z0_T g] over the polytope;
+    a claim that is not one finite entry per leaf is a ``DomainError``."""
     poly = cps_polytope(model)
     _require_nonempty(poly)
     tree = model.tree
-    g = np.asarray(g, dtype=float)
-    if g.shape != (len(tree.leaves),):
-        raise DomainError(f"payoff has {g.shape} entries, expected {len(tree.leaves)}")
+    g = pr._payoff(model, g)
     c = np.zeros(poly.n_vars)
     c[list(tree.leaves)] = tree.leaf_prob() * g
     res = solve_lp(LinearProgram(c=c, A_ub=poly.G, b_ub=poly.h,

@@ -22,6 +22,7 @@ Also provides the seeded random-instance generator and the CLI's selftest driver
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -308,6 +309,17 @@ class DualityReport:
         })
 
 
+def _grid(values, name: str) -> np.ndarray:
+    """``values`` as floats; a ``DomainError`` unless a nonempty 1-D list of numbers."""
+    try:
+        grid = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} grid is not a list of numbers: {values!r}") from None
+    if grid.ndim != 1 or not grid.size:
+        raise DomainError(f"{name} grid must be a nonempty 1-D list, got shape {grid.shape}")
+    return grid
+
+
 def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
                     x_grid, y_grid,
                     check_marginals: bool = True,
@@ -315,19 +327,15 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     """Run the full Main Theorem certification on the given grids.
 
     The y grid is sorted ascending before the solves; the convexity,
-    monotonicity and large-y slope checks read it in that order.  A grid
-    that is not a nonempty 1-D list of numbers, and one with a non-finite y
-    or a y that appears twice, is a ``DomainError``.  Its two phase-1 LPs,
-    the CPS polytope's (dual grid and yhat searches) and the trade side's
-    (x0 and the primal start), are solved once per model object.
+    monotonicity and large-y slope checks read it in that order.  Either
+    grid, when it is not a nonempty 1-D list of numbers, and a y grid with a
+    non-finite y or a y that appears twice, is a ``DomainError`` before any
+    solve; an x that is not finite is refused by its primal solve.  Its two
+    phase-1 LPs, the CPS polytope's (dual grid and yhat searches) and the
+    trade side's (x0 and the primal start), are solved once per model object.
     """
     tol = DEFAULT_TOLERANCES
-    try:
-        y_grid = np.asarray(y_grid, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"y grid is not a list of numbers: {y_grid!r}") from None
-    if y_grid.ndim != 1 or not y_grid.size:
-        raise DomainError(f"y grid must be a nonempty 1-D list, got shape {y_grid.shape}")
+    y_grid, xs = _grid(y_grid, "y"), [float(x) for x in _grid(x_grid, "x")]
     if not np.isfinite(y_grid).all():
         raise DomainError(f"y grid has a non-finite y={float(y_grid[~np.isfinite(y_grid)][0])!r}")
     y_grid = np.sort(y_grid)
@@ -372,7 +380,6 @@ def conjugacy_check(model: MarketModel, spec: ut.UtilitySpec,
     # yhat searches in lockstep.  Each x meets its own failure where its own
     # solves would have raised it; an x the primal refuses as below x0 is
     # recorded so, and one outside its domain raises.
-    xs = [float(x) for x in x_grid]
     primals = pr._solve_primals(model, spec, xs)
     for x, psol, rec in zip(xs, primals, _recoveries(model, spec, primals)):
         if isinstance(rec, BelowX0Error):
@@ -542,17 +549,13 @@ def _generate_instance(seed: int, depth: int, branching: int, lam: float, rho: f
 # Experiment driver and report files
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """``header`` and ``rows`` as CSV, one line each; a field holding a comma,
+    a quote or a newline is quoted, and a float prints as ``str`` does."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_report_files(report: DualityReport, out_dir: str) -> dict:
@@ -582,14 +585,6 @@ def write_report_files(report: DualityReport, out_dir: str) -> dict:
     return paths
 
 
-def _config_field(check, value, what: str):
-    """A ``market`` field check applied to report-config field ``what``."""
-    try:
-        return check(value, f"config field {what!r}")
-    except MarketError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _config_typed(value, kind: type, what: str):
     if not isinstance(value, kind):
         raise ConfigError(f"config field {what!r} must be a {kind.__name__}, got {value!r}")
@@ -597,7 +592,7 @@ def _config_typed(value, kind: type, what: str):
 
 
 def _config_number(value, what: str, low: float = -np.inf) -> float:
-    number = _config_field(_number, value, what)
+    number = _number(value, f"config field {what!r}", ConfigError)
     if not low < number < np.inf:
         bound = "" if low == -np.inf else f" above {low:g}"
         raise ConfigError(f"config field {what!r} must be a finite number{bound}, got {value!r}")
@@ -611,7 +606,8 @@ def _config_numbers(value, what: str, low: float = -np.inf) -> list[float]:
 
 
 def _config_keys(mapping, what: str, *allowed: str) -> None:
-    unknown = sorted(set(map(str, _config_field(_mapping, mapping, what))) - set(allowed))
+    unknown = sorted(set(map(str, _mapping(mapping, f"config field {what!r}", ConfigError)))
+                     - set(allowed))
     if unknown:
         raise ConfigError(f"config field {what!r} has unknown keys {unknown}")
 
@@ -643,11 +639,11 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
     else:
         sd = config["seed"]
         _config_keys(sd, "seed", "seed", "depth", "branching", "lambda", "rho")
-        seed = _config_field(_integer, sd.get("seed"), "seed.seed")
+        seed = _integer(sd.get("seed"), "config field 'seed.seed'", ConfigError)
         model, attempts = _generate_instance(
             seed=seed,
-            depth=_config_field(_integer, sd.get("depth", 3), "seed.depth"),
-            branching=_config_field(_integer, sd.get("branching", 2), "seed.branching"),
+            depth=_integer(sd.get("depth", 3), "config field 'seed.depth'", ConfigError),
+            branching=_integer(sd.get("branching", 2), "config field 'seed.branching'", ConfigError),
             lam=_config_number(sd.get("lambda", 0.1), "seed.lambda"),
             rho=_config_number(sd.get("rho", 0.2), "seed.rho"),
         )
@@ -663,7 +659,7 @@ def run_experiment(config: dict, output_dir: str | None = None) -> DualityReport
         _config_keys(yg, "y_grid", "min", "max", "n")
         lo = _config_number(yg.get("min"), "y_grid.min", 0.0)
         hi = _config_number(yg.get("max"), "y_grid.max", 0.0)
-        count = _config_field(_integer, yg.get("n"), "y_grid.n")
+        count = _integer(yg.get("n"), "config field 'y_grid.n'", ConfigError)
         if count < 1:
             raise ConfigError(f"config field 'y_grid.n' must be at least 1, got {count}")
         if count > MAX_Y_GRID:
@@ -705,13 +701,14 @@ def selftest(seeds, output_dir: str, jobs: int = 1) -> dict:
     pass flag, or the ``TcdlError`` its run raised, so one failing seed
     leaves the others' results in place.
 
-    ``jobs`` (at least 1) caps the worker processes; at most one per seed is
-    started, and one job runs the seeds in this process.
+    ``jobs`` (at least 1) caps the worker processes, as do the seed count
+    and the CPU count: the pool starts all its workers at once.  One worker
+    runs the seeds in this process.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     tasks = [(int(s), output_dir) for s in seeds]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # Imported here: it is most of what the library's import costs beyond
         # numpy and scipy's two extensions, and one job never needs it.

@@ -31,8 +31,8 @@ PROB_SUM_TOL = 1e-12
 CHAIN_TOL = 1e-10
 
 
-def _number(value, what: str) -> float:
-    """``float(value)``, or MarketError naming the field when it is no number.
+def _number(value, what: str, error: type[TcdlError] = MarketError) -> float:
+    """``float(value)``, or ``error`` naming the field when it is no number.
 
     JSON booleans are no numbers, although Python reads ``true`` as 1.
     """
@@ -41,23 +41,23 @@ def _number(value, what: str) -> float:
             return float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise MarketError(f"{what} is not a number: {value!r}")
+    raise error(f"{what} is not a number: {value!r}")
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int, or MarketError when it is no integer (``1.7``, ``true``)."""
+def _integer(value, what: str, error: type[TcdlError] = MarketError) -> int:
+    """``value`` as an int, or ``error`` when it is no integer (``1.7``, ``true``)."""
     if not isinstance(value, bool):
         if isinstance(value, int):
             return value
-        number = _number(value, what)
+        number = _number(value, what, error)
         if number.is_integer():
             return int(number)
-    raise MarketError(f"{what} is not an integer: {value!r}")
+    raise error(f"{what} is not an integer: {value!r}")
 
 
-def _mapping(value, what: str) -> Mapping:
+def _mapping(value, what: str, error: type[TcdlError] = MarketError) -> Mapping:
     if not isinstance(value, Mapping):
-        raise MarketError(f"{what} must be a JSON object, got {type(value).__name__}")
+        raise error(f"{what} must be a JSON object, got {type(value).__name__}")
     return value
 
 

@@ -197,6 +197,16 @@ def is_attainable(model: MarketModel, g, x: float, tol: float = 1e-8) -> bool:
     return max_min_wealth(model, x, g)[0] >= -tol
 
 
+def _payoff(model: MarketModel, g) -> np.ndarray:
+    """The claim ``g`` as floats; a ``DomainError`` unless one finite entry per leaf."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (len(model.tree.leaves),):
+        raise DomainError(f"payoff has {g.shape} entries, expected {len(model.tree.leaves)}")
+    if not np.isfinite(g).all():
+        raise DomainError("payoff has a non-finite entry")
+    return g
+
+
 def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndarray]:
     """LP value max_u min_leaf (x + C u - g) over strategies from x, and an argmax u.
 
@@ -218,12 +228,7 @@ def max_min_wealth(model: MarketModel, x: float, g=None) -> tuple[float, np.ndar
     one.  A call with a claim g, and a solve that raises, leave nothing.
     """
     if g is not None:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (len(model.tree.leaves),):
-            raise DomainError(f"payoff has {g.shape} entries, expected {len(model.tree.leaves)}")
-        if not np.isfinite(g).all():
-            raise DomainError("payoff has a non-finite entry")
-        value, u = _max_min_lp(model, g)
+        value, u = _max_min_lp(model, _payoff(model, g))
         return x + value, u
     if "lp" not in model._phase1:
         model._phase1["lp"] = _max_min_lp(model, -model.endowment_vector())

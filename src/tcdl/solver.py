@@ -87,8 +87,9 @@ downstream rely on.  Once eta <= tol, a problem whose residuals make no new
 low for 20 iterations sits on a rounding floor and stops as
 "numerically-indeterminate" with its residual, as does one in which no step
 decreases the merit or whose KKT matrix is singular (dependent rows in
-``A``, say); there is no least-squares fallback.  A problem that stops
-leaves the batch.
+``A``, say); there is no least-squares fallback.  A stopped problem is
+marked once, with its outcome, and every marked problem leaves the batch at
+one check per iteration, after the tests for optimality and the floor.
 """
 
 from __future__ import annotations
@@ -393,7 +394,7 @@ def _factor(data: np.ndarray, rows: np.ndarray, ptr: np.ndarray):
 
 def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None):
     """Return ``(W, RHS) -> (SOL, singular)``: row k of SOL is K_k^-1 RHS[k]
-    for K_k = [[XG' diag(W[k]) XG, A'], [A, 0]], and ``singular`` is None or
+    for K_k = [[XG' diag(W[k]) XG, A'], [A, 0]], and the mask ``singular``
     marks the problems whose K is singular (their rows of SOL are 0).  The
     stacked dense K are factored by one batched LU, solved one by one when
     one is singular; at or above ``_SPARSE_KKT_ORDER`` each K by SuperLU,
@@ -451,7 +452,7 @@ def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None
         if dense:
             K = E.reshape(-1, dim, dim).transpose(0, 2, 1)
             try:
-                return np.linalg.solve(K, RHS[..., None])[..., 0], None
+                return np.linalg.solve(K, RHS[..., None])[..., 0], np.zeros(size, dtype=bool)
             except np.linalg.LinAlgError:
                 pass   # solved one by one below, to find the singular problems
         SOL, singular = np.zeros_like(RHS), np.zeros(size, dtype=bool)
@@ -463,7 +464,7 @@ def newton_solver(XG: np.ndarray, A: np.ndarray, order: np.ndarray | None = None
                     SOL[i, perm] = _factor(E[i], lu_rows, lu_ptr).solve(RHS[i, perm])
             except (np.linalg.LinAlgError, RuntimeError):   # SuperLU: "Factor is exactly singular"
                 singular[i] = True
-        return SOL, singular if singular.any() else None
+        return SOL, singular
 
     return solve
 
@@ -485,9 +486,9 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
     b = np.zeros(0) if cp.b is None else np.asarray(cp.b, dtype=float)
     m, p = G.shape[0], A.shape[0]
     params = np.zeros((1, 0)) if cp.params is None else np.asarray(cp.params, dtype=float)
-    newton = newton_solver(np.vstack([X, G]), A, cp.order)
     if cp.start is None:
         raise DomainError("solve_convex requires a strictly feasible start point")
+    newton = newton_solver(np.vstack([X, G]), A, cp.order)
     start = np.asarray(cp.start, dtype=float)
     start = start if start.ndim == 2 else start[None]
     # Each start's slacks, one product per start as for a lone problem.
@@ -516,50 +517,52 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
             raise DomainError("start point is outside the objective domain")
         lam = 1.0 / np.maximum(S, 1e-12) if cp.multipliers is None else lam0[rows]
         nu = np.zeros((B, p))
-        # V = X z, F, sum(log s) and the derivatives at the current iterates;
-        # each accepted line-search point hands its own to the next iteration.
-        first, second = cp.slopes(V, P)
-        grad = np.vecmat(first, X)
         # Stall state: each problem's lowest residual so far and the
         # iterations since it was first reached.
         best, since = np.full(B, np.inf), np.zeros(B, dtype=int)
-        gone = None                # rows stopped mid-iteration, dropped at the next
+        stopped = np.zeros(B, dtype=bool)   # outcome recorded; the row leaves at the next drop
 
-        def stop(mask, status, kkt, it):
-            if mask.any():
+        def stop(mask, status, it):
+            """Record each row of ``mask`` not stopped yet, with its residual."""
+            if np.count_nonzero(mask):
+                mask = mask & ~stopped
+                comp = np.abs(lam * S).max(axis=1, initial=0.0) if status == OPTIMAL else eta
                 k = rows[mask]
                 z_out[k], nu_out[k], f_out[k], kkt_out[k], it_out[k], status_out[k] = (
-                    Z[mask], nu[mask], F[mask], kkt[mask], it, status)
+                    Z[mask], nu[mask], F[mask], np.maximum(res_inf, comp)[mask], it, status)
+                stopped[mask] = True
 
         for it in range(1, _MAX_ITER + 2):
+            # The derivatives at the current iterates, whose V = X z, F and
+            # sum(log s) the last accepted line-search point handed over.
+            first, second = cp.slopes(V, P)
+            grad = np.vecmat(first, X)
             Anu = np.vecmat(nu, A)
             r_dual = grad + np.vecmat(lam, G) + Anu
             r_pri = np.matvec(A, Z) - b
             eta = np.vecdot(S, lam)
             res_inf = np.abs(np.concatenate([r_dual, r_pri], axis=1)).max(axis=1)
             if it > _MAX_ITER:
-                stop(np.ones(len(Z), bool) if gone is None else ~gone, INDETERMINATE,
-                     np.maximum(res_inf, eta), _MAX_ITER)
+                stop(~stopped, INDETERMINATE, _MAX_ITER)
                 break
             low = res_inf < best
             best, since = np.where(low, res_inf, best), np.where(low, 0, since + 1)
             small = eta <= tol
-            if gone is not None or np.count_nonzero(small):
-                leave = np.zeros(len(Z), dtype=bool) if gone is None else gone
-                done = small & (res_inf <= tol) & ~leave
+            if np.count_nonzero(small):   # both tests need eta <= tol
+                stop(small & (res_inf <= tol), OPTIMAL, it)
                 # Complementarity is within tol, but the residuals have made
                 # no new low for _STALL_ITERS iterations: a rounding floor.
-                stalled = small & ~done & ~leave & (since >= _STALL_ITERS)
-                stop(done, OPTIMAL, np.maximum(res_inf, np.abs(lam * S).max(axis=1, initial=0.0)), it)
-                stop(stalled, INDETERMINATE, np.maximum(res_inf, eta), it)
-                keep, gone = ~(leave | done | stalled), None
-                if not keep.all():
-                    if not keep.any():
-                        break
-                    (Z, S, F, L, lam, nu, grad, second, P, rows, Anu, r_pri, eta, res_inf,
-                     best, since) = (v[keep] for v in (Z, S, F, L, lam, nu, grad, second, P,
-                                                       rows, Anu, r_pri, eta, res_inf, best,
-                                                       since))
+                stop(small & (since >= _STALL_ITERS), INDETERMINATE, it)
+            # Every stopped row leaves here, whatever stopped it: the two
+            # tests above or, in the previous iteration, its step.
+            if np.count_nonzero(stopped):
+                if stopped.all():
+                    break
+                keep = ~stopped
+                (Z, S, F, L, lam, nu, grad, second, P, rows, Anu, r_pri, eta, res_inf,
+                 best, since, stopped) = (v[keep] for v in (Z, S, F, L, lam, nu, grad, second,
+                                                            P, rows, Anu, r_pri, eta, res_inf,
+                                                            best, since, stopped))
 
             # Newton step on the barrier merit phi = f - tau * sum(log s): the
             # right-hand side -grad(phi) - A'nu makes dz a descent direction for
@@ -569,13 +572,9 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
             grad_phi = grad + np.vecmat(tcol / S, G)
             rhs = -np.concatenate([grad_phi + Anu, r_pri], axis=1)
             sol, singular = newton(np.concatenate([second, lam / S], axis=1), rhs)
-            if singular is not None:
-                # No Newton step: stop with the residual.  The zero step
-                # below keeps the row's state until it leaves.
-                stop(singular, INDETERMINATE, np.maximum(res_inf, eta), it)
-                gone = singular
-                if gone.all():
-                    break
+            # No Newton step: stop with the residual.  The zero step below
+            # keeps the row's state until it leaves.
+            stop(singular, INDETERMINATE, it)
             dZ, dnu = sol[:, :n], sol[:, n:]
             GdZ = np.matvec(G, dZ)
             # d(lam*s): s dlam + lam ds = tau - lam*s with ds = -G dz.
@@ -586,45 +585,34 @@ def solve_convex(cp: ConvexProgram, tol: float = 1e-8) -> ConvexResult:
             alpha = _to_boundary(S, GdZ)
             phi = F - tau * L
             slope = np.vecdot(grad_phi, dZ)
-            still = False   # the rows whose first trial leaves z as it is
             for trial in range(60):
                 Zn = Z + alpha[:, None] * dZ
                 Sn = h - np.matvec(G, Zn)
-                out = None
-                if m and Sn.min() <= 0:
-                    # Rounding put a slack at zero: that trial is rejected,
-                    # and its row is evaluated at the current iterate.
-                    out = Sn.min(axis=1) <= 0
-                    Zn[out], Sn[out] = Z[out], S[out]
+                # Rounding put a slack at zero: that trial is rejected, and
+                # its row is evaluated at the current iterate.
+                out = (Sn <= 0).any(axis=1)
+                np.copyto(Zn, Z, where=out[:, None])
+                np.copyto(Sn, S, where=out[:, None])
                 Vn = np.matvec(X, Zn)
                 Fn, Ln = cp.value(Vn, P).sum(axis=1), np.log(Sn).sum(axis=1)
-                accept = Fn - tau * Ln <= phi + 1e-4 * alpha * slope
-                if out is not None:
-                    accept &= ~out
-                if not trial and np.count_nonzero(accept) < len(accept):
+                accept = (Fn - tau * Ln <= phi + 1e-4 * alpha * slope) & ~out
+                if not trial:
                     # A step that rounds to nothing cannot decrease the merit:
                     # its row takes it and moves its multipliers.
-                    still = np.all(Zn == Z, axis=1)
-                    if out is not None:
-                        still &= ~out
+                    still = (Zn == Z).all(axis=1) & ~out
                 accept |= still
                 if np.count_nonzero(accept) == len(accept):
                     break
                 alpha = np.where(accept, alpha, 0.5 * alpha)
             else:
                 # No step decreases the merit: stop with the residual.
-                stop(~accept, INDETERMINATE, np.maximum(res_inf, eta), it)
-                gone = ~accept if gone is None else gone | ~accept
-                if gone.all():
-                    break
+                stop(~accept, INDETERMINATE, it)
 
             # Multiplier step: its own fraction-to-boundary rule on lam > 0.
             beta = _to_boundary(lam, -dlam)[:, None]
             lam = lam + beta * dlam
             nu = nu + beta * dnu
             Z, S, V, F, L = Zn, Sn, Vn, Fn, Ln
-            first, second = cp.slopes(V, P)
-            grad = np.vecmat(first, X)
 
     # Long batches run in slices whose stacked dense K stays within the budget.
     size = max(1, _BATCH_BYTES // (8 * (n + p) ** 2))

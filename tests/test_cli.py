@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -56,7 +57,8 @@ def test_price_command(tmp_path, capsys):
     ({"up": "abc", "down": 0.0}, "payoff at leaf 'up' is not a number: 'abc'"),
     ([3.0, 0.0], "payoff file must be a JSON object, got list"),
     ({"up": 3.0, "down": 0.0, "zzz": 1.0}, "payoff keys name no leaf: ['zzz']"),
-], ids=["value-abc", "top-level-list", "unknown-leaf"])
+    ({"up": float("nan"), "down": 0.0}, "payoff has a non-finite entry"),
+], ids=["value-abc", "top-level-list", "unknown-leaf", "value-nan"])
 def test_malformed_payoff_exits_2(tmp_path, market_path, out, capsys, payoff, message):
     path = tmp_path / "payoff.json"
     path.write_text(json.dumps(payoff))
@@ -64,6 +66,32 @@ def test_malformed_payoff_exits_2(tmp_path, market_path, out, capsys, payoff, me
                                     "--payoff", str(path), "--output", out])
     assert code == 2
     assert message in err
+
+
+def test_csv_fields_holding_commas_are_quoted(tmp_path, out, capsys):
+    # a leaf id with a comma stays one field, and so does a failure
+    # message with one; every row has its header's width
+    spec = market_to_dict(binomial_market(4.0, 8.0, 2.0, lam=0.1))
+    spec = json.loads(json.dumps(spec).replace('"up"', '"u,p"'))
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(spec))
+    code, _, _ = run_cli(capsys, ["primal", "--market", str(mpath), "--utility", "log",
+                                  "--x", "2.0", "--output", out])
+    assert code == 0
+    with open(f"{out}/primal_leaves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["leaf", "prob", "S_T", "e_T", "ghat", "wealth"]
+    assert sorted(row[0] for row in rows[1:]) == ["down", "u,p"]
+    assert {len(row) for row in rows} == {6}
+    missing = str(tmp_path / "no,such.json")
+    code, _, err = run_cli(capsys, ["x0", "--market", missing, "--output", out])
+    assert code == 2 and f"cannot read JSON file {missing!r}" in err
+    with open(f"{out}/checks.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["name", "location", "value", "tolerance", "passed"]
+    assert rows[1][0] == "input-error" and rows[1][2:] == ["nan", "0.0", "False"]
+    assert rows[1][1].startswith(f"cannot read JSON file {missing!r}")
+    assert {len(row) for row in rows} == {5}
 
 
 def test_primal_command(market_path, out, capsys):

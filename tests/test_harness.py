@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import os
 import pickle
 
 import numpy as np
@@ -348,6 +349,27 @@ def test_a_repeated_y_is_an_input_error():
                           ([float("inf"), 1], r"non-finite y=inf$")):
         with pytest.raises(DomainError, match=message):
             hn.conjugacy_check(model, LOG, [x0 + 1], grid)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["a"], r"x grid is not a list of numbers: \['a'\]$"),
+    ([[1.0, 2.0]], r"x grid must be a nonempty 1-D list, got shape \(1, 2\)$"),
+    (None, r"x grid must be a nonempty 1-D list, got shape \(\)$"),
+    (2.0, r"x grid must be a nonempty 1-D list, got shape \(\)$"),
+    ([], r"x grid must be a nonempty 1-D list, got shape \(0,\)$"),
+], ids=["letters", "2-D", "none", "scalar", "empty"])
+def test_a_malformed_x_grid_is_an_input_error_before_any_solve(monkeypatch, grid, message):
+    # read as the y grid is: an empty grid would pass while certifying no x
+    model = hn.random_instance(1, 3, 2, lam=0.3, rho=0.2)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for module in (du, pr):
+        monkeypatch.setattr(module, "solve_lp", no_solve)
+        monkeypatch.setattr(module, "solve_convex", no_solve)
+    with pytest.raises(DomainError, match=message):
+        hn.conjugacy_check(model, LOG, grid, [0.5, 1.0, 2.0])
 
 
 def test_conjugacy_check_records_a_grid_with_no_x_above_x0():
@@ -863,10 +885,24 @@ class _LocalPool:
 def test_selftest_starts_at_most_one_worker_per_seed(monkeypatch, tmp_path):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LocalPool)
     monkeypatch.setattr(_LocalPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert hn.selftest([1, 2], str(tmp_path), jobs=500) == {1: True, 2: True}
     assert hn.selftest([3, 4, 5], str(tmp_path), jobs=2) == {3: True, 4: True, 5: True}
     assert hn.selftest([6], str(tmp_path), jobs=4) == {6: True}
     assert _LocalPool.sizes == [2, 2]
+
+
+@pytest.mark.parametrize("cpus", [4, None], ids=["4-cpus", "unknown"])
+def test_selftest_starts_at_most_one_worker_per_cpu(monkeypatch, tmp_path, cpus):
+    # the pool starts every worker at once, so --jobs past the CPU count
+    # (or past 1 when the count is unknown) starts no more
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LocalPool)
+    monkeypatch.setattr(_LocalPool, "sizes", [])
+    monkeypatch.setattr(hn, "_selftest_one", lambda task: (task[0], True))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert hn.selftest(range(1, 5001), str(tmp_path), jobs=5000) == dict.fromkeys(
+        range(1, 5001), True)
+    assert _LocalPool.sizes == ([4] if cpus else [])
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "pool"])

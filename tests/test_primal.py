@@ -95,6 +95,19 @@ def test_margin_equals_x_minus_superreplication_price():
             x - du.superreplication_price(model, g), abs=1e-8)
 
 
+@pytest.mark.parametrize("g", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]],
+                         ids=["nan", "inf", "minus-inf"])
+def test_a_non_finite_payoff_is_refused_by_name(g):
+    # the margin and the superreplication price share one payoff check
+    model = with_costs(lam=0.1)
+    with pytest.raises(DomainError, match="^payoff has a non-finite entry$"):
+        pr.max_min_wealth(model, 1.0, g)
+    with pytest.raises(DomainError, match="^payoff has a non-finite entry$"):
+        du.superreplication_price(model, g)
+    with pytest.raises(DomainError, match=r"^payoff has \(3,\) entries, expected 2$"):
+        du.superreplication_price(model, [0.0, 1.0, 2.0])
+
+
 def test_free_disposal():
     model = with_costs(lam=0.1)
     g = np.array([0.5, 1.5])

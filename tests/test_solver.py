@@ -656,6 +656,48 @@ def test_batch_solves_each_problem_as_alone():
     assert np.allclose(batch.z[2], expected + (1.0 - expected.sum()) / 3.0, atol=1e-8)
 
 
+def _leaving_batch(rows):
+    # row k: minimize sum(c_k / 2 (z - t)^2 + g_k z + d_k exp(z)) on
+    # sum(z) = 0; c_k = d_k = 0 leaves the KKT matrix singular, and w_k > 0
+    # makes the objective +inf off the start z = 0, so no step descends
+    t = np.array([0.3, 0.9, -0.1])
+    params = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],     # optimal at iteration 2
+                       [0.0, 1.0, 0.0, -1.0, 0.0, 0.0],    # singular at iteration 1
+                       [1.0, 0.0, 0.0, 0.0, 0.0, 1.0],     # no descent at iteration 1
+                       [0.0, 3.0, 0.0, -3.0, 1.0, 0.0]])   # needs 9 iterations
+    start = np.array([[0.2, -0.1, -0.1], [0.2, -0.1, -0.1], [0.0, 0.0, 0.0], [0.2, -0.1, -0.1]])
+
+    def value(v, q):
+        f = 0.5 * q[:, :1] * (v - t) ** 2 + q[:, 1:4] * v + q[:, 4:5] * np.exp(v)
+        return np.where((q[:, 5:] > 0) & (v != 0), np.inf, f)
+
+    def slopes(v, q):
+        e = q[:, 4:5] * np.exp(v)
+        return q[:, :1] * (v - t) + q[:, 1:4] + e, q[:, :1] + e
+
+    return ConvexProgram(X=np.eye(3), value=value, slopes=slopes, A=np.ones((1, 3)),
+                         b=np.zeros(1), start=start[rows], params=params[rows])
+
+
+def test_every_way_out_of_a_batch_matches_the_lone_solve(monkeypatch):
+    # under an iteration cap of 3, one problem of the batch is optimal, one
+    # has a singular KKT matrix, one finds no descending step and one meets
+    # the cap; each leaves with what its own solve gives, bit for bit
+    monkeypatch.setattr(solver, "_MAX_ITER", 3)
+    batch = solve_convex(_leaving_batch([0, 1, 2, 3]), tol=1e-10)
+    assert batch.statuses == (OPTIMAL, INDETERMINATE, INDETERMINATE, INDETERMINATE)
+    assert batch.problem_iterations.tolist() == [2, 1, 1, 3]
+    # the two stopped at iteration 1 keep their starts and residuals
+    assert batch.kkt_residual[1] == 1.0 and batch.kkt_residual[2] == 0.9
+    assert np.array_equal(batch.z[2], np.zeros(3))
+    for k in range(4):
+        alone = solve_convex(_leaving_batch([k]), tol=1e-10)
+        assert alone.statuses == (batch.statuses[k],)
+        assert alone.problem_iterations[0] == batch.problem_iterations[k]
+        for field in ("z", "eq_duals", "value", "kkt_residual"):
+            assert np.array_equal(getattr(alone, field)[0], getattr(batch, field)[k]), field
+
+
 # solve_primal on random_instance(1, 3, 2, lam=0.3, rho=0.2) at x0 + 1 with
 # log utility, as solved before the batch axis
 PINNED_PRIMAL = {"iterations": 18, "value": 1.4496642701260225,
